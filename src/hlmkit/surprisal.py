@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +30,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _LOG = {"2": math.log2, "e": math.log}
 
@@ -69,53 +70,48 @@ def _tokenize_sentences(text: str) -> list[list[str]]:
 class NgramModel:
     """Immutable Kneser-Ney smoothed n-gram model.
 
-    ``counts`` maps each order k to {history tuple: {word: count}} of raw
-    k-gram counts from the padded training stream. Windows whose last token
-    is the start pad are never counted, so each history's distribution
-    normalizes exactly over the predictable vocabulary.
+    The model is defined by one table: {history tuple: {word: count}} of raw
+    top-order counts from the padded training stream (histories have
+    ``order - 1`` tokens). Windows whose last token is the start pad are
+    never counted, so each history's distribution normalizes exactly over
+    the predictable vocabulary. ``counts`` exposes it as ``{order: table}``.
 
-    The predictable vocabulary excludes the start pad, and excludes the end
-    pad for unigram models (order 1 trains on unpadded token streams so that
-    its low-discount limit matches raw relative frequencies).
+    Because every stream starts with ``order - 1`` start pads, every observed
+    lower-order gram is a suffix of an observed top-order gram, so the
+    lower-order continuation tables are derived from the top table and never
+    stored. The vocabulary is every word the table predicts plus the pads and
+    ``<unk>``. The predictable vocabulary excludes the start pad, and
+    excludes the end pad for unigram models (order 1 trains on unpadded
+    token streams so that its low-discount limit matches raw relative
+    frequencies).
     """
 
-    def __init__(self, order: int, discount: float, vocab: Iterable[str],
-                 counts: Mapping[int, Mapping[tuple[str, ...], Mapping[str, int]]]):
+    def __init__(self, order: int, discount: float,
+                 table: Mapping[tuple[str, ...], Mapping[str, int]]):
         if not 1 <= order <= 3:
             raise ValidationError(f"order must be in [1, 3], got {order}")
         if not 0 < discount < 1:
             raise ValidationError(f"discount must be in (0, 1), got {discount}")
         self.order = order
         self.discount = discount
-        self.vocab = frozenset(vocab) | {BOS, EOS, UNK}
-        if set(counts) != set(range(1, order + 1)):
-            raise ValidationError(
-                f"count tables must cover orders 1..{order}, got {sorted(counts)}"
-            )
-        self.counts = {
-            k: {tuple(h): dict(ws) for h, ws in tbl.items()}
-            for k, tbl in counts.items()
-        }
+        top = {tuple(h): dict(ws) for h, ws in table.items()}
+        self.counts = {order: top}
+        self.vocab = frozenset(w for ws in top.values() for w in ws) | {BOS, EOS, UNK}
         excluded = {BOS} | ({EOS} if order == 1 else set())
         self._events: tuple[str, ...] = tuple(sorted(self.vocab - excluded))
-        self._tables = self._build_tables()
-        self._totals = {
-            k: {h: sum(ws.values()) for h, ws in tbl.items()}
-            for k, tbl in self._tables.items()
-        }
-
-    def _build_tables(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
-        tables = {self.order: self.counts[self.order]}
-        for k in range(self.order - 1, 0, -1):
-            left: dict[tuple, dict[str, set]] = defaultdict(lambda: defaultdict(set))
-            for hist, words in self.counts[k + 1].items():
-                for w in words:
-                    full = hist + (w,)
-                    left[full[1:-1]][full[-1]].add(full[0])
-            tables[k] = {
-                h: {w: len(vs) for w, vs in ws.items()} for h, ws in left.items()
-            }
-        return tables
+        self._uniform = 1.0 / len(self._events)
+        # _levels[j] maps a j-token history to (words, total, backoff mass)
+        # of the order j+1 table.
+        levels = [top]
+        for _ in range(order - 1):
+            levels.append(_continuation_counts(levels[-1]))
+        self._levels: list[dict[tuple[str, ...], tuple[dict[str, int], int, float]]] = []
+        for tbl in reversed(levels):
+            stats = {}
+            for h, ws in tbl.items():
+                total = sum(ws.values())
+                stats[h] = (ws, total, discount * len(ws) / total)
+            self._levels.append(stats)
 
     @property
     def event_vocab(self) -> tuple[str, ...]:
@@ -130,22 +126,47 @@ class NgramModel:
         ctx = tuple(t if t in self.vocab else UNK for t in context)
         k = min(self.order, len(ctx) + 1)
         hist = ctx[len(ctx) - (k - 1):] if k > 1 else ()
-        return self._p(k, hist, w)
+        return self._p(hist, w)
 
-    def _p(self, k: int, hist: tuple[str, ...], w: str) -> float:
-        if k == 0:
-            return 1.0 / len(self._events)
-        words = self._tables[k].get(hist)
-        if not words:
-            return self._p(k - 1, hist[1:], w)
-        total = self._totals[k][hist]
-        discounted = max(words.get(w, 0) - self.discount, 0.0)
-        backoff_mass = self.discount * len(words) / total
-        return discounted / total + backoff_mass * self._p(k - 1, hist[1:], w)
+    def _p(self, hist: tuple[str, ...], w: str) -> float:
+        """p(w | hist) for a mapped history of at most ``order - 1`` tokens.
+
+        Interpolates from the uniform floor up to order len(hist) + 1,
+        skipping histories the tables never saw. This is the recursion
+        p_k = max(c - D, 0) / total + backoff * p_(k-1) unrolled, with the
+        same float operations in the same order, so values are bit-identical
+        to evaluating it directly.
+        """
+        p = self._uniform
+        n = len(hist)
+        for j in range(n + 1):
+            entry = self._levels[j].get(hist[n - j:])
+            if entry is not None:
+                words, total, backoff = entry
+                c = words.get(w)
+                # an unseen word's discounted term is exactly 0.0: skip it
+                p = (c - self.discount) / total + backoff * p if c else backoff * p
+        return p
 
     def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
         """Full conditional distribution over the predictable vocabulary."""
         return {w: self.prob(w, context) for w in self._events}
+
+
+def _continuation_counts(
+    upper: Mapping[tuple[str, ...], Mapping[str, int]],
+) -> dict[tuple[str, ...], dict[str, int]]:
+    """One order down: how many distinct left extensions each gram has.
+
+    Every (history, word) entry of ``upper`` is a distinct gram, so a lower
+    gram's continuation count is the number of upper entries ending in it.
+    """
+    lower: dict[tuple[str, ...], dict[str, int]] = {}
+    for hist, words in upper.items():
+        row = lower.setdefault(hist[1:], {})
+        for w in words:
+            row[w] = row.get(w, 0) + 1
+    return lower
 
 
 def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75) -> NgramModel:
@@ -167,19 +188,14 @@ def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75)
     if not sents:
         raise EmptyCorpus("corpus contains no tokens")
 
-    vocab = {t for s in sents for t in s}
-    counts: dict[int, dict[tuple[str, ...], Counter]] = {
-        k: defaultdict(Counter) for k in range(1, order + 1)
-    }
+    grams: Counter = Counter()
     for s in sents:
         padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
-        for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                gram = tuple(padded[i:i + k])
-                if gram[-1] == BOS:
-                    continue
-                counts[k][gram[:-1]][gram[-1]] += 1
-    return NgramModel(order, discount, vocab, counts)
+        grams.update(zip(*(padded[i:] for i in range(order))))
+    table: dict[tuple[str, ...], dict[str, int]] = {}
+    for gram, c in grams.items():
+        table.setdefault(gram[:-1], {})[gram[-1]] = c
+    return NgramModel(order, discount, table)
 
 
 def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> SurprisalSequence:
@@ -188,29 +204,37 @@ def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> Surpr
     Start/end pads condition and absorb probability mass but are never scored
     themselves, so the output has exactly one value per word token.
     """
-    seqs = sentence_surprisals(model, doc, base)
-    values = tuple(v for s in seqs for v in s.values)
+    values = tuple(v for s in _sentence_values(model, doc, base) for v in s)
     return SurprisalSequence(doc_id=doc.id, values=values, base=base)
 
 
 def sentence_surprisals(model: NgramModel, doc: Document, base: str = "2") -> list[SurprisalSequence]:
     """Per-sentence surprisal sequences for one document."""
+    return [SurprisalSequence(doc_id=doc.id, values=tuple(values), base=base)
+            for values in _sentence_values(model, doc, base)]
+
+
+def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[float]]:
+    """Surprisals per sentence, each token scored on the last order-1 tokens."""
     if base not in _LOG:
         raise ValidationError(f"base must be '2' or 'e', got {base!r}")
     log = _LOG[base]
     sents = _tokenize_sentences(doc.text)
     if not sents:
         raise EmptyDocument(f"document {doc.id!r} has no tokens")
+    vocab = model.vocab
+    n = model.order - 1
     out = []
     for s in sents:
-        ctx: tuple[str, ...] = (BOS,) * (model.order - 1)
+        hist: tuple[str, ...] = (BOS,) * n
         values = []
         for tok in s:
-            p = model.prob(tok, ctx)
+            w = tok if tok in vocab else UNK
             # max() guards float round-off when p is within an ulp of 1
-            values.append(max(0.0, -log(p)))
-            ctx = ctx + (tok,)
-        out.append(SurprisalSequence(doc_id=doc.id, values=tuple(values), base=base))
+            values.append(max(0.0, -log(model._p(hist, w))))
+            if n:
+                hist = hist[1:] + (w,)
+        out.append(values)
     return out
 
 
@@ -258,45 +282,112 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> No
 
 
 def model_to_dict(model: NgramModel) -> dict:
-    """Versioned, fully sorted JSON-safe dump of the raw count tables."""
+    """Versioned, fully sorted JSON-safe dump of the top-order count table."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
-        "vocab": sorted(model.vocab),
         "counts": [
-            [k, [
-                [list(h), sorted(ws.items())]
-                for h, ws in sorted(model.counts[k].items())
-            ]]
-            for k in sorted(model.counts)
+            [list(h), sorted(ws.items())]
+            for h, ws in sorted(model.counts[model.order].items())
         ],
     }
 
 
+# Fields of each readable dump version. Version 1 also stored the vocabulary
+# and the raw count tables of every order; only its top-order table is read.
+_MODEL_FIELDS = {
+    1: {"format", "version", "order", "discount", "vocab", "counts"},
+    2: {"format", "version", "order", "discount", "counts"},
+}
+
+
+def _count_table(entries, order: int) -> dict[tuple[str, ...], dict[str, int]]:
+    """Parse ``[[history, [[word, count], ...]], ...]``, checking every value.
+
+    Types are compared exactly, so a bool or float count is rejected rather
+    than coerced.
+    """
+    if type(entries) is not list:
+        raise ValidationError("model counts must be a list of [history, words] entries")
+    table: dict[tuple[str, ...], dict[str, int]] = {}
+    for i, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != 2:
+            raise ValidationError(f"count entry {i} must be [history, words]")
+        hist, words = entry
+        if (type(hist) is not list or len(hist) != order - 1
+                or not all(type(t) is str for t in hist)):
+            raise ValidationError(
+                f"count entry {i}: history must be a list of {order - 1} strings")
+        if type(words) is not list or not words:
+            raise ValidationError(f"count entry {i}: words must be a non-empty list")
+        row = {}
+        for item in words:
+            if type(item) is not list or len(item) != 2:
+                raise ValidationError(f"count entry {i}: expected [word, count], got {item!r}")
+            w, c = item
+            if type(w) is not str or type(c) is not int or c <= 0:
+                raise ValidationError(
+                    f"count entry {i}: expected a string word and a positive "
+                    f"integer count, got {item!r}")
+            row[w] = c
+        if len(row) != len(words):
+            raise ValidationError(f"count entry {i}: duplicate word")
+        table[tuple(hist)] = row
+    if len(table) != len(entries):
+        raise ValidationError("duplicate history in model counts")
+    return table
+
+
 def model_from_dict(data: dict) -> NgramModel:
-    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
+    """Rebuild a model from a version-2 dump or a version-1 (legacy) one."""
+    if type(data) is not dict or data.get("format") != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
-    if data.get("version") != MODEL_VERSION:
-        raise ValidationError(f"unsupported model version {data.get('version')!r}")
-    counts = {
-        int(k): {tuple(h): {w: int(c) for w, c in ws} for h, ws in entries}
-        for k, entries in data["counts"]
-    }
-    return NgramModel(
-        order=int(data["order"]),
-        discount=float(data["discount"]),
-        vocab=data["vocab"],
-        counts=counts,
-    )
+    version = data.get("version")
+    if type(version) is not int or version not in _MODEL_FIELDS:
+        raise ValidationError(f"unsupported model version {version!r}")
+    fields = _MODEL_FIELDS[version]
+    if data.keys() != fields:
+        raise ValidationError(
+            f"model version {version} needs fields {sorted(fields)}, got {sorted(data)}")
+    order, discount = data["order"], data["discount"]
+    if type(order) is not int:
+        raise ValidationError(f"model order must be an integer, got {order!r}")
+    if type(discount) is not float:
+        raise ValidationError(f"model discount must be a float, got {discount!r}")
+    if not 1 <= order <= 3:
+        raise ValidationError(f"order must be in [1, 3], got {order}")
+    entries = data["counts"]
+    if version == 1:
+        vocab = data["vocab"]
+        if type(vocab) is not list or not all(type(t) is str for t in vocab):
+            raise ValidationError("model vocab must be a list of strings")
+        # version 1 holds [[k, entries], ...] for k = 1..order
+        tops = [t[1] for t in entries if type(t) is list and len(t) == 2
+                and type(t[0]) is int and t[0] == order] if type(entries) is list else []
+        if len(tops) != 1:
+            raise ValidationError(f"version-1 counts need exactly one order-{order} table")
+        entries = tops[0]
+    return NgramModel(order, discount, _count_table(entries, order))
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:
-    """Serialize a model to JSON. Round-trips bit-exactly (counts are ints)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Serialize a model to compact JSON. Round-trips bit-exactly (counts are ints).
+
+    The dump is written to a temporary file beside ``path`` and then renamed
+    over it, so a failed save leaves any previous file untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> NgramModel:
@@ -305,4 +396,6 @@ def load_model(path: str | Path) -> NgramModel:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid model JSON: {e.msg}", line=e.lineno) from e
+        except (UnicodeDecodeError, RecursionError) as e:
+            raise ParseError(f"invalid model JSON: {e}") from e
     return model_from_dict(data)

@@ -146,10 +146,11 @@ def test_c06_ngram_model_against_naive_oracle():
             docs = [Document(id=f"d{i}", text=" ".join(s)) for i, s in enumerate(sentences)]
             model = train_lm(docs, order=order, discount=discount)
 
-            # every context observed at any level, plus unseen ones
+            # every context observed at any level (each is a suffix of a
+            # top-order history), plus unseen ones
             contexts = {(), (BOS,) * (order - 1), ("oov",) * max(1, order - 1)}
-            for level in range(1, order + 1):
-                contexts.update(model.counts[level])
+            for hist in model.counts[order]:
+                contexts.update(hist[i:] for i in range(order))
             for ctx in contexts:
                 dist = model.distribution(ctx)
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)

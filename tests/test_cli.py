@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hlmkit
 from hlmkit.cli import main
 from hlmkit.data import reference_performance_path
 
@@ -271,6 +274,92 @@ class TestErrorPaths:
 
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
+
+
+# A complete version-1 model file (order 1), the legacy layout that is still read.
+V1_MODEL = {
+    "format": "hlmkit-ngram", "version": 1, "order": 1, "discount": 0.75,
+    "vocab": ["</s>", "<s>", "<unk>", "cat", "the"],
+    "counts": [[1, [[[], [["cat", 1], ["the", 2]]]]]],
+}
+
+
+def _set_first_count(value):
+    def mutate(data):
+        data["counts"][0][1][0][1] = value
+    return mutate
+
+
+# (version of the starting dump, change that makes it malformed)
+MALFORMED_MODELS = {
+    "missing-counts": (2, lambda d: d.pop("counts")),
+    "order-not-int": (2, lambda d: d.update(order="x")),
+    "order-float": (2, lambda d: d.update(order=2.0)),
+    "discount-string": (2, lambda d: d.update(discount="0.75")),
+    "version-string": (2, lambda d: d.update(version="2")),
+    "unknown-field": (2, lambda d: d.update(vocab=5)),
+    "counts-not-list": (2, lambda d: d.update(counts={"the": 1})),
+    "history-too-long": (2, lambda d: d["counts"][0][0].append("extra")),
+    "history-too-short": (2, lambda d: d["counts"][0][0].pop()),
+    "count-negative": (2, _set_first_count(-5)),
+    "count-zero": (2, _set_first_count(0)),
+    "count-bool": (2, _set_first_count(True)),
+    "count-float": (2, _set_first_count(2.7)),
+    "count-string": (2, _set_first_count("3")),
+    "empty-word-list": (2, lambda d: d["counts"][0].__setitem__(1, [])),
+    "duplicate-history": (2, lambda d: d["counts"].append(d["counts"][0])),
+    "v1-vocab-not-list": (1, lambda d: d.update(vocab=5)),
+    "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
+    "v1-count-zero": (1, lambda d: d["counts"][0][1][0][1][0].__setitem__(1, 0)),
+    "v1-no-top-table": (1, lambda d: d.update(order=2)),
+}
+
+
+class TestMalformedModel:
+    """A malformed model file exits 2 with a one-line error, never a traceback."""
+
+    @staticmethod
+    def _run_surprisal(tmp_path, model_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(hlmkit.__file__).parents[1]))
+        env.pop("HLMKIT_CONFIG", None)
+        return subprocess.run(
+            [sys.executable, "-m", "hlmkit", "surprisal", "--corpus", write_corpus(tmp_path),
+             "--model", str(model_path), "-o", str(tmp_path / "s.jsonl")],
+            capture_output=True, text=True, env=env,
+        )
+
+    @pytest.fixture(scope="class")
+    def v2_model(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("model")
+        path = tmp / "model.json"
+        assert main(["lm-train", "--corpus", write_corpus(tmp), "--order", "2",
+                     "-o", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_exit_2_without_traceback(self, tmp_path, v2_model, case):
+        version, mutate = MALFORMED_MODELS[case]
+        data = json.loads(json.dumps(V1_MODEL if version == 1 else v2_model))
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        proc = self._run_surprisal(tmp_path, bad)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "ValidationError" in proc.stderr or "ParseError" in proc.stderr
+
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "hlmkit-ngram\xff"}')
+        proc = self._run_surprisal(tmp_path, bad)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_version1_file_still_scores(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(V1_MODEL, indent=1))
+        proc = self._run_surprisal(tmp_path, path)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigFile:

@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import random
+from collections import Counter
 
 import pytest
 
+from hlmkit import surprisal
 from hlmkit.errors import EmptyCorpus, ParseError, ValidationError
 from hlmkit.surprisal import (
     BOS,
@@ -173,6 +176,23 @@ class TestTokenSurprisals:
         # pads are context only: one value per real token
         assert len(merged.values) == 4
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_long_sentence_matches_full_prefix_probability(self, order):
+        # one ~3000-token sentence the segmenter cannot split, with OOV tokens;
+        # the scorer keeps only the last order-1 tokens, prob() gets them all
+        rng = random.Random(order)
+        words = [f"w{i}" for i in range(40)]
+        train = [[rng.choice(words) for _ in range(rng.randint(3, 12))] for _ in range(200)]
+        model = train_lm(docs_from_sentences(train), order=order, discount=0.7)
+        toks = [rng.choice(words + ["oov1", "oov2", "oov3"]) for _ in range(3000)]
+        doc = Document(id="long", text=" ".join(toks))
+        assert len(sentence_surprisals(model, doc)) == 1
+        want = []
+        for i, tok in enumerate(toks):
+            prefix = (BOS,) * (order - 1) + tuple(toks[:i])
+            want.append(max(0.0, -math.log2(model.prob(tok, prefix))))
+        assert list(token_surprisals(model, doc).values) == want
+
     def test_lowercasing(self):
         model = train_lm([Document(id="d", text="The cat. The dog.")], order=2)
         a = token_surprisals(model, Document(id="q", text="THE CAT"))
@@ -236,15 +256,38 @@ class TestImportExport:
             import_surprisals(path)
 
 
+def version1_dump(sentences, order, discount):
+    """A model file in the version-1 layout: vocabulary plus raw count
+    tables of every order, counted directly from the padded streams."""
+    counts = {k: Counter() for k in range(1, order + 1)}
+    for s in sentences:
+        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
+        for k in counts:
+            for i in range(len(padded) - k + 1):
+                if padded[i + k - 1] != BOS:
+                    counts[k][tuple(padded[i:i + k])] += 1
+    tables = []
+    for k, grams in sorted(counts.items()):
+        rows = {}
+        for gram, c in grams.items():
+            rows.setdefault(gram[:-1], []).append([gram[-1], c])
+        tables.append([k, [[list(h), sorted(ws)] for h, ws in sorted(rows.items())]])
+    vocab = {t for s in sentences for t in s} | {BOS, EOS, UNK}
+    return {"format": "hlmkit-ngram", "version": 1, "order": order,
+            "discount": discount, "vocab": sorted(vocab), "counts": tables}
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(3)
-        model = train_lm(docs_from_sentences(random_corpus(rng)), order=3, discount=0.65)
-        p1 = tmp_path / "m1.json"
-        p2 = tmp_path / "m2.json"
-        save_model(model, p1)
-        save_model(load_model(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        sentences = random_corpus(rng)
+        for order in (1, 2, 3):
+            model = train_lm(docs_from_sentences(sentences), order=order, discount=0.65)
+            p1 = tmp_path / f"m{order}a.json"
+            p2 = tmp_path / f"m{order}b.json"
+            save_model(model, p1)
+            save_model(load_model(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_probabilities_survive_reload(self, tmp_path):
         sentences = [["a", "b", "a", "c"], ["b", "c"]]
@@ -270,3 +313,49 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError):
             load_model(path)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_version1_file_loads_identically_and_resaves_as_version2(self, tmp_path, order):
+        rng = random.Random(40 + order)
+        sentences = random_corpus(rng)
+        model = train_lm(docs_from_sentences(sentences), order=order, discount=0.6)
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(version1_dump(sentences, order, 0.6), sort_keys=True, indent=1) + "\n")
+        loaded = load_model(v1)
+        assert loaded.vocab == model.vocab
+        contexts = {(), ("unseen",) * (order - 1)}
+        contexts |= {h[i:] for h in model.counts[order] for i in range(order)}
+        for ctx in contexts:
+            for w in model.event_vocab + ("never-seen",):
+                assert loaded.prob(w, ctx) == model.prob(w, ctx), (ctx, w)
+        resaved, direct = tmp_path / "resaved.json", tmp_path / "direct.json"
+        save_model(loaded, resaved)
+        save_model(model, direct)
+        assert json.loads(resaved.read_text())["version"] == 2
+        assert resaved.read_bytes() == direct.read_bytes()
+
+    def test_file_holds_only_the_top_order_table(self, tmp_path):
+        model = train_lm(docs_from_sentences([["a", "b", "a"], ["b"]]), order=3)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n") and ": " not in text
+        data = json.loads(text)
+        assert sorted(data) == ["counts", "discount", "format", "order", "version"]
+        assert all(len(h) == 2 for h, _ in data["counts"])
+
+    @pytest.mark.parametrize("failure", ["serialize", "replace"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failure):
+        model = train_lm(docs_from_sentences([["a", "b"]]), order=2)
+        path = tmp_path / "m.json"
+        path.write_text("previous model\n")
+
+        def fail(*args, **kwargs):
+            raise OSError("simulated failure")
+
+        target = (surprisal.json, "dumps") if failure == "serialize" else (surprisal.os, "replace")
+        monkeypatch.setattr(*target, fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_model(model, path)
+        assert path.read_text() == "previous model\n"
+        assert os.listdir(tmp_path) == ["m.json"]
