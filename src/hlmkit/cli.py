@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import experiment, hlm, splitkit, surprisal, svg, uid
@@ -69,19 +68,6 @@ class _Config:
         )
 
 
-@dataclass
-class RunConfig:
-    """Resolved knobs for one invocation; defaults match the shipped constants."""
-
-    k: float = 1.25
-    mu_lang: float = 3.8845
-    base: str = "2"
-    epsilon_rel: float = 0.001
-    seed: int | None = None
-    std_ddof: int = 0
-    per_sentence: bool = False
-
-
 def _require_files(*paths):
     """Validate every input path before any work begins."""
     for p in paths:
@@ -118,12 +104,10 @@ def _check_svg(path: str) -> None:
 # subcommand handlers
 
 def cmd_score(args, cfg: _Config) -> int:
-    rc = RunConfig(
-        k=cfg.resolve(args.k, "score", "k", 1.25, float),
-        mu_lang=cfg.resolve(args.mu_lang, "score", "mu_lang", 3.8845, float),
-        base=cfg.resolve(args.base, "score", "base", "2", str),
-        per_sentence=cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool),
-    )
+    k = cfg.resolve(args.k, "score", "k", 1.25, float)
+    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", 3.8845, float)
+    base = cfg.resolve(args.base, "score", "base", "2", str)
+    per_sentence = cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool)
     _require_files(args.corpus, args.model, args.surprisals, args.neural_scores)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(
@@ -133,11 +117,11 @@ def cmd_score(args, cfg: _Config) -> int:
             if args.surprisals else None
         ),
         neural=splitkit.load_neural_scores(args.neural_scores) if args.neural_scores else None,
-        base=rc.base,
-        uid_sl=uid.UidSlConfig(k=rc.k),
-        uid_var=uid.UidVarConfig(mu_lang=rc.mu_lang),
+        base=base,
+        uid_sl=uid.UidSlConfig(k=k),
+        uid_var=uid.UidVarConfig(mu_lang=mu_lang),
         flesch=cfg.flesch_config(),
-        per_sentence=rc.per_sentence,
+        per_sentence=per_sentence,
     )
     scores = splitkit.score_corpus(corpus, args.criterion, providers)
     splitkit.scores_to_jsonl(scores, args.output)
@@ -178,19 +162,17 @@ def cmd_lm_train(args, cfg: _Config) -> int:
 
 
 def cmd_surprisal(args, cfg: _Config) -> int:
-    rc = RunConfig(
-        base=cfg.resolve(args.base, "surprisal", "base", "2", str),
-        per_sentence=cfg.resolve(args.per_sentence, "surprisal", "per_sentence", False, bool),
-    )
+    base = cfg.resolve(args.base, "surprisal", "base", "2", str)
+    per_sentence = cfg.resolve(args.per_sentence, "surprisal", "per_sentence", False, bool)
     _require_files(args.corpus, args.model)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.load_model(args.model)
     seqs = []
     for doc in corpus:
-        if rc.per_sentence:
-            seqs.extend(surprisal.sentence_surprisals(model, doc, rc.base))
+        if per_sentence:
+            seqs.extend(surprisal.sentence_surprisals(model, doc, base))
         else:
-            seqs.append(surprisal.token_surprisals(model, doc, rc.base))
+            seqs.append(surprisal.token_surprisals(model, doc, base))
     surprisal.export_surprisals(seqs, args.output)
     if args.validate:
         surprisal.import_surprisals(args.output)
@@ -236,13 +218,13 @@ def _write_heatmap_csv(report: dict, path: str) -> None:
 
 
 def cmd_hlm(args, cfg: _Config) -> int:
-    rc = RunConfig(std_ddof=cfg.resolve(args.std_ddof, "hlm", "std_ddof", 0, int))
-    if rc.std_ddof not in (0, 1):
-        raise ValidationError(f"std_ddof must be 0 or 1, got {rc.std_ddof}")
+    std_ddof = cfg.resolve(args.std_ddof, "hlm", "std_ddof", 0, int)
+    if std_ddof not in (0, 1):
+        raise ValidationError(f"std_ddof must be 0 or 1, got {std_ddof}")
     cube_path = args.cube or str(reference_performance_path())
     _require_files(cube_path)
     cube = hlm.load_cube_csv(cube_path)
-    report = hlm.compute_report(cube, ddof=rc.std_ddof)
+    report = hlm.compute_report(cube, ddof=std_ddof)
     report_dict = hlm.report_to_dict(report)
     _dump_json(report_dict, args.output)
     if args.heatmap_csv:
@@ -262,10 +244,10 @@ def cmd_hlm(args, cfg: _Config) -> int:
 
 
 def cmd_schedule(args, cfg: _Config) -> int:
-    rc = RunConfig(seed=cfg.resolve(args.seed, "schedule", "seed", None, int))
+    seed = cfg.resolve(args.seed, "schedule", "seed", None, int)
     _require_files(args.split)
     split = splitkit.split_from_dict(_load_json(args.split))
-    schedule = experiment.make_schedule(split, args.order, rc.seed)
+    schedule = experiment.make_schedule(split, args.order, seed)
     _dump_json(experiment.schedule_to_dict(schedule), args.output)
     if args.validate:
         loaded = experiment.schedule_from_dict(_load_json(args.output))
@@ -276,7 +258,7 @@ def cmd_schedule(args, cfg: _Config) -> int:
 
 
 def cmd_converge(args, cfg: _Config) -> int:
-    rc = RunConfig(epsilon_rel=cfg.resolve(args.epsilon, "converge", "epsilon_rel", 0.001, float))
+    epsilon_rel = cfg.resolve(args.epsilon, "converge", "epsilon_rel", 0.001, float)
     _require_files(args.log, args.manifest)
     if args.higher_is_better is not None:
         direction = args.higher_is_better
@@ -291,7 +273,7 @@ def cmd_converge(args, cfg: _Config) -> int:
             "or a --manifest file"
         )
     log = experiment.load_training_log(args.log, higher_is_better=direction)
-    result = experiment.converge_result_to_dict(log, rc.epsilon_rel)
+    result = experiment.converge_result_to_dict(log, epsilon_rel)
     _dump_json(result, args.output)
     if args.validate:
         loaded = _load_json(args.output)
@@ -469,6 +451,9 @@ def main(argv=None) -> int:
     try:
         cfg = _Config(args.config or os.environ.get("HLMKIT_CONFIG"))
         return args.func(args, cfg)
+    except UnicodeDecodeError as e:
+        print(f"error: ParseError: input is not valid UTF-8: {e}", file=sys.stderr)
+        return 2
     except HlmkitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

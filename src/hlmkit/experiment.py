@@ -135,25 +135,27 @@ class TrainingLog:
             prev = step
 
 
-def convergence_ratio(log: TrainingLog, epsilon_rel: float = 0.001) -> float:
-    """Convergent step divided by total steps, in (0, 1]. Lower is better.
+def _best_metric(log: TrainingLog) -> float:
+    return (max if log.higher_is_better else min)(v for _, v in log.steps)
 
-    The convergent step is the first whose metric lies within
-    ``epsilon_rel * |best|`` of the best metric in the log, direction-aware.
-    """
+
+def convergent_step(log: TrainingLog, epsilon_rel: float = 0.001) -> int:
+    """First step whose metric lies within ``epsilon_rel * |best|`` of the
+    best metric in the log, direction-aware."""
     if not 0 < epsilon_rel < 1:
         raise ValidationError(f"epsilon_rel must be in (0, 1), got {epsilon_rel}")
-    values = [v for _, v in log.steps]
-    best = max(values) if log.higher_is_better else min(values)
+    best = _best_metric(log)
     slack = epsilon_rel * abs(best)
     for step, value in log.steps:
-        if log.higher_is_better:
-            if value >= best - slack:
-                return step / log.steps[-1][0]
-        else:
-            if value <= best + slack:
-                return step / log.steps[-1][0]
+        if (value >= best - slack) if log.higher_is_better else (value <= best + slack):
+            return step
     raise AssertionError("unreachable: the best entry always qualifies")
+
+
+def convergence_ratio(log: TrainingLog, epsilon_rel: float = 0.001) -> float:
+    """Convergent step (see :func:`convergent_step`) divided by total steps,
+    in (0, 1]. Lower is better."""
+    return convergent_step(log, epsilon_rel) / log.steps[-1][0]
 
 
 def load_training_log(path: str | Path, higher_is_better: bool) -> TrainingLog:
@@ -255,19 +257,12 @@ def transfer_to_dict(matrix: TransferMatrix) -> dict:
 
 
 def converge_result_to_dict(log: TrainingLog, epsilon_rel: float) -> dict:
-    ratio = convergence_ratio(log, epsilon_rel)
-    best = (max if log.higher_is_better else min)(v for _, v in log.steps)
-    slack = epsilon_rel * abs(best)
-    for step, value in log.steps:
-        ok = value >= best - slack if log.higher_is_better else value <= best + slack
-        if ok:
-            convergent = step
-            break
+    step = convergent_step(log, epsilon_rel)
     return {
-        "ratio": ratio,
-        "convergent_step": convergent,
+        "ratio": step / log.steps[-1][0],
+        "convergent_step": step,
         "total_steps": log.steps[-1][0],
         "epsilon_rel": epsilon_rel,
         "higher_is_better": log.higher_is_better,
-        "best_metric": best,
+        "best_metric": _best_metric(log),
     }

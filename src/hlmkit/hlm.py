@@ -27,6 +27,7 @@ triplets spanning hundreds of points).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from typing import Iterable, Mapping
 from .errors import IncompleteDataWarning, MissingKey, ParseError, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
+_EVAL_LEVELS = LEVELS + ("full",)
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 AXES = ("model", "task", "criterion")
 
 CUBE_COLUMNS = (
@@ -97,17 +100,21 @@ def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def _cell_terms(t: PerformanceTriplet, ddof: int) -> tuple[float, float, float, float]:
+    """(s, STD, sigmoid(STD), cell value) of one triplet: the cell formula."""
+    s = logical_score(t)
+    std = triplet_std(t, ddof)
+    sig = sigmoid(std)
+    return s, std, sig, 0.0 if s == 0.0 else s + 0.25 * math.copysign(1.0, s) * sig
+
+
 def cell_value(t: PerformanceTriplet, ddof: int = 0) -> float:
     """Logical score plus the sign-gated dispersion bonus.
 
     Returns s + 0.25 * sgn(s) * sigmoid(STD). Exactly 0 whenever the logical
     score is 0: with no ordering evidence the dispersion term is silenced.
     """
-    s = logical_score(t)
-    if s == 0.0:
-        return 0.0
-    bonus = 0.25 * math.copysign(1.0, s) * sigmoid(triplet_std(t, ddof))
-    return s + bonus
+    return _cell_terms(t, ddof)[3]
 
 
 @dataclass(frozen=True)
@@ -199,40 +206,36 @@ class HlmReport:
 
 
 def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
-    """Compute all three index families over a cube.
+    """Compute all three index families over a cube in one pass.
 
     Cells absent from the full task x criterion x model cross product are
-    skipped with a warning and the per-key divisor shrinks accordingly, so
-    partial cubes still produce a report.
+    skipped with a warning that gives their count and the first few of them,
+    and the per-key divisor shrinks accordingly, so partial cubes still
+    produce a report. Each index equals :func:`index` for its key.
     """
-    expected = {
-        (t, c, m)
-        for t in cube.tasks for c in cube.criteria for m in cube.models
-    }
-    missing = sorted(expected - cube.cells.keys())
-    if missing:
+    breakdown = []
+    groups: tuple[dict[str, list[float]], ...] = ({}, {}, {})  # task, criterion, model
+    for key, t in sorted(cube.cells.items()):
+        s, std, sig, value = _cell_terms(t, ddof)
+        breakdown.append(CellBreakdown(*key, s=s, std=std, sigmoid=sig, value=value))
+        for axis_groups, k in zip(groups, key):
+            axis_groups.setdefault(k, []).append(value)
+    tasks, criteria, models = (sorted(g) for g in groups)
+    n_missing = len(tasks) * len(criteria) * len(models) - len(cube.cells)
+    if n_missing:
+        missing = (k for k in itertools.product(tasks, criteria, models) if k not in cube.cells)
+        shown = list(itertools.islice(missing, 10))
         warnings.warn(
-            f"cube is sparse; skipping {len(missing)} missing cells: {missing}",
+            f"cube is sparse; skipping {n_missing} missing cells, "
+            f"the first {len(shown)} in sorted order: {shown}",
             IncompleteDataWarning,
             stacklevel=2,
         )
-    breakdown = []
-    for (task, criterion, model), t in sorted(cube.cells.items()):
-        s = logical_score(t)
-        std = triplet_std(t, ddof)
-        sig = sigmoid(std)
-        breakdown.append(CellBreakdown(
-            task=task, criterion=criterion, model=model,
-            s=s, std=std, sigmoid=sig, value=cell_value(t, ddof),
-        ))
-    by_axis = {"model": {}, "task": {}, "criterion": {}}
-    for axis, keys in (("model", cube.models), ("task", cube.tasks), ("criterion", cube.criteria)):
-        for key in keys:
-            by_axis[axis][key] = index(cube, axis, key, ddof)
+    i_task, i_criteria, i_model = ({k: fmean(g[k]) for k in sorted(g)} for g in groups)
     return HlmReport(
-        i_model=by_axis["model"],
-        i_task=by_axis["task"],
-        i_criteria=by_axis["criterion"],
+        i_model=i_model,
+        i_task=i_task,
+        i_criteria=i_criteria,
         cells=tuple(breakdown),
         std_ddof=ddof,
     )
@@ -255,15 +258,6 @@ def report_to_dict(report: HlmReport) -> dict:
 # ---------------------------------------------------------------------------
 # CSV cube format
 
-def _parse_bool(raw: str, lineno: int) -> bool:
-    v = raw.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ParseError(f"invalid boolean {raw!r}", line=lineno)
-
-
 def load_cube_csv(path: str | Path) -> PerformanceCube:
     """Load a performance cube from CSV.
 
@@ -271,30 +265,32 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     value,higher_is_better. Rows with eval_level "full" form the per-key
     triplets used by the indices; rows with eval_level easy/medium/hard are
     kept for transfer analysis. Metric direction must be consistent within
-    a (task, criterion, model) group.
+    a (task, criterion, model) group. Rows are checked in file order and the
+    first faulty row raises.
     """
-    rows = []
+    directions: dict[tuple[str, str, str], bool] = {}
+    full: dict[tuple[str, str, str], dict[str, float]] = {}
+    eval_rows: dict[tuple, float] = {}
+    eval_directions: dict[tuple, bool] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty cube file", line=1) from None
-        if tuple(h.strip() for h in header) != CUBE_COLUMNS:
+        if tuple(map(str.strip, header)) != CUBE_COLUMNS:
             raise ParseError(
                 f"expected header {','.join(CUBE_COLUMNS)}, got {','.join(header)}", line=1
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(CUBE_COLUMNS):
                 raise ParseError(f"expected {len(CUBE_COLUMNS)} fields, got {len(row)}", line=lineno)
-            task, criterion, model, train_level, eval_level, metric, value, hib = (
-                f.strip() for f in row
-            )
+            task, criterion, model, train_level, eval_level, metric, value, hib = map(str.strip, row)
             if train_level not in LEVELS:
                 raise ParseError(f"invalid train_level {train_level!r}", line=lineno)
-            if eval_level not in LEVELS + ("full",):
+            if eval_level not in _EVAL_LEVELS:
                 raise ParseError(f"invalid eval_level {eval_level!r}", line=lineno)
             try:
                 val = float(value)
@@ -302,31 +298,26 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
                 raise ParseError(f"invalid value {value!r}", line=lineno) from None
             if not math.isfinite(val):
                 raise ParseError(f"non-finite value {value!r}", line=lineno)
-            rows.append((task, criterion, model, train_level, eval_level,
-                         metric, val, _parse_bool(hib, lineno), lineno))
+            direction = _BOOLS.get(hib.lower())
+            if direction is None:
+                raise ParseError(f"invalid boolean {hib!r}", line=lineno)
 
-    directions: dict[tuple[str, str, str], bool] = {}
-    full: dict[tuple[str, str, str], dict[str, float]] = {}
-    eval_rows: dict[tuple, float] = {}
-    eval_directions: dict[tuple, bool] = {}
-    for task, criterion, model, train_level, eval_level, metric, val, hib, lineno in rows:
-        key = (task, criterion, model)
-        if key in directions and directions[key] != hib:
-            raise ValidationError(
-                f"line {lineno}: inconsistent higher_is_better within group {key}"
-            )
-        directions[key] = hib
-        if eval_level == "full":
-            group = full.setdefault(key, {})
-            if train_level in group:
-                raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
-            group[train_level] = val
-        else:
-            ekey = key + (train_level, eval_level)
-            if ekey in eval_rows:
-                raise ValidationError(f"line {lineno}: duplicate row for {ekey}")
-            eval_rows[ekey] = val
-            eval_directions[ekey] = hib
+            key = (task, criterion, model)
+            if directions.setdefault(key, direction) != direction:
+                raise ValidationError(
+                    f"line {lineno}: inconsistent higher_is_better within group {key}"
+                )
+            if eval_level == "full":
+                group = full.setdefault(key, {})
+                if train_level in group:
+                    raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
+                group[train_level] = val
+            else:
+                ekey = key + (train_level, eval_level)
+                if ekey in eval_rows:
+                    raise ValidationError(f"line {lineno}: duplicate row for {ekey}")
+                eval_rows[ekey] = val
+                eval_directions[ekey] = direction
 
     cells = []
     incomplete = []

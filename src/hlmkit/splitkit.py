@@ -253,16 +253,26 @@ def load_neural_scores(path: str | Path) -> dict[str, NeuralScore]:
                 raise ParseError(
                     "expected object with 'id', 'score' and 'higher_is_harder'", line=lineno
                 )
-            if not isinstance(obj["score"], (int, float)) or isinstance(obj["score"], bool):
-                raise ParseError(f"'score' must be a number, got {obj['score']!r}", line=lineno)
+            score = _number(obj, "score", lineno)
             if not isinstance(obj["higher_is_harder"], bool):
                 raise ParseError("'higher_is_harder' must be a boolean", line=lineno)
-            if not math.isfinite(obj["score"]):
+            if not math.isfinite(score):
                 raise ValidationError(f"line {lineno}: non-finite score")
             if obj["id"] in out:
                 raise ValidationError(f"line {lineno}: duplicate id {obj['id']!r}")
-            out[obj["id"]] = NeuralScore(obj["id"], float(obj["score"]), obj["higher_is_harder"])
+            out[obj["id"]] = NeuralScore(obj["id"], score, obj["higher_is_harder"])
     return out
+
+
+def _number(obj: dict, key: str, lineno: int) -> float:
+    """``obj[key]`` as a float; only JSON numbers are accepted, not bools or strings."""
+    v = obj[key]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ParseError(f"{key!r} must be a number, got {v!r}", line=lineno)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{key!r} is out of the float range", line=lineno) from None
 
 
 def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None:
@@ -276,6 +286,8 @@ def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None
 
 
 def scores_from_jsonl(path: str | Path) -> list[DifficultyScore]:
+    """Score JSONL: {"id": str, "criterion": str, "value": number,
+    "higher_is_harder": bool} per line, types checked exactly."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -288,8 +300,13 @@ def scores_from_jsonl(path: str | Path) -> list[DifficultyScore]:
             required = {"id", "criterion", "value", "higher_is_harder"}
             if not isinstance(obj, dict) or not required <= obj.keys():
                 raise ParseError(f"expected object with {sorted(required)}", line=lineno)
+            if not isinstance(obj["id"], str) or not isinstance(obj["criterion"], str):
+                raise ParseError("'id' and 'criterion' must be strings", line=lineno)
+            value = _number(obj, "value", lineno)
+            if not isinstance(obj["higher_is_harder"], bool):
+                raise ParseError("'higher_is_harder' must be a boolean", line=lineno)
             out.append(DifficultyScore(
-                obj["id"], obj["criterion"], float(obj["value"]), bool(obj["higher_is_harder"])
+                obj["id"], obj["criterion"], value, obj["higher_is_harder"]
             ))
     return out
 

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -37,6 +39,29 @@ def write_transfer_cube(tmp_path):
             rows.append(f"{task},c1,m1,{tr},full,accuracy,{perf[tr]},true")
     path = tmp_path / "transfer_cube.csv"
     path.write_text(header + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def write_reference_transfer_cube(tmp_path):
+    """The bundled reference cube plus eval-level rows derived from it.
+
+    The bundled cube has full-test-set rows only. Train level i evaluated on
+    level j takes the full-set row of train level (i + j) mod 3, so each eval
+    column ranks the train levels in a different order.
+    """
+    levels = ("easy", "medium", "hard")
+    with open(reference_performance_path(), newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    full = {}
+    for row in rows[1:]:
+        full.setdefault(tuple(row[:3]), {})[row[3]] = row
+    for key, group in full.items():
+        for i, tr in enumerate(levels):
+            for j, ev in enumerate(levels):
+                rows.append(list(key) + [tr, ev] + group[levels[(i + j) % 3]][5:])
+    path = tmp_path / "reference_transfer_cube.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return str(path)
 
 
@@ -142,6 +167,33 @@ class TestHlmCommand:
     def test_idempotent(self, tmp_path):
         report = tmp_path / "report.json"
         run_twice_and_compare(["hlm", "-o", str(report)], report)
+
+
+# sha256 of the hlm and transfer outputs on the bundled reference cube,
+# recorded with the implementation that re-scored every cell per index key.
+PINNED_DIGESTS = {
+    "report0.json": "1c7b9b1be77d7056ae6d7e1dc4214f826ce1fd217e9edc53a02545b9dc0c9b1f",
+    "heatmap0.csv": "0f2261f35eefcb5163fa98e5f9430503dfb60692bde4509bfbc2d2ec86305eda",
+    "heatmap0.svg": "8a30f2869a75915ef6f77d762bea82f22879d53026bd52cc593f2026e0d85ec8",
+    "report1.json": "9edfbd854efec5a5ce45f63bef899a9fb6fde73ed0ca99061763e5f6a7f2a1d5",
+    "heatmap1.csv": "3947ad415aa12d1444d10a0ce4aed471b544e1fbd2f0b35d12ad0253f4e29082",
+    "heatmap1.svg": "66b91f423309fa6943ed5a25cefdcc46513059dc1aff8106d24e5188e78855d1",
+    "transfer.json": "3b9bb7287a1d1ce21aaa11539221499fa188b1dc758ce430c13b26737608e146",
+    "transfer.csv": "b13831000ce5e6b4c17c04136ed4a3295fc9673615a4b9e8472e2575b8f90f84",
+}
+
+
+def test_reference_outputs_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for ddof in ("0", "1"):
+        assert main(["hlm", "--std-ddof", ddof, "-o", str(out / f"report{ddof}.json"),
+                     "--heatmap-csv", str(out / f"heatmap{ddof}.csv"),
+                     "--heatmap-svg", str(out / f"heatmap{ddof}.svg")]) == 0
+    assert main(["transfer", "--cube", write_reference_transfer_cube(tmp_path),
+                 "-o", str(out / "transfer.json"), "--csv", str(out / "transfer.csv")]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PINNED_DIGESTS
 
 
 class TestConvergeCommand:
@@ -276,6 +328,82 @@ class TestErrorPaths:
         assert main([]) == 2
 
 
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hlmkit.__file__).parents[1]))
+    env.pop("HLMKIT_CONFIG", None)
+    return subprocess.run([sys.executable, "-m", "hlmkit", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+# argv of each subcommand with the non-UTF-8 file as its (first) input
+NON_UTF8_ARGV = {
+    "score": lambda bad, out: ["score", "--corpus", bad, "--criterion", "flesch", "-o", out],
+    "split": lambda bad, out: ["split", "--scores", bad, "-o", out],
+    "lm-train": lambda bad, out: ["lm-train", "--corpus", bad, "-o", out],
+    "surprisal": lambda bad, out: ["surprisal", "--corpus", bad, "--model", bad, "-o", out],
+    "hlm": lambda bad, out: ["hlm", "--cube", bad, "-o", out],
+    "schedule": lambda bad, out: ["schedule", "--split", bad, "--order", "easy_to_hard",
+                                  "-o", out],
+    "converge": lambda bad, out: ["converge", "--log", bad, "--higher-is-better", "-o", out],
+    "transfer": lambda bad, out: ["transfer", "--cube", bad, "-o", out],
+    "report": lambda bad, out: ["report", "--curves", bad, "--curves-out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_UTF8_ARGV))
+def test_non_utf8_input_exit_2(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"step,value\n1,0.5\xff\n")
+    proc = _run_cli(*NON_UTF8_ARGV[command](str(bad), str(tmp_path / "out")))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ParseError: ")
+
+
+GOOD_SCORE = {"criterion": "uid_sl", "higher_is_harder": True}
+
+# one malformed field of the second line of a score file
+BAD_SCORE_FIELDS = {
+    "harder-string": ("higher_is_harder", "false"),
+    "harder-int": ("higher_is_harder", 1),
+    "harder-null": ("higher_is_harder", None),
+    "value-numeric-string": ("value", "2.5"),
+    "value-string": ("value", "x"),
+    "value-bool": ("value", True),
+    "value-out-of-float-range": ("value", 10 ** 400),
+    "id-int": ("id", 5),
+    "criterion-list": ("criterion", ["uid_sl"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCORE_FIELDS))
+def test_split_rejects_mistyped_score_fields(tmp_path, capsys, case):
+    field, value = BAD_SCORE_FIELDS[case]
+    rows = [dict(GOOD_SCORE, id=f"d{i}", value=float(i)) for i in (1, 2, 3)]
+    rows[1][field] = value
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "split.json"
+    assert main(["split", "--scores", str(scores), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 2: ")
+    assert not out.exists()
+
+
+def test_neural_score_out_of_float_range_exit_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    neural = tmp_path / "neural.jsonl"
+    neural.write_text(
+        "".join(json.dumps({"id": d["id"], "score": 1.0, "higher_is_harder": True}) + "\n"
+                for d in CORPUS_LINES[:-1])
+        + json.dumps({"id": CORPUS_LINES[-1]["id"], "score": 10 ** 400,
+                      "higher_is_harder": True}) + "\n"
+    )
+    assert main(["score", "--corpus", corpus, "--criterion", "neural",
+                 "--neural-scores", str(neural), "-o", str(tmp_path / "s.jsonl")]) == 2
+    assert f"line {len(CORPUS_LINES)}: 'score' is out of the float range" in capsys.readouterr().err
+
+
 # A complete version-1 model file (order 1), the legacy layout that is still read.
 V1_MODEL = {
     "format": "hlmkit-ngram", "version": 1, "order": 1, "discount": 0.75,
@@ -320,13 +448,8 @@ class TestMalformedModel:
 
     @staticmethod
     def _run_surprisal(tmp_path, model_path):
-        env = dict(os.environ, PYTHONPATH=str(Path(hlmkit.__file__).parents[1]))
-        env.pop("HLMKIT_CONFIG", None)
-        return subprocess.run(
-            [sys.executable, "-m", "hlmkit", "surprisal", "--corpus", write_corpus(tmp_path),
-             "--model", str(model_path), "-o", str(tmp_path / "s.jsonl")],
-            capture_output=True, text=True, env=env,
-        )
+        return _run_cli("surprisal", "--corpus", write_corpus(tmp_path),
+                        "--model", str(model_path), "-o", str(tmp_path / "s.jsonl"))
 
     @pytest.fixture(scope="class")
     def v2_model(self, tmp_path_factory):

@@ -8,7 +8,9 @@ from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.experiment import (
     TrainingLog,
     _splitmix64,
+    converge_result_to_dict,
     convergence_ratio,
+    convergent_step,
     load_training_log,
     make_schedule,
     schedule_from_dict,
@@ -138,6 +140,24 @@ class TestConvergenceRatio:
                 continue
             truncated = TrainingLog(steps=steps[:cut], higher_is_better=hib)
             assert convergence_ratio(truncated, 0.01) >= convergence_ratio(log, 0.01)
+
+    def test_one_search_behind_ratio_and_report(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            hib = rng.random() < 0.5
+            steps = tuple((i + 1, rng.choice([1.0, rng.uniform(1, 10)])) for i in range(n))
+            log = TrainingLog(steps=steps, higher_is_better=hib)
+            eps = rng.uniform(1e-6, 0.5)
+            best = max(v for _, v in steps) if hib else min(v for _, v in steps)
+            slack = eps * abs(best)
+            within = [s for s, v in steps if (v >= best - slack if hib else v <= best + slack)]
+            step = convergent_step(log, eps)
+            assert step == within[0]
+            result = converge_result_to_dict(log, eps)
+            assert result["convergent_step"] == step
+            assert result["best_metric"] == best
+            assert result["ratio"] == convergence_ratio(log, eps) == step / n
 
     def test_epsilon_bounds(self):
         log = TrainingLog(steps=((1, 1.0), (2, 2.0)))

@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import (
@@ -200,11 +203,69 @@ class TestComputeReport:
             report = compute_report(cube)
         assert report.i_model["m2"] == pytest.approx(DESCENDING_CELL, abs=1e-12)
 
+    def test_sparse_diagonal_cube_warning_is_bounded(self):
+        # cell i = (t_i, c_i, m_i): 60 present cells of a 60^3 cross product
+        cube = PerformanceCube([
+            CubeCell(f"t{i:02d}", f"c{i:02d}", f"m{i:02d}", PerformanceTriplet(0.9, 0.8, 0.7))
+            for i in range(60)
+        ])
+        with pytest.warns(IncompleteDataWarning) as record:
+            report = compute_report(cube)
+        message = str(record[0].message)
+        assert "215940 missing cells" in message
+        assert len(message) < 2000
+        assert "('t00', 'c00', 'm01')" in message
+        assert len(report.i_task) == len(report.i_model) == len(report.i_criteria) == 60
+
     def test_report_dict_is_json_shaped(self, reference_cube):
         data = report_to_dict(compute_report(reference_cube))
         assert data["std_ddof"] == 0
         assert len(data["cells"]) == 72
         assert set(data) == {"i_model", "i_task", "i_criteria", "std_ddof", "cells"}
+
+
+# Few distinct keys and values, so generated cubes have missing cells and
+# tied triplets.
+_KEYS = st.tuples(st.sampled_from("abc"), st.sampled_from("xy"), st.sampled_from("pqr"))
+_VALUES = st.one_of(st.sampled_from([0.5, 0.7, 0.9, 40.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+_CELLS = st.lists(
+    st.tuples(_KEYS, st.tuples(_VALUES, _VALUES, _VALUES, st.booleans())),
+    min_size=1, max_size=18, unique_by=lambda cell: cell[0],
+)
+
+
+class TestReportMatchesIndex:
+    """The one-pass report agrees exactly with index() and cell_value()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells=_CELLS, ddof=st.sampled_from([0, 1]))
+    def test_every_index_and_cell_value(self, cells, ddof):
+        # insertion order is the generated order, not the sorted one
+        cube = PerformanceCube(CubeCell(*key, PerformanceTriplet(*t)) for key, t in cells)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = compute_report(cube, ddof)
+        for axis, pos, got in (("task", 0, report.i_task), ("criterion", 1, report.i_criteria),
+                               ("model", 2, report.i_model)):
+            assert list(got) == sorted({key[pos] for key, _ in cells})
+            for key, value in got.items():
+                assert value == index(cube, axis, key, ddof)
+        assert [(c.task, c.criterion, c.model) for c in report.cells] == sorted(cube.cells)
+        for c in report.cells:
+            assert c.value == cell_value(cube.triplet(c.task, c.criterion, c.model), ddof)
+
+        missing = sorted(
+            set(itertools.product(report.i_task, report.i_criteria, report.i_model))
+            - cube.cells.keys()
+        )
+        messages = [str(w.message) for w in caught if w.category is IncompleteDataWarning]
+        if missing:
+            assert len(messages) == 1
+            assert f"skipping {len(missing)} missing cells" in messages[0]
+            assert messages[0].endswith(str(missing[:10]))
+        else:
+            assert messages == []
 
 
 class TestCubeCsv:
@@ -270,6 +331,43 @@ class TestCubeCsv:
         with pytest.warns(IncompleteDataWarning):
             cube = load_cube_csv(path)
         assert list(cube.cells) == [("t1", "c1", "m1")]
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("true", True), ("TRUE", True), ("1", True), (" Yes ", True),
+        ("false", False), ("0", False), ("no", False), ("No", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, raw, expected):
+        body = "".join(f"t1,c1,m1,{tr},full,accuracy,0.5,{raw}\n"
+                       for tr in ("easy", "medium", "hard"))
+        cube = load_cube_csv(self.write(tmp_path, body))
+        assert cube.triplet("t1", "c1", "m1").higher_is_better is expected
+
+    def test_bad_boolean(self, tmp_path):
+        path = self.write(tmp_path, "t1,c1,m1,easy,full,accuracy,0.9, maybe \n")
+        with pytest.raises(ParseError, match="line 2: invalid boolean 'maybe'"):
+            load_cube_csv(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "t1,c1,m1,easy,full,accuracy,0.9,true\n"
+            "\n"
+            ",,,,,,,\n"
+            " , \n"
+            "t1,c1,m1,medium,full,accuracy,0.8,true\n"
+            "t1,c1,m1,hard,full,accuracy,0.7,true\n",
+        )
+        assert load_cube_csv(path).triplet("t1", "c1", "m1") == PerformanceTriplet(0.9, 0.8, 0.7)
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "t1,c1,m1,easy,full,accuracy,0.9,true\n"
+            "t1,c1,m1,easy,full,accuracy,0.8,true\n"
+            "t1,c1,m1,medium,full,accuracy,abc,true\n",
+        )
+        with pytest.raises(ValidationError, match="line 3: duplicate"):
+            load_cube_csv(path)
 
     def test_eval_rows_are_kept_separately(self, tmp_path):
         body = "".join(
