@@ -14,27 +14,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import experiment, hlm, splitkit, surprisal, svg, uid
+from ._files import BOOL, NUMBER, atomic_write, fields, open_input, read_json
 from .data import reference_performance_path
 from .errors import HlmkitError, ParseError, ValidationError
 from .textstat import FleschConfig
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
-def _cast_bool(raw: str) -> bool:
-    v = raw.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise ValidationError(f"invalid boolean {raw!r} in config")
 
 
 class _Config:
@@ -43,29 +33,34 @@ class _Config:
     def __init__(self, path: str | None):
         self.parser = configparser.ConfigParser()
         if path:
-            if not Path(path).is_file():
-                raise FileNotFoundError(f"config file not found: {path}")
-            self.parser.read(path, encoding="utf-8")
+            try:
+                with open_input(path) as fh:
+                    self.parser.read_file(fh)
+            except configparser.Error as e:  # its message may span lines
+                raise ParseError(f"invalid config file: {' '.join(str(e).split())}") from None
+
+    def _get(self, section: str, key: str, cast):
+        get = {bool: self.parser.getboolean, int: self.parser.getint,
+               float: self.parser.getfloat, str: self.parser.get}[cast]
+        try:
+            return get(section, key)
+        except (ValueError, configparser.Error) as e:  # a bad cast or interpolation
+            raise ValidationError(f"config [{section}] {key}: {e}") from None
 
     def resolve(self, flag_value, section: str, key: str, default, cast):
         if flag_value is not None:
             return flag_value
         for sect in (section, "defaults"):
             if self.parser.has_option(sect, key):
-                raw = self.parser.get(sect, key)
-                return _cast_bool(raw) if cast is bool else cast(raw)
+                return self._get(sect, key, cast)
         return default
 
     def flesch_config(self) -> FleschConfig:
         # Flesch coefficients are config-file-only by design; no CLI flags.
-        if not self.parser.has_section("flesch"):
-            return FleschConfig()
-        sect = self.parser["flesch"]
-        return FleschConfig(
-            base=sect.getfloat("base", 206.835),
-            words_per_sentence=sect.getfloat("words_per_sentence", 1.015),
-            syllables_per_word=sect.getfloat("syllables_per_word", 84.6),
-        )
+        return FleschConfig(**{
+            f.name: self._get("flesch", f.name, float)
+            for f in dataclasses.fields(FleschConfig) if self.parser.has_option("flesch", f.name)
+        })
 
 
 def _require_files(*paths):
@@ -76,22 +71,19 @@ def _require_files(*paths):
 
 
 def _dump_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno) from e
-
-
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, rows) -> None:
+    with atomic_write(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _check_svg(path: str) -> None:
@@ -104,9 +96,9 @@ def _check_svg(path: str) -> None:
 # subcommand handlers
 
 def cmd_score(args, cfg: _Config) -> int:
-    k = cfg.resolve(args.k, "score", "k", 1.25, float)
-    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", 3.8845, float)
-    base = cfg.resolve(args.base, "score", "base", "2", str)
+    k = cfg.resolve(args.k, "score", "k", uid.UidSlConfig.k, float)
+    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", uid.UidVarConfig.mu_lang, float)
+    base = cfg.resolve(args.base, "score", "base", surprisal.SurprisalSequence.base, str)
     per_sentence = cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool)
     _require_files(args.corpus, args.model, args.surprisals, args.neural_scores)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
@@ -137,7 +129,7 @@ def cmd_split(args, cfg: _Config) -> int:
     split = splitkit.tertile_split(scores)
     _dump_json(splitkit.split_to_dict(split), args.output)
     if args.validate:
-        loaded = splitkit.split_from_dict(_load_json(args.output))
+        loaded = splitkit.split_from_dict(read_json(args.output))
         ids = set(loaded.easy) | set(loaded.medium) | set(loaded.hard)
         if ids != {s.doc_id for s in scores}:
             raise ValidationError("split output does not partition the scored corpus")
@@ -147,8 +139,8 @@ def cmd_split(args, cfg: _Config) -> int:
 
 
 def cmd_lm_train(args, cfg: _Config) -> int:
-    order = cfg.resolve(args.order, "lm-train", "order", 2, int)
-    discount = cfg.resolve(args.discount, "lm-train", "discount", 0.75, float)
+    order = cfg.resolve(args.order, "lm-train", "order", surprisal.DEFAULT_ORDER, int)
+    discount = cfg.resolve(args.discount, "lm-train", "discount", surprisal.DEFAULT_DISCOUNT, float)
     _require_files(args.corpus)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.train_lm(corpus, order=order, discount=discount)
@@ -162,7 +154,7 @@ def cmd_lm_train(args, cfg: _Config) -> int:
 
 
 def cmd_surprisal(args, cfg: _Config) -> int:
-    base = cfg.resolve(args.base, "surprisal", "base", "2", str)
+    base = cfg.resolve(args.base, "surprisal", "base", surprisal.SurprisalSequence.base, str)
     per_sentence = cfg.resolve(args.per_sentence, "surprisal", "per_sentence", False, bool)
     _require_files(args.corpus, args.model)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
@@ -180,41 +172,23 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     return 0
 
 
-def _report_heatmap_data(report: dict):
+def _report_heatmap_data(report: hlm.HlmReport):
     """Rows/columns/values for the index heatmap, summary lines included."""
-    required = {"i_model", "i_task", "i_criteria", "cells"}
-    if not isinstance(report, dict) or not required <= report.keys():
-        raise ValidationError(f"report must contain {sorted(required)}")
-    models = sorted(report["i_model"])
-    tasks = sorted(report["i_task"])
-    criteria = sorted(report["i_criteria"])
+    models = sorted(report.i_model)
+    tasks = sorted(report.i_task)
+    criteria = sorted(report.i_criteria)
     cell_rows = [f"{m}/{c}" for m in models for c in criteria]
     rows = cell_rows + ["I_task"] + [f"I_model {m}" for m in models] \
         + [f"I_criteria {c}" for c in criteria]
     cols = tasks + ["index"]
-    values = {}
-    for cell in report["cells"]:
-        values[(f"{cell['model']}/{cell['criterion']}", cell["task"])] = cell["value"]
+    values = {(f"{c.model}/{c.criterion}", c.task): c.value for c in report.cells}
     for t in tasks:
-        values[("I_task", t)] = report["i_task"][t]
+        values[("I_task", t)] = report.i_task[t]
     for m in models:
-        values[(f"I_model {m}", "index")] = report["i_model"][m]
+        values[(f"I_model {m}", "index")] = report.i_model[m]
     for c in criteria:
-        values[(f"I_criteria {c}", "index")] = report["i_criteria"][c]
+        values[(f"I_criteria {c}", "index")] = report.i_criteria[c]
     return rows, cols, values, cell_rows, tasks
-
-
-def _write_heatmap_csv(report: dict, path: str) -> None:
-    _, _, values, cell_rows, tasks = _report_heatmap_data(report)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "criterion"] + tasks)
-        for row in cell_rows:
-            model, criterion = row.split("/", 1)
-            writer.writerow(
-                [model, criterion]
-                + [values[(row, t)] if (row, t) in values else "" for t in tasks]
-            )
 
 
 def cmd_hlm(args, cfg: _Config) -> int:
@@ -225,18 +199,17 @@ def cmd_hlm(args, cfg: _Config) -> int:
     _require_files(cube_path)
     cube = hlm.load_cube_csv(cube_path)
     report = hlm.compute_report(cube, ddof=std_ddof)
-    report_dict = hlm.report_to_dict(report)
-    _dump_json(report_dict, args.output)
+    _dump_json(hlm.report_to_dict(report), args.output)
+    rows, cols, values, cell_rows, tasks = _report_heatmap_data(report)
     if args.heatmap_csv:
-        _write_heatmap_csv(report_dict, args.heatmap_csv)
+        _write_csv(args.heatmap_csv, [["model", "criterion"] + tasks] + [
+            row.split("/", 1) + [values.get((row, t), "") for t in tasks] for row in cell_rows
+        ])
     if args.heatmap_svg:
-        rows, cols, values, _, _ = _report_heatmap_data(report_dict)
         _write_text(args.heatmap_svg, svg.heatmap_svg(rows, cols, values, title="HLM index"))
     if args.validate:
-        loaded = _load_json(args.output)
-        for section in ("i_model", "i_task", "i_criteria", "cells"):
-            if section not in loaded:
-                raise ValidationError(f"report is missing {section!r}")
+        if hlm.report_from_dict(read_json(args.output)) != report:
+            raise ValidationError("report did not round-trip")
         if args.heatmap_svg:
             _check_svg(args.heatmap_svg)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
@@ -246,11 +219,11 @@ def cmd_hlm(args, cfg: _Config) -> int:
 def cmd_schedule(args, cfg: _Config) -> int:
     seed = cfg.resolve(args.seed, "schedule", "seed", None, int)
     _require_files(args.split)
-    split = splitkit.split_from_dict(_load_json(args.split))
+    split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, seed)
     _dump_json(experiment.schedule_to_dict(schedule), args.output)
     if args.validate:
-        loaded = experiment.schedule_from_dict(_load_json(args.output))
+        loaded = experiment.schedule_from_dict(read_json(args.output))
         if sorted(loaded.sequence) != sorted(split.easy + split.medium + split.hard):
             raise ValidationError("schedule is not a permutation of the split corpus")
     print(f"wrote {args.output} ({len(schedule.sequence)} documents, order {args.order})")
@@ -258,15 +231,13 @@ def cmd_schedule(args, cfg: _Config) -> int:
 
 
 def cmd_converge(args, cfg: _Config) -> int:
-    epsilon_rel = cfg.resolve(args.epsilon, "converge", "epsilon_rel", 0.001, float)
+    epsilon_rel = cfg.resolve(args.epsilon, "converge", "epsilon_rel",
+                              experiment.DEFAULT_EPSILON_REL, float)
     _require_files(args.log, args.manifest)
     if args.higher_is_better is not None:
         direction = args.higher_is_better
     elif args.manifest:
-        manifest = _load_json(args.manifest)
-        if "higher_is_better" not in manifest:
-            raise ValidationError("run manifest must contain 'higher_is_better'")
-        direction = bool(manifest["higher_is_better"])
+        (direction,) = fields(read_json(args.manifest), {"higher_is_better": BOOL})
     else:
         raise ValidationError(
             "metric direction required: pass --higher-is-better/--lower-is-better "
@@ -276,8 +247,8 @@ def cmd_converge(args, cfg: _Config) -> int:
     result = experiment.converge_result_to_dict(log, epsilon_rel)
     _dump_json(result, args.output)
     if args.validate:
-        loaded = _load_json(args.output)
-        if not 0 < loaded["ratio"] <= 1:
+        (ratio,) = fields(read_json(args.output), {"ratio": NUMBER})
+        if not 0 < ratio <= 1:
             raise ValidationError("convergence ratio out of range")
     print(f"wrote {args.output} (ratio {result['ratio']:.4f})")
     return 0
@@ -289,11 +260,9 @@ def cmd_transfer(args, cfg: _Config) -> int:
     matrix = experiment.transfer_scores(cube)
     _dump_json(experiment.transfer_to_dict(matrix), args.output)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["train_level"] + list(hlm.LEVELS))
-            for tr in hlm.LEVELS:
-                writer.writerow([tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS])
+        _write_csv(args.csv, [["train_level", *hlm.LEVELS]] + [
+            [tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS] for tr in hlm.LEVELS
+        ])
     if args.validate:
         for ev in hlm.LEVELS:
             if abs(matrix.column_sum(ev) - 6.0) > 1e-9:
@@ -310,7 +279,7 @@ def cmd_report(args, cfg: _Config) -> int:
         _require_files(args.hlm_report)
         if not args.heatmap_out:
             raise ValidationError("--hlm-report requires --heatmap-out")
-        report = _load_json(args.hlm_report)
+        report = hlm.report_from_dict(read_json(args.hlm_report))
         rows, cols, values, _, _ = _report_heatmap_data(report)
         _write_text(args.heatmap_out, svg.heatmap_svg(rows, cols, values, title="HLM index"))
         wrote.append(args.heatmap_out)
@@ -361,8 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surprisals", help="imported surprisal JSONL (for uid criteria)")
     p.add_argument("--neural-scores", help="neural score JSONL (for the neural criterion)")
     p.add_argument("--base", choices=("2", "e"))
-    p.add_argument("--k", type=float, help="super-linearity exponent (default 1.25)")
-    p.add_argument("--mu-lang", type=float, help="language-level mean surprisal (default 3.8845)")
+    p.add_argument("--k", type=float,
+                   help=f"super-linearity exponent (default {uid.UidSlConfig.k})")
+    p.add_argument("--mu-lang", type=float,
+                   help=f"language-level mean surprisal (default {uid.UidVarConfig.mu_lang})")
     p.add_argument("--per-sentence", action=argparse.BooleanOptionalAction,
                    help="average UID scores over sentences")
     p.add_argument("-o", "--output", required=True)
@@ -418,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lower-is-better", dest="higher_is_better", action="store_false")
     p.set_defaults(higher_is_better=None)
     p.add_argument("--manifest", help="run manifest JSON with a higher_is_better flag")
-    p.add_argument("--epsilon", type=float, help="relative convergence tolerance (default 0.001)")
+    p.add_argument("--epsilon", type=float, help="relative convergence tolerance "
+                   f"(default {experiment.DEFAULT_EPSILON_REL})")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
@@ -451,9 +423,6 @@ def main(argv=None) -> int:
     try:
         cfg = _Config(args.config or os.environ.get("HLMKIT_CONFIG"))
         return args.func(args, cfg)
-    except UnicodeDecodeError as e:
-        print(f"error: ParseError: input is not valid UTF-8: {e}", file=sys.stderr)
-        return 2
     except HlmkitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

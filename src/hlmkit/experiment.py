@@ -17,7 +17,6 @@ complete data.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,11 +24,13 @@ from pathlib import Path
 from statistics import fmean
 from typing import Sequence
 
+from ._files import INT_OR_NULL, INTS, STRING, STRINGS, csv_rows, fields
 from .errors import IncompleteDataWarning, ParseError, ValidationError
 from .hlm import LEVELS, PerformanceCube
 from .splitkit import DifficultySplit
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
+DEFAULT_EPSILON_REL = 0.001
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,15 +106,12 @@ def schedule_to_dict(s: Schedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
-    required = {"order", "seed", "sequence", "phase_boundaries"}
-    if not isinstance(data, dict) or not required <= data.keys():
-        raise ValidationError(f"schedule object must contain {sorted(required)}")
-    return Schedule(
-        order=data["order"],
-        seed=data["seed"],
-        sequence=tuple(data["sequence"]),
-        phase_boundaries=(int(data["phase_boundaries"][0]), int(data["phase_boundaries"][1])),
-    )
+    order, seed, sequence, bounds = fields(data, {
+        "order": STRING, "seed": INT_OR_NULL, "sequence": STRINGS, "phase_boundaries": INTS,
+    })
+    if len(bounds) != 2:
+        raise ValidationError("schedule must have exactly two phase boundaries")
+    return Schedule(order, seed, tuple(sequence), tuple(bounds))
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def _best_metric(log: TrainingLog) -> float:
     return (max if log.higher_is_better else min)(v for _, v in log.steps)
 
 
-def convergent_step(log: TrainingLog, epsilon_rel: float = 0.001) -> int:
+def convergent_step(log: TrainingLog, epsilon_rel: float = DEFAULT_EPSILON_REL) -> int:
     """First step whose metric lies within ``epsilon_rel * |best|`` of the
     best metric in the log, direction-aware."""
     if not 0 < epsilon_rel < 1:
@@ -152,7 +150,7 @@ def convergent_step(log: TrainingLog, epsilon_rel: float = 0.001) -> int:
     raise AssertionError("unreachable: the best entry always qualifies")
 
 
-def convergence_ratio(log: TrainingLog, epsilon_rel: float = 0.001) -> float:
+def convergence_ratio(log: TrainingLog, epsilon_rel: float = DEFAULT_EPSILON_REL) -> float:
     """Convergent step (see :func:`convergent_step`) divided by total steps,
     in (0, 1]. Lower is better."""
     return convergent_step(log, epsilon_rel) / log.steps[-1][0]
@@ -161,23 +159,11 @@ def convergence_ratio(log: TrainingLog, epsilon_rel: float = 0.001) -> float:
 def load_training_log(path: str | Path, higher_is_better: bool) -> TrainingLog:
     """Training log CSV with header ``step,value``."""
     entries = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for line, (step, value) in csv_rows(path, ("step", "value")):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty training log", line=1) from None
-        if [h.strip() for h in header] != ["step", "value"]:
-            raise ParseError(f"expected header step,value, got {','.join(header)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            try:
-                entries.append((int(row[0]), float(row[1])))
-            except ValueError:
-                raise ParseError(f"invalid row {row!r}", line=lineno) from None
+            entries.append((int(step), float(value)))
+        except ValueError:
+            raise ParseError(f"invalid row {step},{value}", line=line) from None
     return TrainingLog(steps=tuple(entries), higher_is_better=higher_is_better)
 
 

@@ -26,7 +26,6 @@ triplets spanning hundreds of points).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -35,6 +34,7 @@ from pathlib import Path
 from statistics import fmean, pstdev, stdev
 from typing import Iterable, Mapping
 
+from ._files import INT, LIST, NUMBER, OBJECT, STRING, csv_rows, fields
 from .errors import IncompleteDataWarning, MissingKey, ParseError, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
@@ -255,6 +255,20 @@ def report_to_dict(report: HlmReport) -> dict:
     }
 
 
+def report_from_dict(data: dict) -> HlmReport:
+    """Read back the JSON that :func:`report_to_dict` writes, checking every type."""
+    i_model, i_task, i_criteria, std_ddof, cells = fields(data, {
+        "i_model": OBJECT, "i_task": OBJECT, "i_criteria": OBJECT,
+        "std_ddof": INT, "cells": LIST,
+    })
+    indices = [dict(zip(axis, fields(axis, dict.fromkeys(axis, NUMBER))))
+               for axis in (i_model, i_task, i_criteria)]
+    cell_spec = {"task": STRING, "criterion": STRING, "model": STRING,
+                 "s": NUMBER, "std": NUMBER, "sigmoid": NUMBER, "value": NUMBER}
+    return HlmReport(*indices, cells=tuple(CellBreakdown(*fields(c, cell_spec)) for c in cells),
+                     std_ddof=std_ddof)
+
+
 # ---------------------------------------------------------------------------
 # CSV cube format
 
@@ -272,52 +286,38 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     full: dict[tuple[str, str, str], dict[str, float]] = {}
     eval_rows: dict[tuple, float] = {}
     eval_directions: dict[tuple, bool] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in csv_rows(path, CUBE_COLUMNS):
+        task, criterion, model, train_level, eval_level, metric, value, hib = row
+        if train_level not in LEVELS:
+            raise ParseError(f"invalid train_level {train_level!r}", line=lineno)
+        if eval_level not in _EVAL_LEVELS:
+            raise ParseError(f"invalid eval_level {eval_level!r}", line=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty cube file", line=1) from None
-        if tuple(map(str.strip, header)) != CUBE_COLUMNS:
-            raise ParseError(
-                f"expected header {','.join(CUBE_COLUMNS)}, got {','.join(header)}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(CUBE_COLUMNS):
-                raise ParseError(f"expected {len(CUBE_COLUMNS)} fields, got {len(row)}", line=lineno)
-            task, criterion, model, train_level, eval_level, metric, value, hib = map(str.strip, row)
-            if train_level not in LEVELS:
-                raise ParseError(f"invalid train_level {train_level!r}", line=lineno)
-            if eval_level not in _EVAL_LEVELS:
-                raise ParseError(f"invalid eval_level {eval_level!r}", line=lineno)
-            try:
-                val = float(value)
-            except ValueError:
-                raise ParseError(f"invalid value {value!r}", line=lineno) from None
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite value {value!r}", line=lineno)
-            direction = _BOOLS.get(hib.lower())
-            if direction is None:
-                raise ParseError(f"invalid boolean {hib!r}", line=lineno)
+            val = float(value)
+        except ValueError:
+            raise ParseError(f"invalid value {value!r}", line=lineno) from None
+        if not math.isfinite(val):
+            raise ParseError(f"non-finite value {value!r}", line=lineno)
+        direction = _BOOLS.get(hib.lower())
+        if direction is None:
+            raise ParseError(f"invalid boolean {hib!r}", line=lineno)
 
-            key = (task, criterion, model)
-            if directions.setdefault(key, direction) != direction:
-                raise ValidationError(
-                    f"line {lineno}: inconsistent higher_is_better within group {key}"
-                )
-            if eval_level == "full":
-                group = full.setdefault(key, {})
-                if train_level in group:
-                    raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
-                group[train_level] = val
-            else:
-                ekey = key + (train_level, eval_level)
-                if ekey in eval_rows:
-                    raise ValidationError(f"line {lineno}: duplicate row for {ekey}")
-                eval_rows[ekey] = val
-                eval_directions[ekey] = direction
+        key = (task, criterion, model)
+        if directions.setdefault(key, direction) != direction:
+            raise ValidationError(
+                f"line {lineno}: inconsistent higher_is_better within group {key}"
+            )
+        if eval_level == "full":
+            group = full.setdefault(key, {})
+            if train_level in group:
+                raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
+            group[train_level] = val
+        else:
+            ekey = key + (train_level, eval_level)
+            if ekey in eval_rows:
+                raise ValidationError(f"line {lineno}: duplicate row for {ekey}")
+            eval_rows[ekey] = val
+            eval_directions[ekey] = direction
 
     cells = []
     incomplete = []

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import uid
-from .errors import (
-    EmptyCorpus,
-    MissingScore,
-    MissingSurprisal,
-    ParseError,
-    TooSmall,
-    ValidationError,
+from ._files import (
+    BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_jsonl, record,
 )
+from .errors import EmptyCorpus, MissingScore, MissingSurprisal, TooSmall, ValidationError
 from .surprisal import NgramModel, SurprisalSequence, sentence_surprisals, token_surprisals
 from .textstat import Document, FleschConfig, flesch_score, text_stats
 
@@ -149,9 +146,8 @@ def score_corpus(
         raise ValidationError(f"unknown criterion {criterion!r}")
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    ids = [d.id for d in corpus]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, n in Counter(d.id for d in corpus).items() if n > 1)
+    if dupes:
         raise ValidationError(f"duplicate document ids: {dupes}")
     providers = providers or Providers()
 
@@ -161,7 +157,10 @@ def score_corpus(
             value = flesch_score(text_stats(doc.text), providers.flesch)
             harder = False
         elif criterion in ("uid_sl", "uid_var"):
-            value = _uid_value(doc, criterion, providers)
+            try:
+                value = _uid_value(doc, criterion, providers)
+            except OverflowError:
+                raise ValidationError(f"{criterion} score of {doc.id!r} overflows") from None
             harder = True
         else:
             if providers.neural is None or doc.id not in providers.neural:
@@ -215,68 +214,33 @@ def tertile_split(scores: Sequence[DifficultyScore]) -> DifficultySplit:
 
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Corpus JSONL: one {"id": str, "text": str} object per line."""
-    docs = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
-            if not isinstance(obj, dict) or not {"id", "text"} <= obj.keys():
-                raise ParseError("expected object with 'id' and 'text'", line=lineno)
-            if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-                raise ParseError("'id' and 'text' must be strings", line=lineno)
-            if obj["id"] in seen:
-                raise ValidationError(f"line {lineno}: duplicate document id {obj['id']!r}")
-            seen.add(obj["id"])
-            docs.append(Document(id=obj["id"], text=obj["text"]))
+    docs: dict[str, Document] = {}
+    for line, obj in read_jsonl(path):
+        doc_id, text = fields(obj, {"id": STRING, "text": STRING}, line)
+        if doc_id in docs:
+            raise ValidationError(f"line {line}: duplicate document id {doc_id!r}")
+        docs[doc_id] = record(line, Document, doc_id, text)
     if not docs:
         raise EmptyCorpus(f"no documents in {path}")
-    return docs
+    return list(docs.values())
 
 
 def load_neural_scores(path: str | Path) -> dict[str, NeuralScore]:
-    """Neural score JSONL: {"id": str, "score": float, "higher_is_harder": bool}."""
+    """Neural score JSONL: {"id": str, "score": number, "higher_is_harder": bool}."""
     out: dict[str, NeuralScore] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
-            if not isinstance(obj, dict) or not {"id", "score", "higher_is_harder"} <= obj.keys():
-                raise ParseError(
-                    "expected object with 'id', 'score' and 'higher_is_harder'", line=lineno
-                )
-            score = _number(obj, "score", lineno)
-            if not isinstance(obj["higher_is_harder"], bool):
-                raise ParseError("'higher_is_harder' must be a boolean", line=lineno)
-            if not math.isfinite(score):
-                raise ValidationError(f"line {lineno}: non-finite score")
-            if obj["id"] in out:
-                raise ValidationError(f"line {lineno}: duplicate id {obj['id']!r}")
-            out[obj["id"]] = NeuralScore(obj["id"], score, obj["higher_is_harder"])
+    for line, obj in read_jsonl(path):
+        doc_id, score, harder = fields(
+            obj, {"id": STRING, "score": NUMBER, "higher_is_harder": BOOL}, line)
+        if not math.isfinite(score):
+            raise ValidationError(f"line {line}: non-finite score")
+        if doc_id in out:
+            raise ValidationError(f"line {line}: duplicate id {doc_id!r}")
+        out[doc_id] = NeuralScore(doc_id, score, harder)
     return out
 
 
-def _number(obj: dict, key: str, lineno: int) -> float:
-    """``obj[key]`` as a float; only JSON numbers are accepted, not bools or strings."""
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{key!r} must be a number, got {v!r}", line=lineno)
-    try:
-        return float(v)
-    except OverflowError:
-        raise ParseError(f"{key!r} is out of the float range", line=lineno) from None
-
-
 def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in scores:
             fh.write(json.dumps(
                 {"id": s.doc_id, "criterion": s.criterion, "value": s.value,
@@ -288,27 +252,9 @@ def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None
 def scores_from_jsonl(path: str | Path) -> list[DifficultyScore]:
     """Score JSONL: {"id": str, "criterion": str, "value": number,
     "higher_is_harder": bool} per line, types checked exactly."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
-            required = {"id", "criterion", "value", "higher_is_harder"}
-            if not isinstance(obj, dict) or not required <= obj.keys():
-                raise ParseError(f"expected object with {sorted(required)}", line=lineno)
-            if not isinstance(obj["id"], str) or not isinstance(obj["criterion"], str):
-                raise ParseError("'id' and 'criterion' must be strings", line=lineno)
-            value = _number(obj, "value", lineno)
-            if not isinstance(obj["higher_is_harder"], bool):
-                raise ParseError("'higher_is_harder' must be a boolean", line=lineno)
-            out.append(DifficultyScore(
-                obj["id"], obj["criterion"], value, obj["higher_is_harder"]
-            ))
-    return out
+    spec = {"id": STRING, "criterion": STRING, "value": NUMBER, "higher_is_harder": BOOL}
+    return [record(line, DifficultyScore, *fields(obj, spec, line))
+            for line, obj in read_jsonl(path)]
 
 
 def split_to_dict(split: DifficultySplit) -> dict:
@@ -322,15 +268,10 @@ def split_to_dict(split: DifficultySplit) -> dict:
 
 
 def split_from_dict(data: dict) -> DifficultySplit:
-    required = {"criterion", "boundaries", "easy", "medium", "hard"}
-    if not isinstance(data, dict) or not required <= data.keys():
-        raise ValidationError(f"split object must contain {sorted(required)}")
-    if len(data["boundaries"]) != 2:
+    criterion, boundaries, easy, medium, hard = fields(data, {
+        "criterion": STRING, "boundaries": NUMBERS,
+        "easy": STRINGS, "medium": STRINGS, "hard": STRINGS,
+    })
+    if len(boundaries) != 2:
         raise ValidationError("split must have exactly two boundaries")
-    return DifficultySplit(
-        criterion=data["criterion"],
-        easy=tuple(data["easy"]),
-        medium=tuple(data["medium"]),
-        hard=tuple(data["hard"]),
-        boundaries=(float(data["boundaries"][0]), float(data["boundaries"][1])),
-    )
+    return DifficultySplit(criterion, tuple(easy), tuple(medium), tuple(hard), tuple(boundaries))

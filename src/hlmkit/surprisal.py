@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyCorpus, EmptyDocument, ParseError, ValidationError
+from ._files import (
+    INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_json, read_jsonl, record,
+)
+from .errors import EmptyCorpus, EmptyDocument, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
 
 BOS = "<s>"
@@ -31,6 +33,9 @@ UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
 MODEL_VERSION = 2
+
+DEFAULT_ORDER = 2
+DEFAULT_DISCOUNT = 0.75
 
 _LOG = {"2": math.log2, "e": math.log}
 
@@ -169,7 +174,8 @@ def _continuation_counts(
     return lower
 
 
-def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75) -> NgramModel:
+def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
+             discount: float = DEFAULT_DISCOUNT) -> NgramModel:
     """Train an interpolated Kneser-Ney model on a corpus.
 
     Sentences are lowercased and, for order >= 2, padded with ``order - 1``
@@ -241,39 +247,18 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
 def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
     """Read surprisal sequences from JSONL.
 
-    One object per line: {"id": str, "surprisals": [float, ...], "base": "2"|"e"}.
+    One object per line: {"id": str, "surprisals": [number, ...], "base": "2"|"e"}.
     Several lines may share an id (e.g. one line per sentence); consumers
     decide whether to concatenate or average them.
     """
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
-            if not isinstance(obj, dict) or not {"id", "surprisals", "base"} <= obj.keys():
-                raise ParseError("expected object with 'id', 'surprisals' and 'base'", line=lineno)
-            doc_id = obj["id"]
-            values = obj["surprisals"]
-            if not isinstance(doc_id, str) or not isinstance(values, list):
-                raise ParseError("'id' must be a string and 'surprisals' a list", line=lineno)
-            for v in values:
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ParseError(f"non-numeric surprisal {v!r}", line=lineno)
-                if v < 0:
-                    raise ValidationError(f"line {lineno}: negative surprisal {v!r}")
-            out.append(SurprisalSequence(
-                doc_id=doc_id, values=tuple(values), base=str(obj["base"])
-            ))
-    return out
+    spec = {"id": STRING, "surprisals": NUMBERS, "base": STRING}
+    return [record(line, SurprisalSequence, *fields(obj, spec, line))
+            for line, obj in read_jsonl(path)]
 
 
 def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> None:
     """Write sequences as JSONL, one object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in seqs:
             fh.write(json.dumps(
                 {"id": s.doc_id, "surprisals": list(s.values), "base": s.base},
@@ -342,27 +327,21 @@ def _count_table(entries, order: int) -> dict[tuple[str, ...], dict[str, int]]:
 
 def model_from_dict(data: dict) -> NgramModel:
     """Rebuild a model from a version-2 dump or a version-1 (legacy) one."""
-    if type(data) is not dict or data.get("format") != MODEL_FORMAT:
+    fmt, version = fields(data, {"format": STRING, "version": INT})
+    if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
-    version = data.get("version")
-    if type(version) is not int or version not in _MODEL_FIELDS:
-        raise ValidationError(f"unsupported model version {version!r}")
-    fields = _MODEL_FIELDS[version]
-    if data.keys() != fields:
+    if version not in _MODEL_FIELDS:
+        raise ValidationError(f"unsupported model version {version}")
+    if data.keys() != _MODEL_FIELDS[version]:
         raise ValidationError(
-            f"model version {version} needs fields {sorted(fields)}, got {sorted(data)}")
-    order, discount = data["order"], data["discount"]
-    if type(order) is not int:
-        raise ValidationError(f"model order must be an integer, got {order!r}")
-    if type(discount) is not float:
-        raise ValidationError(f"model discount must be a float, got {discount!r}")
+            f"model version {version} needs fields {sorted(_MODEL_FIELDS[version])}, "
+            f"got {sorted(data)}")
+    order, discount = fields(data, {"order": INT, "discount": NUMBER})
     if not 1 <= order <= 3:
         raise ValidationError(f"order must be in [1, 3], got {order}")
     entries = data["counts"]
     if version == 1:
-        vocab = data["vocab"]
-        if type(vocab) is not list or not all(type(t) is str for t in vocab):
-            raise ValidationError("model vocab must be a list of strings")
+        fields(data, {"vocab": STRINGS})
         # version 1 holds [[k, entries], ...] for k = 1..order
         tops = [t[1] for t in entries if type(t) is list and len(t) == 2
                 and type(t[0]) is int and t[0] == order] if type(entries) is list else []
@@ -373,29 +352,11 @@ def model_from_dict(data: dict) -> NgramModel:
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:
-    """Serialize a model to compact JSON. Round-trips bit-exactly (counts are ints).
-
-    The dump is written to a temporary file beside ``path`` and then renamed
-    over it, so a failed save leaves any previous file untouched.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Serialize a model to compact JSON. Round-trips bit-exactly (counts are ints)."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
 
 
 def load_model(path: str | Path) -> NgramModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid model JSON: {e.msg}", line=e.lineno) from e
-        except (UnicodeDecodeError, RecursionError) as e:
-            raise ParseError(f"invalid model JSON: {e}") from e
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))

@@ -155,8 +155,6 @@ def flesch_score(stats: TextStats, config: FleschConfig | None = None) -> float:
     coefficients 206.835 / 1.015 / 84.6 by default.
     """
     cfg = config or FleschConfig()
-    if stats.sentences <= 0 or stats.words <= 0:
-        raise DegenerateStats("sentence and word counts must be positive")
     return (
         cfg.base
         - cfg.words_per_sentence * stats.words / stats.sentences

@@ -43,16 +43,12 @@ class UidVarConfig:
 def uid_superlinear(seq: SurprisalSequence, cfg: UidSlConfig | None = None) -> float:
     """Mean of surprisal**k over the sequence. Higher is harder."""
     cfg = cfg or UidSlConfig()
-    if not seq.values:
-        raise EmptyDocument("cannot score an empty surprisal sequence")
     return fmean(s ** cfg.k for s in seq.values)
 
 
 def uid_variance(seq: SurprisalSequence, cfg: UidVarConfig | None = None) -> float:
     """Mean squared deviation from the language-level mean. Higher is harder."""
     cfg = cfg or UidVarConfig()
-    if not seq.values:
-        raise EmptyDocument("cannot score an empty surprisal sequence")
     return fmean((s - cfg.mu_lang) ** 2 for s in seq.values)
 
 

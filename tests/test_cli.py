@@ -1,16 +1,22 @@
 import csv
 import hashlib
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hlmkit
 from hlmkit.cli import main
 from hlmkit.data import reference_performance_path
+from hlmkit.hlm import CUBE_COLUMNS
 
 CORPUS_LINES = [
     {"id": "d1", "text": "The cat sat on the mat. It was warm."},
@@ -521,6 +527,21 @@ class TestConfigFile:
                      "--model", str(model), "-o", str(out_plain)]) == 0
         assert out_env.read_bytes() != out_plain.read_bytes()
 
+    @pytest.mark.parametrize("text,error", [
+        ("[score]\nk = abc\n", "ValidationError: config [score] k: "),
+        ("[flesch]\nbase = abc\n", "ValidationError: config [flesch] base: "),
+        ("[defaults]\nper_sentence = maybe\n", "ValidationError: config [defaults] per_sentence: "),
+        ("k = 1.5\n", "ParseError: invalid config file: "),
+        ("[score]\nk = 1.5\nk = 2.0\n", "ParseError: invalid config file: "),
+    ], ids=["cast-score", "cast-flesch", "cast-bool", "no-section", "duplicate-option"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, text, error):
+        config = tmp_path / "hlmkit.ini"
+        config.write_text(text)
+        code = main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "flesch",
+                     "-o", str(tmp_path / "x.jsonl"), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
     def test_missing_config_file_exit_3(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         code = main(["score", "--corpus", corpus, "--criterion", "flesch",
@@ -540,3 +561,204 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+# A JSON value nested deeper than the decoder can follow.
+DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
+SPLIT = {"criterion": "flesch", "boundaries": [50.0, 70.0],
+         "easy": ["d1", "d2"], "medium": ["d3", "d4"], "hard": ["d5", "d6"]}
+
+
+def _lines(objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+def _score_with(flag, criterion):
+    return lambda bad, tmp: ["score", "--corpus", write_corpus(tmp), "--criterion", criterion,
+                             flag, bad]
+
+
+def _converge_manifest(bad, tmp):
+    log = tmp / "log.csv"
+    log.write_text("step,value\n1,300\n2,200\n3,199.9\n")
+    return ["converge", "--log", str(log), "--manifest", bad]
+
+
+def _schedule(bad, tmp):
+    return ["schedule", "--split", bad, "--order", "easy_to_hard"]
+
+
+def _report(bad, tmp):
+    return ["report", "--hlm-report", bad]
+
+
+def _surprisal_model(bad, tmp):
+    return ["surprisal", "--corpus", write_corpus(tmp), "--model", bad]
+
+
+# (content of the malformed input, argv of the subcommand that reads it)
+MALFORMED_INPUTS = {
+    "deep-corpus": (DEEP, lambda bad, tmp: ["score", "--corpus", bad, "--criterion", "flesch"]),
+    "deep-neural": (DEEP, _score_with("--neural-scores", "neural")),
+    "deep-scores": (DEEP, lambda bad, tmp: ["split", "--scores", bad]),
+    "deep-surprisals": (DEEP, _score_with("--surprisals", "uid_sl")),
+    "deep-split": (DEEP, _schedule),
+    "deep-manifest": (DEEP, _converge_manifest),
+    "deep-report": (DEEP, _report),
+    "deep-model": (DEEP, _surprisal_model),
+    "boundaries-number": (json.dumps(dict(SPLIT, boundaries=3)), _schedule),
+    "boundaries-string": (json.dumps(dict(SPLIT, boundaries=["x", 2])), _schedule),
+    "easy-string": (json.dumps(dict(SPLIT, easy="abc")), _schedule),
+    "easy-number": (json.dumps(dict(SPLIT, easy=[1])), _schedule),
+    "surprisal-base-number": (
+        _lines({"id": d["id"], "surprisals": [1.0, 2.0], "base": 2 if i == 2 else "2"}
+               for i, d in enumerate(CORPUS_LINES)),
+        _score_with("--surprisals", "uid_sl")),
+    "neural-id-number": (
+        _lines([{"id": d["id"], "score": 1.0, "higher_is_harder": True} for d in CORPUS_LINES]
+               + [{"id": 5, "score": 1.0, "higher_is_harder": True}]),
+        _score_with("--neural-scores", "neural")),
+    "report-cell-number": (
+        json.dumps({"i_model": {"m": 0.5}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5},
+                    "std_ddof": 0, "cells": [1]}),
+        _report),
+    "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
+    "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",
+                           lambda bad, tmp: ["converge", "--log", bad, "--higher-is-better"]),
+}
+
+
+# the option that names each subcommand's output, where it is not -o
+OUTPUT_FLAG = {"report": "--heatmap-out"}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    content, argv = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad"
+    bad.write_text(content)
+    out = tmp_path / "out"
+    args = argv(str(bad), tmp_path)
+    assert main(args + [OUTPUT_FLAG.get(args[0], "-o"), str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+    assert not out.exists()
+
+
+def test_lone_surrogate_in_input_exit_2(tmp_path, capsys):
+    # valid JSON and valid UTF-8, but "\ud800" decodes to text UTF-8 cannot encode
+    corpus = write_corpus(tmp_path, lines=[dict(CORPUS_LINES[0], id="\ud800")] + CORPUS_LINES[1:])
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--corpus", corpus, "--criterion", "flesch", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError: cannot write ")
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_pipe_is_written_in_place(tmp_path):
+    # an output such as /dev/stdout or /dev/null cannot be replaced by a renamed file
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "flesch",
+                 "-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received[0].count(b"\n") == len(CORPUS_LINES)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_huge_surprisal_exit_2(tmp_path, capsys):
+    # each value is a float, but its UID score is beyond the float range
+    surprisals = tmp_path / "s.jsonl"
+    surprisals.write_text(_lines({"id": d["id"], "surprisals": [1e308], "base": "2"}
+                                 for d in CORPUS_LINES))
+    for criterion in ("uid_sl", "uid_var"):
+        assert main(_score_with("--surprisals", criterion)(str(surprisals), tmp_path)
+                    + ["-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ValidationError: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+MODEL_KEYS = ("format", "version", "order", "discount", "counts")
+
+# Every input a subcommand reads: its argv, with BAD for the generated file
+# and valid files for the other inputs, the file's shape, and the keys one
+# record of that shape carries.
+FUZZED_INPUTS = {
+    "score-corpus": (["score", "--corpus", "BAD", "--criterion", "flesch", "-o", "OUT"],
+                     "jsonl", ("id", "text")),
+    "score-model": (["score", "--corpus", "CORPUS", "--criterion", "uid_sl", "--model", "BAD",
+                     "-o", "OUT"], "json", MODEL_KEYS),
+    "score-surprisals": (["score", "--corpus", "CORPUS", "--criterion", "uid_var",
+                          "--surprisals", "BAD", "-o", "OUT"],
+                         "jsonl", ("id", "surprisals", "base")),
+    "score-neural": (["score", "--corpus", "CORPUS", "--criterion", "neural",
+                      "--neural-scores", "BAD", "-o", "OUT"],
+                     "jsonl", ("id", "score", "higher_is_harder")),
+    "score-config": (["score", "--corpus", "CORPUS", "--criterion", "flesch", "--config", "BAD",
+                      "-o", "OUT"], "ini", ("k", "mu_lang", "base", "per_sentence")),
+    "split-scores": (["split", "--scores", "BAD", "-o", "OUT"],
+                     "jsonl", ("id", "criterion", "value", "higher_is_harder")),
+    "lm-train-corpus": (["lm-train", "--corpus", "BAD", "-o", "OUT"], "jsonl", ("id", "text")),
+    "surprisal-model": (["surprisal", "--corpus", "CORPUS", "--model", "BAD", "-o", "OUT"],
+                        "json", MODEL_KEYS),
+    "hlm-cube": (["hlm", "--cube", "BAD", "-o", "OUT"], "csv", CUBE_COLUMNS),
+    "schedule-split": (["schedule", "--split", "BAD", "--order", "random", "--seed", "3",
+                        "-o", "OUT"], "json", tuple(SPLIT)),
+    "converge-log": (["converge", "--log", "BAD", "--higher-is-better", "-o", "OUT"],
+                     "csv", ("step", "value")),
+    "converge-manifest": (["converge", "--log", "LOG", "--manifest", "BAD", "-o", "OUT"],
+                          "json", ("higher_is_better",)),
+    "transfer-cube": (["transfer", "--cube", "BAD", "-o", "OUT"], "csv", CUBE_COLUMNS),
+    "report-hlm-report": (["report", "--hlm-report", "BAD", "--heatmap-out", "OUT"], "json",
+                          ("i_model", "i_task", "i_criteria", "std_ddof", "cells")),
+    "report-curves": (["report", "--curves", "BAD", "--curves-out", "OUT"],
+                      "csv", ("step", "value")),
+}
+
+
+def _record_file(shape, record):
+    """One record with the given values, written in the file's shape."""
+    if shape in ("json", "jsonl"):
+        return json.dumps(record)
+    if shape == "ini":
+        return "[score]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in record.items())
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [list(record), [json.dumps(v) for v in record.values()]])
+    return text.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    log = tmp / "log.csv"
+    log.write_text("step,value\n1,0.5\n2,0.9\n")
+    return {"CORPUS": write_corpus(tmp), "LOG": str(log)}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED_INPUTS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_input_exits_0_2_or_3(fuzz_inputs, name, data):
+    """Arbitrary bytes, arbitrary JSON or a record of arbitrary JSON values in
+    any input file: the CLI exits 0, 2 or 3 and raises nothing."""
+    argv, shape, keys = FUZZED_INPUTS[name]
+    content = data.draw(st.one_of(
+        st.binary(max_size=64),
+        JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+        st.fixed_dictionaries(dict.fromkeys(keys, JSON_VALUES)).map(
+            lambda record: _record_file(shape, record).encode()),
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "input"
+        bad.write_bytes(content)
+        paths = dict(fuzz_inputs, BAD=str(bad), OUT=str(Path(tmp) / "output"))
+        assert main([paths.get(arg, arg) for arg in argv]) in (0, 2, 3)

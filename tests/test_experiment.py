@@ -97,6 +97,20 @@ class TestMakeSchedule:
         data = json.loads(json.dumps(schedule_to_dict(s)))
         assert schedule_from_dict(data) == s
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("seed", "x", ParseError),
+        ("seed", 1.5, ParseError),
+        ("sequence", "abc", ParseError),
+        ("sequence", ["a", 2], ParseError),
+        ("phase_boundaries", [1, "2"], ParseError),
+        ("phase_boundaries", [1], ValidationError),
+    ])
+    def test_schedule_dict_types_are_exact(self, field, value, error):
+        data = schedule_to_dict(make_schedule(split_of(["a"], ["b"], ["c"]), "random", seed=11))
+        data[field] = value
+        with pytest.raises(error):
+            schedule_from_dict(data)
+
 
 class TestConvergenceRatio:
     def test_plateau_reached_at_step_two(self):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from hlmkit import surprisal
+from hlmkit import cli
 from hlmkit.errors import EmptyCorpus, ParseError, ValidationError
 from hlmkit.surprisal import (
     BOS,
@@ -344,8 +344,10 @@ class TestPersistence:
         assert sorted(data) == ["counts", "discount", "format", "order", "version"]
         assert all(len(h) == 2 for h, _ in data["counts"])
 
-    @pytest.mark.parametrize("failure", ["serialize", "replace"])
+    @pytest.mark.parametrize("failure", ["serialize", "replace", "json", "jsonl", "csv"])
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failure):
+        """A model, JSON, JSONL or CSV write that raises part-way, or whose
+        final rename fails, leaves the previous file and no temporary file."""
         model = train_lm(docs_from_sentences([["a", "b"]]), order=2)
         path = tmp_path / "m.json"
         path.write_text("previous model\n")
@@ -353,9 +355,25 @@ class TestPersistence:
         def fail(*args, **kwargs):
             raise OSError("simulated failure")
 
-        target = (surprisal.json, "dumps") if failure == "serialize" else (surprisal.os, "replace")
-        monkeypatch.setattr(*target, fail)
+        def first_then_fail(item):
+            yield item
+            fail()
+
+        class FailingSection(dict):
+            # the JSON encoder reads a section's items only when it reaches it
+            items = fail
+
+        if failure in ("serialize", "replace"):
+            monkeypatch.setattr(*((json, "dumps") if failure == "serialize" else (os, "replace")),
+                                fail)
         with pytest.raises(OSError, match="simulated"):
-            save_model(model, path)
+            if failure == "json":
+                cli._dump_json({"a": 1, "b": FailingSection(c=2)}, path)
+            elif failure == "jsonl":
+                export_surprisals(first_then_fail(SurprisalSequence("d1", (1.0,))), path)
+            elif failure == "csv":
+                cli._write_csv(path, first_then_fail(["a", "b"]))
+            else:
+                save_model(model, path)
         assert path.read_text() == "previous model\n"
         assert os.listdir(tmp_path) == ["m.json"]
