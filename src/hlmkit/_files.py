@@ -128,20 +128,21 @@ def record(line: int, make, *args):
 
 @contextmanager
 def atomic_write(path: str | Path):
-    """A UTF-8 text file (``\\n`` line ends) beside ``path`` that replaces it
-    once the block has finished; on any failure it is removed and a previous
-    file at ``path`` stays untouched. Text UTF-8 cannot encode (a lone
-    surrogate, which JSON input can spell as an escape) is a ValidationError."""
+    """A new UTF-8 text file (``\\n`` line ends), randomly named beside ``path``,
+    that replaces it once the block has finished; on any failure it is removed
+    and a previous file at ``path`` stays. A symlink, device or pipe, such as
+    ``/dev/stdout``, is written through in place. Text UTF-8 cannot encode (a
+    lone surrogate, which JSON can spell as an escape) is a ValidationError."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    if path.exists() and not path.is_file():
-        tmp = path  # a device or pipe, such as /dev/null, is written in place
+    in_place = path.is_symlink() or (path.exists() and not path.is_file())
+    tmp = path if in_place else path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w" if in_place else "x", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, path)
     except BaseException as e:
-        if tmp != path:
+        if not in_place:
             tmp.unlink(missing_ok=True)
         if isinstance(e, UnicodeEncodeError):
             raise ValidationError(f"cannot write {path}: {e.reason} in the input text") from e

@@ -172,22 +172,18 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     return 0
 
 
-def _report_heatmap_data(report: hlm.HlmReport):
-    """Rows/columns/values for the index heatmap, summary lines included."""
-    models = sorted(report.i_model)
-    tasks = sorted(report.i_task)
-    criteria = sorted(report.i_criteria)
+def _report_heatmap_data(i_model, i_task, i_criteria, cells):
+    """Rows/columns/values for the index heatmap, summary lines included, from
+    the three index dicts and (task, criterion, model, value) cells."""
+    models, tasks, criteria = sorted(i_model), sorted(i_task), sorted(i_criteria)
     cell_rows = [f"{m}/{c}" for m in models for c in criteria]
     rows = cell_rows + ["I_task"] + [f"I_model {m}" for m in models] \
         + [f"I_criteria {c}" for c in criteria]
     cols = tasks + ["index"]
-    values = {(f"{c.model}/{c.criterion}", c.task): c.value for c in report.cells}
-    for t in tasks:
-        values[("I_task", t)] = report.i_task[t]
-    for m in models:
-        values[(f"I_model {m}", "index")] = report.i_model[m]
-    for c in criteria:
-        values[(f"I_criteria {c}", "index")] = report.i_criteria[c]
+    values = {(f"{model}/{criterion}", task): v for task, criterion, model, v in cells}
+    values.update({("I_task", t): i_task[t] for t in tasks})
+    values.update({(f"I_model {m}", "index"): i_model[m] for m in models})
+    values.update({(f"I_criteria {c}", "index"): i_criteria[c] for c in criteria})
     return rows, cols, values, cell_rows, tasks
 
 
@@ -200,7 +196,10 @@ def cmd_hlm(args, cfg: _Config) -> int:
     cube = hlm.load_cube_csv(cube_path)
     report = hlm.compute_report(cube, ddof=std_ddof)
     _dump_json(hlm.report_to_dict(report), args.output)
-    rows, cols, values, cell_rows, tasks = _report_heatmap_data(report)
+    if args.heatmap_csv or args.heatmap_svg:
+        rows, cols, values, cell_rows, tasks = _report_heatmap_data(
+            report.i_model, report.i_task, report.i_criteria,
+            [(c.task, c.criterion, c.model, c.value) for c in report.cells])
     if args.heatmap_csv:
         _write_csv(args.heatmap_csv, [["model", "criterion"] + tasks] + [
             row.split("/", 1) + [values.get((row, t), "") for t in tasks] for row in cell_rows
@@ -279,8 +278,8 @@ def cmd_report(args, cfg: _Config) -> int:
         _require_files(args.hlm_report)
         if not args.heatmap_out:
             raise ValidationError("--hlm-report requires --heatmap-out")
-        report = hlm.report_from_dict(read_json(args.hlm_report))
-        rows, cols, values, _, _ = _report_heatmap_data(report)
+        rows, cols, values, _, _ = _report_heatmap_data(
+            *hlm.report_values(read_json(args.hlm_report)))
         _write_text(args.heatmap_out, svg.heatmap_svg(rows, cols, values, title="HLM index"))
         wrote.append(args.heatmap_out)
     if args.curves:
@@ -295,10 +294,8 @@ def cmd_report(args, cfg: _Config) -> int:
             # direction does not matter for plotting; use the default
             log = experiment.load_training_log(path, higher_is_better=True)
             series.append((label, [(float(s), v) for s, v in log.steps]))
-        _write_text(
-            args.curves_out,
-            svg.curves_svg(series, title="Learning curves", x_label="step", y_label="dev metric"),
-        )
+        _write_text(args.curves_out, svg.curves_svg(
+            series, title="Learning curves", x_label="step", y_label="dev metric"))
         wrote.append(args.curves_out)
     if args.validate:
         for path in wrote:

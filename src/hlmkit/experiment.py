@@ -107,8 +107,7 @@ def schedule_to_dict(s: Schedule) -> dict:
 
 def schedule_from_dict(data: dict) -> Schedule:
     order, seed, sequence, bounds = fields(data, {
-        "order": STRING, "seed": INT_OR_NULL, "sequence": STRINGS, "phase_boundaries": INTS,
-    })
+        "order": STRING, "seed": INT_OR_NULL, "sequence": STRINGS, "phase_boundaries": INTS})
     if len(bounds) != 2:
         raise ValidationError("schedule must have exactly two phase boundaries")
     return Schedule(order, seed, tuple(sequence), tuple(bounds))
@@ -162,7 +161,8 @@ def load_training_log(path: str | Path, higher_is_better: bool) -> TrainingLog:
     for line, (step, value) in csv_rows(path, ("step", "value")):
         try:
             entries.append((int(step), float(value)))
-        except ValueError:
+            float(entries[-1][0])  # a step beyond the float range cannot be plotted
+        except (ValueError, OverflowError):
             raise ParseError(f"invalid row {step},{value}", line=line) from None
     return TrainingLog(steps=tuple(entries), higher_is_better=higher_is_better)
 

@@ -257,16 +257,20 @@ def report_to_dict(report: HlmReport) -> dict:
 
 def report_from_dict(data: dict) -> HlmReport:
     """Read back the JSON that :func:`report_to_dict` writes, checking every type."""
-    i_model, i_task, i_criteria, std_ddof, cells = fields(data, {
-        "i_model": OBJECT, "i_task": OBJECT, "i_criteria": OBJECT,
-        "std_ddof": INT, "cells": LIST,
-    })
-    indices = [dict(zip(axis, fields(axis, dict.fromkeys(axis, NUMBER))))
-               for axis in (i_model, i_task, i_criteria)]
-    cell_spec = {"task": STRING, "criterion": STRING, "model": STRING,
-                 "s": NUMBER, "std": NUMBER, "sigmoid": NUMBER, "value": NUMBER}
-    return HlmReport(*indices, cells=tuple(CellBreakdown(*fields(c, cell_spec)) for c in cells),
-                     std_ddof=std_ddof)
+    (std_ddof,) = fields(data, {"std_ddof": INT})
+    *indices, cells = report_values(data, ("s", "std", "sigmoid", "value"))
+    return HlmReport(*indices, cells=tuple(CellBreakdown(*c) for c in cells), std_ddof=std_ddof)
+
+
+def report_values(data: dict, numbers: tuple[str, ...] = ("value",)):
+    """The i_model, i_task and i_criteria dicts of a report dict, then a list of
+    each cell's task, criterion, model and ``numbers`` keys; no other key is read."""
+    *axes, cells = fields(data, {"i_model": OBJECT, "i_task": OBJECT, "i_criteria": OBJECT,
+                                 "cells": LIST})
+    spec = {"task": STRING, "criterion": STRING, "model": STRING,
+            **dict.fromkeys(numbers, NUMBER)}
+    return (*(dict(zip(axis, fields(axis, dict.fromkeys(axis, NUMBER)))) for axis in axes),
+            [fields(c, spec) for c in cells])
 
 
 # ---------------------------------------------------------------------------

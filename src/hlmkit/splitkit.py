@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import uid
-from ._files import (
-    BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_jsonl, record,
-)
+from ._files import (BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
+                     read_jsonl, record)
 from .errors import EmptyCorpus, MissingScore, MissingSurprisal, TooSmall, ValidationError
 from .surprisal import NgramModel, SurprisalSequence, sentence_surprisals, token_surprisals
 from .textstat import Document, FleschConfig, flesch_score, text_stats
@@ -269,9 +268,8 @@ def split_to_dict(split: DifficultySplit) -> dict:
 
 def split_from_dict(data: dict) -> DifficultySplit:
     criterion, boundaries, easy, medium, hard = fields(data, {
-        "criterion": STRING, "boundaries": NUMBERS,
-        "easy": STRINGS, "medium": STRINGS, "hard": STRINGS,
-    })
+        "criterion": STRING, "boundaries": NUMBERS, "easy": STRINGS, "medium": STRINGS,
+        "hard": STRINGS})
     if len(boundaries) != 2:
         raise ValidationError("split must have exactly two boundaries")
     return DifficultySplit(criterion, tuple(easy), tuple(medium), tuple(hard), tuple(boundaries))

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._files import (
-    INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_json, read_jsonl, record,
-)
+from ._files import (INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
+                     read_json, read_jsonl, record)
 from .errors import EmptyCorpus, EmptyDocument, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
 

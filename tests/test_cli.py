@@ -625,6 +625,10 @@ MALFORMED_INPUTS = {
     "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
     "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",
                            lambda bad, tmp: ["converge", "--log", bad, "--higher-is-better"]),
+    # an integer step the float axis of the curves plot cannot hold
+    "log-step-too-big": ("step,value\n1,0.5\n1" + "0" * 400 + ",0.9\n",
+                         lambda bad, tmp: ["report", "--curves", bad,
+                                           "--curves-out", str(tmp / "out")]),
 }
 
 
@@ -667,6 +671,31 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert received[0].count(b"\n") == len(CORPUS_LINES)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path):
+    # as /dev/stdout -> /proc/self/fd/1 does when stdout is redirected to a file
+    target = tmp_path / "target"
+    target.write_text("old\n")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "flesch",
+                 "-o", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text().count("\n") == len(CORPUS_LINES)
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "link", "target"]
+
+
+def test_report_reads_only_the_keys_the_heatmap_shows(tmp_path):
+    # no std_ddof and no s/std/sigmoid: the heatmap does not use them
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "i_model": {"m": 0.5}, "i_task": {"t": 0.25}, "i_criteria": {"c": 0.75},
+        "cells": [{"task": "t", "criterion": "c", "model": "m", "value": 0.5}]}))
+    out = tmp_path / "heatmap.svg"
+    assert main(["report", "--hlm-report", str(report), "--heatmap-out", str(out),
+                 "--validate"]) == 0
+    assert out.read_text().startswith("<svg")
 
 
 def test_huge_surprisal_exit_2(tmp_path, capsys):
