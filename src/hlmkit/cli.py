@@ -149,7 +149,7 @@ def cmd_lm_train(args, cfg: _Config) -> int:
         reloaded = surprisal.load_model(args.output)
         if surprisal.model_to_dict(reloaded) != surprisal.model_to_dict(model):
             raise ValidationError("model dump did not round-trip")
-    print(f"wrote {args.output} (order {order}, vocab {len(model.vocab)})")
+    print(f"wrote {args.output} (order {order}, vocab {len(model.words)})")
     return 0
 
 

@@ -18,15 +18,13 @@ complete data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean
 from typing import Sequence
 
 from ._files import INT_OR_NULL, INTS, STRING, STRINGS, csv_rows, fields
-from .errors import IncompleteDataWarning, ParseError, ValidationError
-from .hlm import LEVELS, PerformanceCube
+from .errors import ParseError, ValidationError
+from .hlm import LEVELS, PerformanceCube, warn_skipped
 from .splitkit import DifficultySplit
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
@@ -179,13 +177,11 @@ class TransferMatrix:
 
 
 def _rank_scores(level_values: dict[str, float], higher_is_better: bool) -> dict[str, float]:
-    # best performance gets rank 3; tied values share the average of their ranks
-    ordered = sorted(level_values.values(), reverse=higher_is_better)
-    out = {}
-    for level, v in level_values.items():
-        positions = [i for i, sv in enumerate(ordered) if sv == v]
-        out[level] = fmean(3 - i for i in positions)
-    return out
+    # 1 + (values strictly worse) + half the other values tied with it: the
+    # best of three gets 3, and tied values share the average of their ranks
+    keyed = [v if higher_is_better else -v for v in level_values.values()]
+    return {level: 1 + sum(u < v for u in keyed) + 0.5 * (keyed.count(v) - 1)
+            for level, v in zip(level_values, keyed)}
 
 
 def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
@@ -208,11 +204,7 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
         else:
             skipped.append(key)
     if skipped:
-        warnings.warn(
-            f"skipping {len(skipped)} incomplete transfer groups: {skipped}",
-            IncompleteDataWarning,
-            stacklevel=2,
-        )
+        warn_skipped(f"skipping {len(skipped)} incomplete transfer groups", skipped)
     if not complete:
         raise ValidationError("no complete (train x eval) groups in cube")
 

@@ -149,23 +149,19 @@ class PerformanceCube:
         if not self.cells and not self.eval_rows:
             raise ValidationError("performance cube is empty")
 
-    @property
-    def tasks(self) -> tuple[str, ...]:
-        return tuple(sorted({k[0] for k in self.cells}))
-
-    @property
-    def criteria(self) -> tuple[str, ...]:
-        return tuple(sorted({k[1] for k in self.cells}))
-
-    @property
-    def models(self) -> tuple[str, ...]:
-        return tuple(sorted({k[2] for k in self.cells}))
-
     def triplet(self, task: str, criterion: str, model: str) -> PerformanceTriplet:
         try:
             return self.cells[(task, criterion, model)]
         except KeyError:
             raise MissingKey(f"no cell for ({task!r}, {criterion!r}, {model!r})") from None
+
+
+def warn_skipped(message: str, keys: Iterable) -> None:
+    """One IncompleteDataWarning: ``message``, then the first 10 of ``keys``
+    (given in sorted order), so its size does not grow with the cube."""
+    shown = list(itertools.islice(keys, 10))
+    warnings.warn(f"{message}, the first {len(shown)} in sorted order: {shown}",
+                  IncompleteDataWarning, stacklevel=3)
 
 
 def _axis_selector(axis: str):
@@ -223,14 +219,8 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     tasks, criteria, models = (sorted(g) for g in groups)
     n_missing = len(tasks) * len(criteria) * len(models) - len(cube.cells)
     if n_missing:
-        missing = (k for k in itertools.product(tasks, criteria, models) if k not in cube.cells)
-        shown = list(itertools.islice(missing, 10))
-        warnings.warn(
-            f"cube is sparse; skipping {n_missing} missing cells, "
-            f"the first {len(shown)} in sorted order: {shown}",
-            IncompleteDataWarning,
-            stacklevel=2,
-        )
+        warn_skipped(f"cube is sparse; skipping {n_missing} missing cells",
+                     (k for k in itertools.product(tasks, criteria, models) if k not in cube.cells))
     i_task, i_criteria, i_model = ({k: fmean(g[k]) for k in sorted(g)} for g in groups)
     return HlmReport(
         i_model=i_model,
@@ -337,9 +327,5 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
             ),
         ))
     if incomplete:
-        warnings.warn(
-            f"skipping {len(incomplete)} incomplete triplet groups: {incomplete}",
-            IncompleteDataWarning,
-            stacklevel=2,
-        )
+        warn_skipped(f"skipping {len(incomplete)} incomplete triplet groups", incomplete)
     return PerformanceCube(cells, eval_rows=eval_rows, eval_directions=eval_directions)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._files import (INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
+from ._files import (INT, INTS, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_json, read_jsonl, record)
 from .errors import EmptyCorpus, EmptyDocument, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
@@ -31,7 +32,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 DEFAULT_ORDER = 2
 DEFAULT_DISCOUNT = 0.75
@@ -72,105 +73,123 @@ def _tokenize_sentences(text: str) -> list[list[str]]:
 
 
 class NgramModel:
-    """Immutable Kneser-Ney smoothed n-gram model.
+    """Immutable Kneser-Ney smoothed n-gram model over integer word ids.
 
-    The model is defined by one table: {history tuple: {word: count}} of raw
-    top-order counts from the padded training stream (histories have
-    ``order - 1`` tokens). Windows whose last token is the start pad are
-    never counted, so each history's distribution normalizes exactly over
-    the predictable vocabulary. ``counts`` exposes it as ``{order: table}``.
-
-    Because every stream starts with ``order - 1`` start pads, every observed
-    lower-order gram is a suffix of an observed top-order gram, so the
-    lower-order continuation tables are derived from the top table and never
-    stored. The vocabulary is every word the table predicts plus the pads and
-    ``<unk>``. The predictable vocabulary excludes the start pad, and
-    excludes the end pad for unigram models (order 1 trains on unpadded
-    token streams so that its low-discount limit matches raw relative
-    frequencies).
+    ``words`` is the sorted vocabulary (it holds the pads and ``<unk>``) and
+    ``ids`` maps each word to its position. A gram of ids is one int in base
+    ``V = len(words)``, ``(h1 * V + h2) * V + w``: its history is ``g // V``,
+    dropping its first id is ``g % V ** (k - 1)``, and sorted keys are grams
+    in lexicographic order. The model is defined by ``words`` and the raw
+    top-order counts of the padded training stream: ``grams`` strictly
+    increasing in ``[0, V ** order)``, with positive ``counts``. Windows whose
+    last token is the start pad are never counted, so each history's
+    distribution normalizes exactly, and every stream starts with
+    ``order - 1`` start pads, so each lower-order gram is a suffix of a
+    top-order one: the lower continuation tables are derived, never stored.
+    The predictable vocabulary, ``event_vocab``, is sorted and excludes the
+    start pad, and the end pad for order 1 (which trains on unpadded streams
+    so that its low-discount limit matches raw relative frequencies).
     """
 
-    def __init__(self, order: int, discount: float,
-                 table: Mapping[tuple[str, ...], Mapping[str, int]]):
+    def __init__(self, order: int, discount: float, vocab: Sequence[str],
+                 grams: Sequence[int], counts: Sequence[int]):
         if not 1 <= order <= 3:
             raise ValidationError(f"order must be in [1, 3], got {order}")
         if not 0 < discount < 1:
             raise ValidationError(f"discount must be in (0, 1), got {discount}")
+        words = tuple(vocab)
+        if not ({BOS, EOS, UNK} <= set(words) and all(map(operator.lt, words, words[1:]))):
+            raise ValidationError(
+                f"model vocabulary must be strictly increasing and hold {BOS}, {EOS} and {UNK}")
+        size = len(words)
+        if len(grams) != len(counts) or (counts and min(counts) <= 0):
+            raise ValidationError("model counts must be positive, one per gram")
+        if grams and not (0 <= grams[0] and grams[-1] < size ** order
+                          and all(map(operator.lt, grams, grams[1:]))):
+            raise ValidationError(
+                f"model grams must be strictly increasing and in [0, {size}**{order})")
         self.order = order
         self.discount = discount
-        top = {tuple(h): dict(ws) for h, ws in table.items()}
-        self.counts = {order: top}
-        self.vocab = frozenset(w for ws in top.values() for w in ws) | {BOS, EOS, UNK}
+        self.words = words
+        self.ids = {w: i for i, w in enumerate(words)}
         excluded = {BOS} | ({EOS} if order == 1 else set())
-        self._events: tuple[str, ...] = tuple(sorted(self.vocab - excluded))
-        self._uniform = 1.0 / len(self._events)
-        # _levels[j] maps a j-token history to (words, total, backoff mass)
-        # of the order j+1 table.
-        levels = [top]
-        for _ in range(order - 1):
-            levels.append(_continuation_counts(levels[-1]))
-        self._levels: list[dict[tuple[str, ...], tuple[dict[str, int], int, float]]] = []
-        for tbl in reversed(levels):
-            stats = {}
-            for h, ws in tbl.items():
-                total = sum(ws.values())
-                stats[h] = (ws, total, discount * len(ws) / total)
-            self._levels.append(stats)
+        self.event_vocab = tuple(w for w in words if w not in excluded)
+        self._uniform = 1.0 / len(self.event_vocab)
+        self._top = dict(zip(grams, counts))
+        # _levels[j] is (gram -> count, history -> (total, backoff mass),
+        # V ** j) of the order j+1 table, whose histories hold j ids.
+        tables = [self._top]
+        for k in range(order - 1, 0, -1):
+            tables.append(Counter(g % size ** k for g in tables[-1]))
+        self._levels = []
+        for j, table in enumerate(reversed(tables)):
+            totals: dict[int, int] = {}
+            for g, c in table.items():
+                totals[g // size] = totals.get(g // size, 0) + c
+            types = Counter(g // size for g in table)
+            stats = {h: (t, discount * types[h] / t) for h, t in totals.items()}
+            self._levels.append((table, stats, size ** j))
 
     @property
-    def event_vocab(self) -> tuple[str, ...]:
-        """Sorted tokens the model assigns probability to."""
-        return self._events
+    def counts(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
+        """The top-order counts as ``{order: {history: {word: count}}}``, derived
+        from the packed table on every read (changing it changes no model)."""
+        words, size, rows = self.words, len(self.words), {}
+        for g, c in self._top.items():
+            rows.setdefault(g // size, {})[words[g % size]] = c
+        radixes = [size ** k for k in range(self.order - 2, -1, -1)]
+        return {self.order: {tuple(words[h // r % size] for r in radixes): row
+                             for h, row in rows.items()}}
 
     def prob(self, word: str, context: Sequence[str] = ()) -> float:
         """p(word | context). Unknown words and context tokens map to <unk>."""
         if word == BOS:
             raise ValidationError("the start pad is not a predictable token")
-        w = word if word in self.vocab else UNK
-        ctx = tuple(t if t in self.vocab else UNK for t in context)
-        k = min(self.order, len(ctx) + 1)
-        hist = ctx[len(ctx) - (k - 1):] if k > 1 else ()
-        return self._p(hist, w)
+        n = min(self.order - 1, len(context))
+        return self._p(_pack(self.ids, context[len(context) - n:]), n, _pack(self.ids, (word,)))
 
-    def _p(self, hist: tuple[str, ...], w: str) -> float:
-        """p(w | hist) for a mapped history of at most ``order - 1`` tokens.
+    def _p(self, h: int, n: int, w: int) -> float:
+        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids.
 
-        Interpolates from the uniform floor up to order len(hist) + 1,
-        skipping histories the tables never saw. This is the recursion
+        Interpolates from the uniform floor up to order n + 1, skipping
+        histories the tables never saw. This is the recursion
         p_k = max(c - D, 0) / total + backoff * p_(k-1) unrolled, with the
         same float operations in the same order, so values are bit-identical
         to evaluating it directly.
         """
         p = self._uniform
-        n = len(hist)
-        for j in range(n + 1):
-            entry = self._levels[j].get(hist[n - j:])
+        size = len(self.words)
+        for grams, stats, radix in self._levels[:n + 1]:
+            hist = h % radix
+            entry = stats.get(hist)
             if entry is not None:
-                words, total, backoff = entry
-                c = words.get(w)
+                total, backoff = entry
+                c = grams.get(hist * size + w)
                 # an unseen word's discounted term is exactly 0.0: skip it
                 p = (c - self.discount) / total + backoff * p if c else backoff * p
         return p
 
     def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
         """Full conditional distribution over the predictable vocabulary."""
-        return {w: self.prob(w, context) for w in self._events}
+        return {w: self.prob(w, context) for w in self.event_vocab}
 
 
-def _continuation_counts(
-    upper: Mapping[tuple[str, ...], Mapping[str, int]],
-) -> dict[tuple[str, ...], dict[str, int]]:
-    """One order down: how many distinct left extensions each gram has.
+def _pack(ids: Mapping[str, int], tokens: Iterable[str]) -> int:
+    """The mixed-radix key of ``tokens`` in base ``len(ids)``; unknown ones are <unk>."""
+    g, size, unk = 0, len(ids), ids[UNK]
+    for t in tokens:
+        g = g * size + ids.get(t, unk)
+    return g
 
-    Every (history, word) entry of ``upper`` is a distinct gram, so a lower
-    gram's continuation count is the number of upper entries ending in it.
-    """
-    lower: dict[tuple[str, ...], dict[str, int]] = {}
-    for hist, words in upper.items():
-        row = lower.setdefault(hist[1:], {})
-        for w in words:
-            row[w] = row.get(w, 0) + 1
-    return lower
+
+def _from_string_grams(order: int, discount: float,
+                       grams: Mapping[tuple[str, ...], int]) -> NgramModel:
+    """The model of ``{gram: count}``, over the words of its grams, the pads and <unk>."""
+    words = sorted({w for g in grams for w in g} | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(words)}
+    packed = {_pack(ids, gram): c for gram, c in grams.items()}
+    keys = sorted(packed)
+    return NgramModel(order, discount, words, keys, [packed[g] for g in keys])
 
 
 def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
@@ -197,10 +216,7 @@ def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
     for s in sents:
         padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
         grams.update(zip(*(padded[i:] for i in range(order))))
-    table: dict[tuple[str, ...], dict[str, int]] = {}
-    for gram, c in grams.items():
-        table.setdefault(gram[:-1], {})[gram[-1]] = c
-    return NgramModel(order, discount, table)
+    return _from_string_grams(order, discount, grams)
 
 
 def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> SurprisalSequence:
@@ -227,18 +243,22 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     sents = _tokenize_sentences(doc.text)
     if not sents:
         raise EmptyDocument(f"document {doc.id!r} has no tokens")
-    vocab = model.vocab
+    ids, unk = model.ids, model.ids[UNK]
+    size = len(model.words)
     n = model.order - 1
+    # the packed start history, and the radix that drops its oldest id (for
+    # order 1 the history is always read as h % 1 == 0, whatever h holds)
+    start = _pack(ids, (BOS,) * n)
+    keep = size ** max(n - 1, 0)
     out = []
     for s in sents:
-        hist: tuple[str, ...] = (BOS,) * n
+        h = start
         values = []
         for tok in s:
-            w = tok if tok in vocab else UNK
+            w = ids.get(tok, unk)
             # max() guards float round-off when p is within an ulp of 1
-            values.append(max(0.0, -log(model._p(hist, w))))
-            if n:
-                hist = hist[1:] + (w,)
+            values.append(max(0.0, -log(model._p(h, n, w))))
+            h = h % keep * size + w
         out.append(values)
     return out
 
@@ -266,36 +286,38 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> No
 
 
 def model_to_dict(model: NgramModel) -> dict:
-    """Versioned, fully sorted JSON-safe dump of the top-order count table."""
+    """Versioned JSON-safe dump: sorted vocabulary, increasing packed grams, counts."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
-        "counts": [
-            [list(h), sorted(ws.items())]
-            for h, ws in sorted(model.counts[model.order].items())
-        ],
+        "vocab": list(model.words),
+        "grams": list(model._top),
+        "counts": list(model._top.values()),
     }
 
 
-# Fields of each readable dump version. Version 1 also stored the vocabulary
-# and the raw count tables of every order; only its top-order table is read.
+# Fields of each readable dump version. Of version 1, which also stored the
+# raw count tables of every order, only the top-order table is read.
 _MODEL_FIELDS = {
     1: {"format", "version", "order", "discount", "vocab", "counts"},
     2: {"format", "version", "order", "discount", "counts"},
+    3: {"format", "version", "order", "discount", "vocab", "grams", "counts"},
 }
 
 
-def _count_table(entries, order: int) -> dict[tuple[str, ...], dict[str, int]]:
-    """Parse ``[[history, [[word, count], ...]], ...]``, checking every value.
+def _count_table(entries, order: int) -> dict[tuple[str, ...], int]:
+    """Parse ``[[history, [[word, count], ...]], ...]`` into ``{gram: count}``,
+    checking every value.
 
     Types are compared exactly, so a bool or float count is rejected rather
     than coerced.
     """
     if type(entries) is not list:
         raise ValidationError("model counts must be a list of [history, words] entries")
-    table: dict[tuple[str, ...], dict[str, int]] = {}
+    grams: dict[tuple[str, ...], int] = {}
+    n = 0
     for i, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             raise ValidationError(f"count entry {i} must be [history, words]")
@@ -306,7 +328,6 @@ def _count_table(entries, order: int) -> dict[tuple[str, ...], dict[str, int]]:
                 f"count entry {i}: history must be a list of {order - 1} strings")
         if type(words) is not list or not words:
             raise ValidationError(f"count entry {i}: words must be a non-empty list")
-        row = {}
         for item in words:
             if type(item) is not list or len(item) != 2:
                 raise ValidationError(f"count entry {i}: expected [word, count], got {item!r}")
@@ -315,17 +336,15 @@ def _count_table(entries, order: int) -> dict[tuple[str, ...], dict[str, int]]:
                 raise ValidationError(
                     f"count entry {i}: expected a string word and a positive "
                     f"integer count, got {item!r}")
-            row[w] = c
-        if len(row) != len(words):
-            raise ValidationError(f"count entry {i}: duplicate word")
-        table[tuple(hist)] = row
-    if len(table) != len(entries):
-        raise ValidationError("duplicate history in model counts")
-    return table
+            grams[(*hist, w)] = c
+        n += len(words)
+    if len(grams) != n or len({tuple(e[0]) for e in entries}) != len(entries):
+        raise ValidationError("duplicate history or word in model counts")
+    return grams
 
 
 def model_from_dict(data: dict) -> NgramModel:
-    """Rebuild a model from a version-2 dump or a version-1 (legacy) one."""
+    """Rebuild a model from a version-3 dump or a legacy version-1 or -2 one."""
     fmt, version = fields(data, {"format": STRING, "version": INT})
     if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
@@ -338,6 +357,9 @@ def model_from_dict(data: dict) -> NgramModel:
     order, discount = fields(data, {"order": INT, "discount": NUMBER})
     if not 1 <= order <= 3:
         raise ValidationError(f"order must be in [1, 3], got {order}")
+    if version == 3:
+        vocab, grams, counts = fields(data, {"vocab": STRINGS, "grams": INTS, "counts": INTS})
+        return NgramModel(order, discount, vocab, grams, counts)
     entries = data["counts"]
     if version == 1:
         fields(data, {"vocab": STRINGS})
@@ -347,7 +369,7 @@ def model_from_dict(data: dict) -> NgramModel:
         if len(tops) != 1:
             raise ValidationError(f"version-1 counts need exactly one order-{order} table")
         entries = tops[0]
-    return NgramModel(order, discount, _count_table(entries, order))
+    return _from_string_grams(order, discount, _count_table(entries, order))
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:

@@ -21,7 +21,10 @@ _PUNCT = string.punctuation + "“”‘’«»‹›…–—´`"
 _ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "etc", "eg", "ie", "vs"}
 
 _TERMINATOR = re.compile(r"[.?!]+")
+_SPACE = re.compile(r"\s+")
 _TRAILING_TOKEN = re.compile(r"([A-Za-z]+(?:\.[A-Za-z]+)*)$")
+# A trailing token (letters with single dots) that fills this window is no abbreviation
+_LOOKBEHIND = 2 * max(map(len, _ABBREVIATIONS)) + 2
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,14 @@ def segment_sentences(text: str) -> list[str]:
     sentences = []
     start = 0
     for m in _TERMINATOR.finditer(text):
-        rest = text[m.end():]
-        stripped = rest.lstrip()
-        if len(stripped) == len(rest) or not stripped:
-            continue  # no whitespace after the run, or end of text
-        if not stripped[0].isupper():
-            continue
-        before = _TRAILING_TOKEN.search(text, start, m.start())
+        space = _SPACE.match(text, m.end())
+        if space is None or space.end() == len(text) or not text[space.end()].isupper():
+            continue  # no whitespace after the run, end of text, or no capital next
+        before = _TRAILING_TOKEN.search(text, max(start, m.start() - _LOOKBEHIND), m.start())
         if before and before.group(1).replace(".", "").lower() in _ABBREVIATIONS:
             continue
         sentences.append(text[start:m.end()])
-        start = m.end() + (len(rest) - len(stripped))
+        start = space.end()
     if start < len(text):
         sentences.append(text[start:])
     return sentences

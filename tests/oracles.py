@@ -8,6 +8,7 @@ under test.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 BOS, EOS, UNK = "<s>", "</s>", "<unk>"
@@ -109,3 +110,43 @@ def cell_formula(easy: float, medium: float, hard: float, higher_is_better: bool
     sq = sum((v - mean) ** 2 for v in (easy, medium, hard))
     std = math.sqrt(sq / (3 - ddof))
     return s + 0.25 * (1 if s > 0 else -1) / (1 + math.exp(-std))
+
+
+def rank_scores(level_values: dict[str, float], higher_is_better: bool) -> dict[str, float]:
+    """Transfer ranks read off the sorted order: the best value sits at
+    position 0 and gets 3 - 0; tied values average 3 - position."""
+    ordered = sorted(level_values.values(), reverse=higher_is_better)
+    out = {}
+    for level, v in level_values.items():
+        positions = [i for i, sv in enumerate(ordered) if sv == v]
+        out[level] = sum(3 - i for i in positions) / len(positions)
+    return out
+
+
+_ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "etc", "eg", "ie", "vs"}
+_TERMINATOR = re.compile(r"[.?!]+")
+_TRAILING_TOKEN = re.compile(r"([A-Za-z]+(?:\.[A-Za-z]+)*)$")
+
+
+def segment_sentences(text: str) -> list[str]:
+    """The sentence segmenter as first written: it copies the rest of the
+    text at every terminator run and searches for the trailing token from the
+    start of the sentence, so it is quadratic in the length of the text."""
+    text = text.strip()
+    sentences = []
+    start = 0
+    for m in _TERMINATOR.finditer(text):
+        rest = text[m.end():]
+        stripped = rest.lstrip()
+        if len(stripped) == len(rest) or not stripped:
+            continue
+        if not stripped[0].isupper():
+            continue
+        before = _TRAILING_TOKEN.search(text, start, m.start())
+        if before and before.group(1).replace(".", "").lower() in _ABBREVIATIONS:
+            continue
+        sentences.append(text[start:m.end()])
+        start = m.end() + (len(rest) - len(stripped))
+    if start < len(text):
+        sentences.append(text[start:])
+    return sentences

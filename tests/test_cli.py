@@ -424,6 +424,18 @@ def _set_first_count(value):
     return mutate
 
 
+def _set_v3(key, index, value):
+    def mutate(data):
+        data[key][index] = value
+    return mutate
+
+
+def _swap_first_two(key):
+    def mutate(data):
+        data[key][0], data[key][1] = data[key][1], data[key][0]
+    return mutate
+
+
 # (version of the starting dump, change that makes it malformed)
 MALFORMED_MODELS = {
     "missing-counts": (2, lambda d: d.pop("counts")),
@@ -446,6 +458,20 @@ MALFORMED_MODELS = {
     "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
     "v1-count-zero": (1, lambda d: d["counts"][0][1][0][1][0].__setitem__(1, 0)),
     "v1-no-top-table": (1, lambda d: d.update(order=2)),
+    "v3-missing-grams": (3, lambda d: d.pop("grams")),
+    "v3-gram-out-of-range": (3, lambda d: d["grams"].__setitem__(-1, len(d["vocab"]) ** 2)),
+    "v3-gram-negative": (3, _set_v3("grams", 0, -1)),
+    "v3-gram-float": (3, _set_v3("grams", 0, 0.0)),
+    "v3-grams-unsorted": (3, _swap_first_two("grams")),
+    "v3-gram-duplicate": (3, lambda d: d["grams"].__setitem__(1, d["grams"][0])),
+    "v3-count-zero": (3, _set_v3("counts", 0, 0)),
+    "v3-count-negative": (3, _set_v3("counts", 0, -2)),
+    "v3-count-bool": (3, _set_v3("counts", 0, True)),
+    "v3-vocab-unsorted": (3, _swap_first_two("vocab")),
+    "v3-vocab-duplicate": (3, lambda d: d["vocab"].__setitem__(1, d["vocab"][0])),
+    "v3-vocab-not-strings": (3, _set_v3("vocab", -1, 7)),
+    "v3-missing-pad": (3, lambda d: d["vocab"].remove("<unk>")),
+    "v3-length-mismatch": (3, lambda d: d["counts"].pop()),
 }
 
 
@@ -458,17 +484,32 @@ class TestMalformedModel:
                         "--model", str(model_path), "-o", str(tmp_path / "s.jsonl"))
 
     @pytest.fixture(scope="class")
-    def v2_model(self, tmp_path_factory):
+    def dumps(self, tmp_path_factory):
+        """A valid model dump of each version: lm-train's order-2 model as
+        version 3, the same table in the version-2 layout, and V1_MODEL."""
         tmp = tmp_path_factory.mktemp("model")
         path = tmp / "model.json"
         assert main(["lm-train", "--corpus", write_corpus(tmp), "--order", "2",
                      "-o", str(path)]) == 0
-        return json.loads(path.read_text())
+        v3 = json.loads(path.read_text())
+        assert v3["version"] == 3
+        table = hlmkit.load_model(path).counts[2]
+        v2 = {key: v3[key] for key in ("format", "order", "discount")}
+        v2.update(version=2, counts=[[list(h), sorted(ws.items())]
+                                     for h, ws in sorted(table.items())])
+        return {1: V1_MODEL, 2: v2, 3: v3}
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_valid_dump_scores(self, tmp_path, dumps, version):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dumps[version]))
+        proc = self._run_surprisal(tmp_path, path)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
-    def test_exit_2_without_traceback(self, tmp_path, v2_model, case):
+    def test_exit_2_without_traceback(self, tmp_path, dumps, case):
         version, mutate = MALFORMED_MODELS[case]
-        data = json.loads(json.dumps(V1_MODEL if version == 1 else v2_model))
+        data = json.loads(json.dumps(dumps[version]))
         mutate(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -715,7 +756,7 @@ JSON_VALUES = st.recursive(
                                                                  max_size=4),
     max_leaves=12,
 )
-MODEL_KEYS = ("format", "version", "order", "discount", "counts")
+MODEL_KEYS = ("format", "version", "order", "discount", "vocab", "grams", "counts")
 
 # Every input a subcommand reads: its argv, with BAD for the generated file
 # and valid files for the other inputs, the file's shape, and the keys one

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.experiment import (
     TrainingLog,
+    _rank_scores,
     _splitmix64,
     converge_result_to_dict,
     convergence_ratio,
@@ -21,6 +23,7 @@ from hlmkit.experiment import (
 )
 from hlmkit.hlm import CubeCell, PerformanceCube, PerformanceTriplet
 from hlmkit.splitkit import DifficultyScore, DifficultySplit, tertile_split
+import oracles
 
 LEVELS = ("easy", "medium", "hard")
 
@@ -279,6 +282,23 @@ class TestTransferScores:
         with pytest.warns(IncompleteDataWarning, match="t2"):
             matrix = transfer_scores(eval_cube(groups))
         assert matrix.groups == (("t1", "c1", "m1"),)
+
+    def test_many_incomplete_groups_warning_is_bounded(self):
+        groups = {(f"t{g:02d}", "c1", "m1", True): {("easy", "easy"): 0.9} for g in range(25)}
+        groups[("u1", "c1", "m1", True)] = {(tr, ev): 0.5 for tr in LEVELS for ev in LEVELS}
+        with pytest.warns(IncompleteDataWarning) as record:
+            matrix = transfer_scores(eval_cube(groups))
+        shown = [(f"t{g:02d}", "c1", "m1") for g in range(10)]
+        assert [str(w.message) for w in record] == [
+            f"skipping 25 incomplete transfer groups, the first 10 in sorted order: {shown}"]
+        assert matrix.groups == (("u1", "c1", "m1"),)
+
+    @pytest.mark.parametrize("higher_is_better", [True, False])
+    def test_rank_scores_match_the_sorted_positions(self, higher_is_better):
+        for values in itertools.product((0.0, -0.0, 1.5, 2.0), repeat=3):
+            level_values = dict(zip(LEVELS, values))
+            assert (_rank_scores(level_values, higher_is_better)
+                    == oracles.rank_scores(level_values, higher_is_better))
 
     def test_no_complete_groups_raises(self):
         groups = {("t1", "c1", "m1", True): {("easy", "easy"): 0.9}}

@@ -332,6 +332,17 @@ class TestCubeCsv:
             cube = load_cube_csv(path)
         assert list(cube.cells) == [("t1", "c1", "m1")]
 
+    def test_many_incomplete_triplets_warning_is_bounded(self, tmp_path):
+        body = "".join(f"t{i:02d},c1,m1,easy,full,accuracy,0.9,true\n" for i in range(25))
+        path = self.write(tmp_path, body + "".join(
+            f"u1,c1,m1,{tr},full,accuracy,0.5,true\n" for tr in ("easy", "medium", "hard")))
+        with pytest.warns(IncompleteDataWarning) as record:
+            cube = load_cube_csv(path)
+        shown = [(f"t{i:02d}", "c1", "m1") for i in range(10)]
+        assert [str(w.message) for w in record] == [
+            f"skipping 25 incomplete triplet groups, the first 10 in sorted order: {shown}"]
+        assert list(cube.cells) == [("u1", "c1", "m1")]
+
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("TRUE", True), ("1", True), (" Yes ", True),
         ("false", False), ("0", False), ("no", False), ("No", False),

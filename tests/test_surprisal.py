@@ -64,7 +64,7 @@ class TestTrainLm:
 
     def test_hapax_tokens_are_retained(self):
         model = train_lm(docs_from_sentences([["a", "b", "a"]]), order=2)
-        assert "b" in model.vocab
+        assert "b" in model.words
         assert model.prob("b", ("a",)) > model.prob("zzz", ("a",))
 
     def test_empty_corpus_raises(self):
@@ -277,6 +277,20 @@ def version1_dump(sentences, order, discount):
             "discount": discount, "vocab": sorted(vocab), "counts": tables}
 
 
+def version2_dump(sentences, order, discount):
+    """A model file in the version-2 layout: the top-order table as
+    ``[[history, [[word, count], ...]], ...]``, sorted by history then word."""
+    rows = {}
+    for s in sentences:
+        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
+        for i in range(len(padded) - order + 1):
+            if padded[i + order - 1] != BOS:
+                row = rows.setdefault(tuple(padded[i:i + order - 1]), Counter())
+                row[padded[i + order - 1]] += 1
+    return {"format": "hlmkit-ngram", "version": 2, "order": order, "discount": discount,
+            "counts": [[list(h), sorted(ws.items())] for h, ws in sorted(rows.items())]}
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(3)
@@ -314,15 +328,20 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_version1_file_loads_identically_and_resaves_as_version2(self, tmp_path, order):
+    def test_legacy_file_loads_identically_and_resaves_as_version3(self, tmp_path, order,
+                                                                    version):
         rng = random.Random(40 + order)
         sentences = random_corpus(rng)
         model = train_lm(docs_from_sentences(sentences), order=order, discount=0.6)
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(version1_dump(sentences, order, 0.6), sort_keys=True, indent=1) + "\n")
-        loaded = load_model(v1)
-        assert loaded.vocab == model.vocab
+        dump = (version1_dump(sentences, order, 0.6) if version == 1
+                else version2_dump(sentences, order, 0.6))
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(dump, sort_keys=True, indent=1) + "\n")
+        loaded = load_model(legacy)
+        assert loaded.words == model.words
+        assert loaded.counts == model.counts
         contexts = {(), ("unseen",) * (order - 1)}
         contexts |= {h[i:] for h in model.counts[order] for i in range(order)}
         for ctx in contexts:
@@ -331,7 +350,7 @@ class TestPersistence:
         resaved, direct = tmp_path / "resaved.json", tmp_path / "direct.json"
         save_model(loaded, resaved)
         save_model(model, direct)
-        assert json.loads(resaved.read_text())["version"] == 2
+        assert json.loads(resaved.read_text())["version"] == 3
         assert resaved.read_bytes() == direct.read_bytes()
 
     def test_file_holds_only_the_top_order_table(self, tmp_path):
@@ -341,8 +360,23 @@ class TestPersistence:
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n") and ": " not in text
         data = json.loads(text)
-        assert sorted(data) == ["counts", "discount", "format", "order", "version"]
-        assert all(len(h) == 2 for h, _ in data["counts"])
+        assert sorted(data) == ["counts", "discount", "format", "grams", "order", "version",
+                                "vocab"]
+        assert data["version"] == 3
+        words = data["vocab"]
+        assert words == sorted({"a", "b", BOS, EOS, UNK})
+        size = len(words)
+        assert data["grams"] == sorted(data["grams"])
+        unpacked = {(words[g // size ** 2], words[g // size % size], words[g % size]): c
+                    for g, c in zip(data["grams"], data["counts"])}
+        assert unpacked == {(BOS, BOS, "a"): 1, (BOS, "a", "b"): 1, ("a", "b", "a"): 1,
+                            ("b", "a", EOS): 1, (BOS, BOS, "b"): 1, (BOS, "b", EOS): 1}
+
+    def test_counts_view_is_a_copy(self):
+        model = train_lm(docs_from_sentences([["a", "b", "a"]]), order=2)
+        model.counts[2][(BOS,)]["a"] = 99
+        assert model.counts[2] == {(BOS,): {"a": 1}, ("a",): {"b": 1, EOS: 1},
+                                   ("b",): {"a": 1}}
 
     @pytest.mark.parametrize("failure", ["serialize", "replace", "json", "jsonl", "csv"])
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, failure):
