@@ -19,6 +19,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,17 +50,21 @@ class SurprisalSequence:
     base: str = "2"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
+        values = tuple(self.values)
+        if not values:
             raise EmptyDocument(f"surprisal sequence for {self.doc_id!r} is empty")
         if self.base not in _LOG:
             raise ValidationError(f"base must be '2' or 'e', got {self.base!r}")
-        for v in self.values:
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(
-                    f"surprisal values must be finite and >= 0, got {v!r} "
-                    f"in document {self.doc_id!r}"
-                )
+        # exact types, so a bool or a numeric string is rejected, not coerced
+        if {float, int}.issuperset(map(type, values)):
+            values = tuple(map(float, values))
+            if all(map(math.isfinite, values)) and min(values) >= 0:
+                object.__setattr__(self, "values", values)
+                return
+        bad = next(v for v in values
+                   if type(v) not in (int, float) or not (math.isfinite(v) and v >= 0))
+        raise ValidationError(f"surprisal values must be finite numbers >= 0, got {bad!r} "
+                              f"in document {self.doc_id!r}")
 
 
 def _tokenize_sentences(text: str) -> list[list[str]]:
@@ -113,22 +118,33 @@ class NgramModel:
         self.words = words
         self.ids = {w: i for i, w in enumerate(words)}
         excluded = {BOS} | ({EOS} if order == 1 else set())
+        if not {self.ids[w] for w in excluded}.isdisjoint(map(size.__rmod__, grams)):
+            raise ValidationError(f"model grams must not predict {' or '.join(sorted(excluded))}")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
         self._top = dict(zip(grams, counts))
-        # _levels[j] is (gram -> count, history -> (total, backoff mass),
-        # V ** j) of the order j+1 table, whose histories hold j ids.
+
+    @cached_property
+    def _levels(self) -> list[tuple[dict[int, float], dict[int, float], int]]:
+        """Per order j+1: (gram -> interpolated probability, history -> backoff mass,
+        V ** j), built at the first query from ``{0: uniform}`` up. Every suffix of a
+        stored gram is stored one level down, so each value is the recursion's, bit for bit."""
+        size, discount = len(self.words), self.discount
         tables = [self._top]
-        for k in range(order - 1, 0, -1):
+        for k in range(self.order - 1, 0, -1):
             tables.append(Counter(g % size ** k for g in tables[-1]))
-        self._levels = []
+        levels, lower = [], {0: self._uniform}
         for j, table in enumerate(reversed(tables)):
             totals: dict[int, int] = {}
             for g, c in table.items():
                 totals[g // size] = totals.get(g // size, 0) + c
             types = Counter(g // size for g in table)
-            stats = {h: (t, discount * types[h] / t) for h, t in totals.items()}
-            self._levels.append((table, stats, size ** j))
+            backoffs = {h: discount * types[h] / t for h, t in totals.items()}
+            radix = size ** j
+            lower = {g: (c - discount) / totals[g // size] + backoffs[g // size] * lower[g % radix]
+                     for g, c in table.items()}
+            levels.append((lower, backoffs, radix))
+        return levels
 
     @property
     def counts(self) -> dict[int, dict[tuple[str, ...], dict[str, int]]]:
@@ -149,24 +165,16 @@ class NgramModel:
         return self._p(_pack(self.ids, context[len(context) - n:]), n, _pack(self.ids, (word,)))
 
     def _p(self, h: int, n: int, w: int) -> float:
-        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids.
-
-        Interpolates from the uniform floor up to order n + 1, skipping
-        histories the tables never saw. This is the recursion
-        p_k = max(c - D, 0) / total + backoff * p_(k-1) unrolled, with the
-        same float operations in the same order, so values are bit-identical
-        to evaluating it directly.
-        """
+        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids: up
+        from the uniform floor, a seen history's stored gram probability, or
+        its backoff mass times p for a word it never preceded."""
         p = self._uniform
         size = len(self.words)
-        for grams, stats, radix in self._levels[:n + 1]:
+        for probs, backoffs, radix in self._levels[:n + 1]:
             hist = h % radix
-            entry = stats.get(hist)
-            if entry is not None:
-                total, backoff = entry
-                c = grams.get(hist * size + w)
-                # an unseen word's discounted term is exactly 0.0: skip it
-                p = (c - self.discount) / total + backoff * p if c else backoff * p
+            backoff = backoffs.get(hist)
+            if backoff is not None:
+                p = probs.get(hist * size + w, backoff * p)
         return p
 
     def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
@@ -205,8 +213,6 @@ def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
         raise EmptyCorpus("corpus is empty")
     if not 1 <= order <= 3:
         raise ValidationError(f"order must be in [1, 3], got {order}")
-    if not 0 < discount < 1:
-        raise ValidationError(f"discount must be in (0, 1), got {discount}")
 
     sents = [s for doc in corpus for s in _tokenize_sentences(doc.text)]
     if not sents:
@@ -246,19 +252,23 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     ids, unk = model.ids, model.ids[UNK]
     size = len(model.words)
     n = model.order - 1
-    # the packed start history, and the radix that drops its oldest id (for
-    # order 1 the history is always read as h % 1 == 0, whatever h holds)
+    top = model._levels[-1][0]
+    # the packed start history, and the radix that keeps its last n ids
     start = _pack(ids, (BOS,) * n)
-    keep = size ** max(n - 1, 0)
+    keep = size ** n
     out = []
     for s in sents:
         h = start
         values = []
         for tok in s:
             w = ids.get(tok, unk)
+            g = h * size + w
+            p = top.get(g)
+            if p is None:
+                p = model._p(h, n, w)
             # max() guards float round-off when p is within an ulp of 1
-            values.append(max(0.0, -log(model._p(h, n, w))))
-            h = h % keep * size + w
+            values.append(max(0.0, -log(p)))
+            h = g % keep
         out.append(values)
     return out
 

@@ -150,3 +150,43 @@ def segment_sentences(text: str) -> list[str]:
     if start < len(text):
         sentences.append(text[start:])
     return sentences
+
+
+class CountTableKN:
+    """The packed-gram Kneser-Ney tables as first written for model v3: count
+    tables of every order with (total, backoff mass) per history, derived
+    from the top-order counts, and the recursion walked from the uniform floor
+    up on every query. Grams are mixed-radix ints in base ``len(words)``.
+    """
+
+    def __init__(self, order: int, discount: float, words: list[str],
+                 top: dict[int, int]):
+        excluded = {BOS} | ({EOS} if order == 1 else set())
+        self.discount = discount
+        self.size = size = len(words)
+        self.uniform = 1.0 / sum(1 for w in words if w not in excluded)
+        tables = [top]
+        for k in range(order - 1, 0, -1):
+            tables.append(Counter(g % size ** k for g in tables[-1]))
+        self.levels = []
+        for j, table in enumerate(reversed(tables)):
+            totals: dict[int, int] = {}
+            for g, c in table.items():
+                totals[g // size] = totals.get(g // size, 0) + c
+            types = Counter(g // size for g in table)
+            stats = {h: (t, discount * types[h] / t) for h, t in totals.items()}
+            self.levels.append((table, stats, size ** j))
+
+    def p(self, h: int, n: int, w: int) -> float:
+        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids."""
+        p = self.uniform
+        size = self.size
+        for grams, stats, radix in self.levels[:n + 1]:
+            hist = h % radix
+            entry = stats.get(hist)
+            if entry is not None:
+                total, backoff = entry
+                c = grams.get(hist * size + w)
+                # an unseen word's discounted term is exactly 0.0: skip it
+                p = (c - self.discount) / total + backoff * p if c else backoff * p
+        return p

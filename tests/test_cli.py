@@ -1,3 +1,4 @@
+import bisect
 import csv
 import hashlib
 import io
@@ -334,11 +335,24 @@ class TestErrorPaths:
         assert main([]) == 2
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, flags=()):
     env = dict(os.environ, PYTHONPATH=str(Path(hlmkit.__file__).parents[1]))
     env.pop("HLMKIT_CONFIG", None)
-    return subprocess.run([sys.executable, "-m", "hlmkit", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "hlmkit", *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_runs_on_the_standard_library_alone(tmp_path):
+    """``python -S`` leaves site-packages off the path, so training and scoring
+    import nothing outside the standard library (``dependencies = []``)."""
+    probe = subprocess.run([sys.executable, "-S", "-c", "import pytest"], capture_output=True)
+    assert probe.returncode != 0, "site-packages is still importable under -S"
+    corpus, model = write_corpus(tmp_path), str(tmp_path / "model.json")
+    proc = _run_cli("lm-train", "--corpus", corpus, "-o", model, flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli("surprisal", "--corpus", corpus, "--model", model,
+                    "-o", str(tmp_path / "s.jsonl"), flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
 
 
 # argv of each subcommand with the non-UTF-8 file as its (first) input
@@ -436,6 +450,17 @@ def _swap_first_two(key):
     return mutate
 
 
+def _add_v3_gram(history, word):
+    """Insert the gram (history, word) with count 5, keeping the grams sorted."""
+    def mutate(data):
+        index = {w: i for i, w in enumerate(data["vocab"])}
+        gram = index[history] * len(index) + index[word]
+        i = bisect.bisect(data["grams"], gram)
+        data["grams"].insert(i, gram)
+        data["counts"].insert(i, 5)
+    return mutate
+
+
 # (version of the starting dump, change that makes it malformed)
 MALFORMED_MODELS = {
     "missing-counts": (2, lambda d: d.pop("counts")),
@@ -472,6 +497,9 @@ MALFORMED_MODELS = {
     "v3-vocab-not-strings": (3, _set_v3("vocab", -1, 7)),
     "v3-missing-pad": (3, lambda d: d["vocab"].remove("<unk>")),
     "v3-length-mismatch": (3, lambda d: d["counts"].pop()),
+    "v3-gram-predicts-bos": (3, _add_v3_gram("the", "<s>")),
+    "v2-gram-predicts-bos": (2, lambda d: d["counts"][0][1].append(["<s>", 5])),
+    "v1-unigram-predicts-eos": (1, lambda d: d["counts"][0][1][0][1].append(["</s>", 1])),
 }
 
 
@@ -517,6 +545,9 @@ class TestMalformedModel:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "ValidationError" in proc.stderr or "ParseError" in proc.stderr
+        # the file is refused when it is loaded, not at the first score
+        with pytest.raises((hlmkit.ValidationError, hlmkit.ParseError)):
+            hlmkit.load_model(bad)
 
     def test_non_utf8_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

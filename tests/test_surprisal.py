@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlmkit import cli
 from hlmkit.errors import EmptyCorpus, ParseError, ValidationError
@@ -23,7 +25,7 @@ from hlmkit.surprisal import (
     train_lm,
 )
 from hlmkit.textstat import Document
-from oracles import kn_prob
+from oracles import CountTableKN, kn_prob
 
 ALPHABET = list("abcdefghij")
 
@@ -130,6 +132,56 @@ class TestDistributions:
         assert EOS in model2.event_vocab
 
 
+_WORDS = st.sampled_from("abcd")
+_QUERY_WORDS = st.sampled_from(["a", "b", "c", "d", "zz", "qq"])
+
+
+class TestTableOracle:
+    """The per-gram probability tables give exactly the floats of the count
+    tables walked from the uniform floor (``oracles.CountTableKN``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=st.lists(st.lists(_WORDS, min_size=1, max_size=6), min_size=1, max_size=6),
+           query=st.lists(st.lists(_QUERY_WORDS, min_size=1, max_size=8), min_size=1,
+                          max_size=3),
+           order=st.integers(1, 3),
+           discount=st.floats(0.01, 0.99))
+    def test_bit_exact_against_count_tables(self, train, query, order, discount):
+        model = train_lm(docs_from_sentences(train), order=order, discount=discount)
+        dump = model_to_dict(model)
+        words = dump["vocab"]
+        oracle = CountTableKN(order, discount, words, dict(zip(dump["grams"], dump["counts"])))
+        size, index = len(words), {w: i for i, w in enumerate(words)}
+
+        def pack(tokens):
+            g = 0
+            for t in tokens:
+                g = g * size + index.get(t, index[UNK])
+            return g
+
+        # every context up to order - 1 tokens, OOV and start pads included,
+        # so seen and unseen histories, stored and unstored grams all occur
+        for n in range(order):
+            for ctx in itertools.product(["a", "b", "zz", BOS], repeat=n):
+                want = {w: oracle.p(pack(ctx), n, index[w]) for w in model.event_vocab}
+                assert model.distribution(ctx) == want
+                assert model.prob("never-seen", ctx) == oracle.p(pack(ctx), n, index[UNK])
+
+        text = " ".join(" ".join(s).capitalize() + "." for s in query)
+        doc = Document(id="q", text=text)
+        for base, log in (("2", math.log2), ("e", math.log)):
+            want = []
+            for s in query:
+                h, values = pack([BOS] * (order - 1)), []
+                for tok in s:
+                    w = pack([tok])
+                    values.append(max(0.0, -log(oracle.p(h, order - 1, w))))
+                    h = (h * size + w) % size ** (order - 1)
+                want.append(values)
+            assert [list(q.values) for q in sentence_surprisals(model, doc, base)] == want
+            assert list(token_surprisals(model, doc, base).values) == sum(want, [])
+
+
 class TestTokenSurprisals:
     def test_log_transform_constants(self):
         # the scoring path is -log_base(p); fix the two hand-checked anchors
@@ -218,6 +270,16 @@ class TestSequenceValidation:
         with pytest.raises(ValidationError):
             SurprisalSequence(doc_id="d", values=(1.0,), base="10")
 
+    @pytest.mark.parametrize("value", ["1.5", True, False, None, [1.0], 1j])
+    def test_rejects_non_numbers_instead_of_coercing(self, value):
+        with pytest.raises(ValidationError):
+            SurprisalSequence(doc_id="d", values=(1.0, value, 2), base="2")
+
+    def test_ints_become_floats(self):
+        seq = SurprisalSequence(doc_id="d", values=(2, 0, 1.5), base="2")
+        assert seq.values == (2.0, 0.0, 1.5)
+        assert all(type(v) is float for v in seq.values)
+
 
 class TestImportExport:
     def test_round_trip(self, tmp_path):
@@ -302,6 +364,16 @@ class TestPersistence:
             save_model(model, p1)
             save_model(load_model(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tables_are_derived_at_the_first_query(self, tmp_path):
+        model = train_lm(docs_from_sentences([["a", "b", "a"], ["b"]]), order=3)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert "_levels" not in vars(model)
+        loaded = load_model(path)
+        assert "_levels" not in vars(loaded)
+        loaded.prob("a", ("b",))
+        assert "_levels" in vars(loaded)
 
     def test_probabilities_survive_reload(self, tmp_path):
         sentences = [["a", "b", "a", "c"], ["b", "c"]]
