@@ -176,12 +176,14 @@ class TransferMatrix:
         return sum(self.values[(tr, eval_level)] for tr in LEVELS)
 
 
-def _rank_scores(level_values: dict[str, float], higher_is_better: bool) -> dict[str, float]:
-    # 1 + (values strictly worse) + half the other values tied with it: the
-    # best of three gets 3, and tied values share the average of their ranks
-    keyed = [v if higher_is_better else -v for v in level_values.values()]
-    return {level: 1 + sum(u < v for u in keyed) + 0.5 * (keyed.count(v) - 1)
-            for level, v in zip(level_values, keyed)}
+def _rank_scores(a: float, b: float, c: float, higher_is_better: bool) -> tuple[float, ...]:
+    """1 + (values strictly worse) + half the others tied with it, for each value:
+    the best gets 3, and tied values share the average of their ranks."""
+    if not higher_is_better:
+        a, b, c = -a, -b, -c
+    return (1 + 0.5 * ((b < a) + (b <= a) + (c < a) + (c <= a)),  # worse u counts 2, tied 1
+            1 + 0.5 * ((a < b) + (a <= b) + (c < b) + (c <= b)),
+            1 + 0.5 * ((a < c) + (a <= c) + (b < c) + (b <= c)))
 
 
 def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
@@ -191,15 +193,12 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
     train x eval level combinations; incomplete groups are skipped with a
     warning. Columns of the result sum to 6 exactly (up to float error).
     """
-    groups: dict[tuple[str, str, str], dict[tuple[str, str], float]] = {}
-    for (task, criterion, model, train_level, eval_level), value in cube.eval_rows.items():
-        groups.setdefault((task, criterion, model), {})[(train_level, eval_level)] = value
-
+    groups = cube.eval_groups
     complete = []
     skipped = []
     needed = {(tr, ev) for tr in LEVELS for ev in LEVELS}
     for key in sorted(groups):
-        if set(groups[key]) >= needed:
+        if groups[key][1].keys() >= needed:
             complete.append(key)
         else:
             skipped.append(key)
@@ -208,15 +207,14 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
     if not complete:
         raise ValidationError("no complete (train x eval) groups in cube")
 
+    columns = [[(tr, ev) for tr in LEVELS] for ev in LEVELS]
     sums = {(tr, ev): 0.0 for tr in LEVELS for ev in LEVELS}
     for key in complete:
-        direction = cube.eval_directions[key + (LEVELS[0], LEVELS[0])]
-        for ev in LEVELS:
-            ranks = _rank_scores(
-                {tr: groups[key][(tr, ev)] for tr in LEVELS}, direction
-            )
-            for tr in LEVELS:
-                sums[(tr, ev)] += ranks[tr]
+        direction, values = groups[key]
+        for column in columns:
+            ranks = _rank_scores(*(values[k] for k in column), direction)
+            for k, rank in zip(column, ranks):
+                sums[k] += rank
     n = len(complete)
     return TransferMatrix(
         values={k: v / n for k, v in sums.items()},

@@ -31,7 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean, pstdev, stdev
+from statistics import fmean
 from typing import Iterable, Mapping
 
 from ._files import INT, LIST, NUMBER, OBJECT, STRING, csv_rows, fields
@@ -91,9 +91,23 @@ def logical_score(t: PerformanceTriplet) -> float:
 
 
 def triplet_std(t: PerformanceTriplet, ddof: int = 0) -> float:
-    """Standard deviation of the raw triplet values (population by default)."""
-    values = [t.easy, t.medium, t.hard]
-    return pstdev(values) if ddof == 0 else stdev(values)
+    """Standard deviation of the raw triplet values (population by default): the
+    correctly rounded root of the exact variance, the same bits on every Python."""
+    (x, dx), (y, dy), (z, dz) = (v.as_integer_ratio() for v in (t.easy, t.medium, t.hard))
+    d = max(dx, dy, dz)  # powers of two, so every value is exactly (integer / d)
+    x, y, z = x * (d // dx), y * (d // dy), z * (d // dz)
+    # variance n / m, with n = 3(x²+y²+z²) - (x+y+z)² written as pairwise squares
+    n, m = (x - y) ** 2 + (y - z) ** 2 + (x - z) ** 2, (9 if ddof == 0 else 6) * d * d
+    # a 55+ bit root rounded to odd, then one rounding to float, is correctly
+    # rounded (Boldo & Melquiond 2008; the method of Python 3.11's statistics)
+    shift = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * shift) if shift >= 0 else (n << -2 * shift, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    try:
+        return float(root << shift) if shift >= 0 else root / (1 << -shift)
+    except OverflowError:
+        raise ValidationError(f"the sample STD of {t} exceeds the float range") from None
 
 
 def sigmoid(x: float) -> float:
@@ -130,23 +144,21 @@ class PerformanceCube:
 
     Each index key owns one triplet of full-test-set performances (one per
     train level). Rows evaluated on individual difficulty slices of the test
-    set (eval level easy/medium/hard) are kept separately for transfer
-    analysis; see :mod:`hlmkit.experiment`.
+    set (eval level easy/medium/hard) are kept separately, grouped by run, for
+    transfer analysis; see :mod:`hlmkit.experiment`.
     """
 
     def __init__(self, cells: Iterable[CubeCell],
-                 eval_rows: Mapping[tuple, float] | None = None,
-                 eval_directions: Mapping[tuple, bool] | None = None):
+                 eval_groups: Mapping[tuple, tuple[bool, dict]] | None = None):
         self.cells: dict[tuple[str, str, str], PerformanceTriplet] = {}
         for c in cells:
             key = (c.task, c.criterion, c.model)
             if key in self.cells:
                 raise ValidationError(f"duplicate cube cell {key}")
             self.cells[key] = c.triplet
-        # (task, criterion, model, train_level, eval_level) -> metric value
-        self.eval_rows = dict(eval_rows or {})
-        self.eval_directions = dict(eval_directions or {})
-        if not self.cells and not self.eval_rows:
+        # (task, criterion, model) -> (higher_is_better, {(train_level, eval_level): value})
+        self.eval_groups = dict(eval_groups or {})
+        if not self.cells and not self.eval_groups:
             raise ValidationError("performance cube is empty")
 
     def triplet(self, task: str, criterion: str, model: str) -> PerformanceTriplet:
@@ -212,7 +224,10 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     breakdown = []
     groups: tuple[dict[str, list[float]], ...] = ({}, {}, {})  # task, criterion, model
     for key, t in sorted(cube.cells.items()):
-        s, std, sig, value = _cell_terms(t, ddof)
+        try:
+            s, std, sig, value = _cell_terms(t, ddof)
+        except ValidationError as e:
+            raise ValidationError(f"cell {key}: {e}") from None
         breakdown.append(CellBreakdown(*key, s=s, std=std, sigmoid=sig, value=value))
         for axis_groups, k in zip(groups, key):
             axis_groups.setdefault(k, []).append(value)
@@ -276,10 +291,8 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     a (task, criterion, model) group. Rows are checked in file order and the
     first faulty row raises.
     """
-    directions: dict[tuple[str, str, str], bool] = {}
-    full: dict[tuple[str, str, str], dict[str, float]] = {}
-    eval_rows: dict[tuple, float] = {}
-    eval_directions: dict[tuple, bool] = {}
+    # (task, criterion, model) -> (higher_is_better, full rows, other rows)
+    groups: dict[tuple, tuple[bool, dict[str, float], dict[tuple[str, str], float]]] = {}
     for lineno, row in csv_rows(path, CUBE_COLUMNS):
         task, criterion, model, train_level, eval_level, metric, value, hib = row
         if train_level not in LEVELS:
@@ -297,35 +310,31 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
             raise ParseError(f"invalid boolean {hib!r}", line=lineno)
 
         key = (task, criterion, model)
-        if directions.setdefault(key, direction) != direction:
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (direction, {}, {})
+        elif group[0] != direction:
             raise ValidationError(
                 f"line {lineno}: inconsistent higher_is_better within group {key}"
             )
         if eval_level == "full":
-            group = full.setdefault(key, {})
-            if train_level in group:
+            if train_level in group[1]:
                 raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
-            group[train_level] = val
+            group[1][train_level] = val
         else:
-            ekey = key + (train_level, eval_level)
-            if ekey in eval_rows:
-                raise ValidationError(f"line {lineno}: duplicate row for {ekey}")
-            eval_rows[ekey] = val
-            eval_directions[ekey] = direction
+            level = (train_level, eval_level)
+            if level in group[2]:
+                raise ValidationError(f"line {lineno}: duplicate row for {key + level}")
+            group[2][level] = val
 
     cells = []
     incomplete = []
-    for key, group in sorted(full.items()):
-        if set(group) != set(LEVELS):
+    for key, (direction, full, _) in sorted(groups.items()):
+        if len(full) == 3:
+            cells.append(CubeCell(*key, PerformanceTriplet(
+                full["easy"], full["medium"], full["hard"], direction)))
+        elif full:
             incomplete.append(key)
-            continue
-        cells.append(CubeCell(
-            task=key[0], criterion=key[1], model=key[2],
-            triplet=PerformanceTriplet(
-                easy=group["easy"], medium=group["medium"], hard=group["hard"],
-                higher_is_better=directions[key],
-            ),
-        ))
     if incomplete:
         warn_skipped(f"skipping {len(incomplete)} incomplete triplet groups", incomplete)
-    return PerformanceCube(cells, eval_rows=eval_rows, eval_directions=eval_directions)
+    return PerformanceCube(cells, {key: (d, runs) for key, (d, _, runs) in groups.items() if runs})

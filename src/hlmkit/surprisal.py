@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,15 +56,17 @@ class SurprisalSequence:
             raise EmptyDocument(f"surprisal sequence for {self.doc_id!r} is empty")
         if self.base not in _LOG:
             raise ValidationError(f"base must be '2' or 'e', got {self.base!r}")
-        # exact types, so a bool or a numeric string is rejected, not coerced
-        if {float, int}.issuperset(map(type, values)):
+        # exact types, so a bool or a numeric string is rejected, not coerced;
+        # an int beyond the float range is rejected before float() overflows
+        if {float, int}.issuperset(map(type, values)) and max(values) <= sys.float_info.max:
             values = tuple(map(float, values))
             if all(map(math.isfinite, values)) and min(values) >= 0:
                 object.__setattr__(self, "values", values)
                 return
         bad = next(v for v in values
-                   if type(v) not in (int, float) or not (math.isfinite(v) and v >= 0))
-        raise ValidationError(f"surprisal values must be finite numbers >= 0, got {bad!r} "
+                   if type(v) not in (int, float) or not 0 <= v <= sys.float_info.max)
+        shown = "an int beyond the float range" if type(bad) is int and bad > 0 else repr(bad)
+        raise ValidationError(f"surprisal values must be finite numbers >= 0, got {shown} "
                               f"in document {self.doc_id!r}")
 
 

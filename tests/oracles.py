@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 BOS, EOS, UNK = "<s>", "</s>", "<unk>"
 
@@ -112,6 +114,18 @@ def cell_formula(easy: float, medium: float, hard: float, higher_is_better: bool
     return s + 0.25 * (1 if s > 0 else -1) / (1 + math.exp(-std))
 
 
+def exact_std(values, ddof: int = 0) -> float:
+    """Standard deviation from the exact Fraction variance: its square root in
+    Decimal at 60 digits, then rounded to a float (inf beyond the float range)."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / (len(xs) - ddof)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
+    return float(root)
+
+
 def rank_scores(level_values: dict[str, float], higher_is_better: bool) -> dict[str, float]:
     """Transfer ranks read off the sorted order: the best value sits at
     position 0 and gets 3 - 0; tied values average 3 - position."""
@@ -121,6 +135,23 @@ def rank_scores(level_values: dict[str, float], higher_is_better: bool) -> dict[
         positions = [i for i, sv in enumerate(ordered) if sv == v]
         out[level] = sum(3 - i for i in positions) / len(positions)
     return out
+
+
+def transfer_matrix(groups: dict) -> tuple[dict, tuple]:
+    """Mean rank of each (train level, eval level) over the groups that hold all
+    nine combinations, in sorted group order, and those groups. ``groups`` maps
+    a group key to (higher_is_better, {(train level, eval level): value})."""
+    levels = ("easy", "medium", "hard")
+    complete = tuple(sorted(key for key, (_, values) in groups.items()
+                            if all((tr, ev) in values for tr in levels for ev in levels)))
+    sums = {(tr, ev): 0.0 for tr in levels for ev in levels}
+    for key in complete:
+        higher_is_better, values = groups[key]
+        for ev in levels:
+            ranks = rank_scores({tr: values[(tr, ev)] for tr in levels}, higher_is_better)
+            for tr in levels:
+                sums[(tr, ev)] += ranks[tr]
+    return {k: v / max(len(complete), 1) for k, v in sums.items()}, complete
 
 
 _ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "etc", "eg", "ie", "vs"}

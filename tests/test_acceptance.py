@@ -187,14 +187,11 @@ def test_c07_tertile_split_properties():
 
 
 def _transfer_cube(groups):
-    eval_rows, eval_directions, cells = {}, {}, []
+    eval_groups, cells = {}, []
     for (task, hib), entries in groups.items():
-        for (tr, ev), value in entries.items():
-            key = (task, "c1", "m1", tr, ev)
-            eval_rows[key] = value
-            eval_directions[key] = hib
+        eval_groups[(task, "c1", "m1")] = (hib, dict(entries))
         cells.append(CubeCell(task, "c1", "m1", PerformanceTriplet(1, 1, 1, hib)))
-    return PerformanceCube(cells, eval_rows=eval_rows, eval_directions=eval_directions)
+    return PerformanceCube(cells, eval_groups)
 
 
 def test_c08_transfer_column_sums():

@@ -175,6 +175,20 @@ class TestHlmCommand:
         report = tmp_path / "report.json"
         run_twice_and_compare(["hlm", "-o", str(report)], report)
 
+    def test_sample_std_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        cube = tmp_path / "cube.csv"
+        cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
+            f"t1,c1,m1,{tr},full,accuracy,{v},true\n"
+            for tr, v in zip(("easy", "medium", "hard"), ("1.7e308", "1.7e308", "-1.7e308"))))
+        report = tmp_path / "report.json"
+        assert main(["hlm", "--cube", str(cube), "--std-ddof", "1", "-o", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError: cell ('t1', 'c1', 'm1'):" in err
+        assert "exceeds the float range" in err and "Traceback" not in err
+        assert not report.exists()
+        # a population STD is at most half the range, so ddof 0 runs
+        assert main(["hlm", "--cube", str(cube), "-o", str(report)]) == 0
+
 
 # sha256 of the hlm and transfer outputs on the bundled reference cube,
 # recorded with the implementation that re-scored every cell per index key.

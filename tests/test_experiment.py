@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.experiment import (
@@ -21,7 +24,7 @@ from hlmkit.experiment import (
     transfer_scores,
     transfer_to_dict,
 )
-from hlmkit.hlm import CubeCell, PerformanceCube, PerformanceTriplet
+from hlmkit.hlm import CUBE_COLUMNS, CubeCell, PerformanceCube, PerformanceTriplet, load_cube_csv
 from hlmkit.splitkit import DifficultyScore, DifficultySplit, tertile_split
 import oracles
 
@@ -211,16 +214,12 @@ class TestConvergenceRatio:
 
 def eval_cube(groups):
     """Build a cube with eval-level rows from {group_key: {(train, eval): value}}."""
-    eval_rows = {}
-    eval_directions = {}
+    eval_groups = {}
     cells = []
     for (task, criterion, model, hib), entries in groups.items():
-        for (tr, ev), value in entries.items():
-            key = (task, criterion, model, tr, ev)
-            eval_rows[key] = value
-            eval_directions[key] = hib
+        eval_groups[(task, criterion, model)] = (hib, dict(entries))
         cells.append(CubeCell(task, criterion, model, PerformanceTriplet(1.0, 1.0, 1.0, hib)))
-    return PerformanceCube(cells, eval_rows=eval_rows, eval_directions=eval_directions)
+    return PerformanceCube(cells, eval_groups)
 
 
 def full_group(by_train_eval, hib=True, name=("t1", "c1", "m1")):
@@ -297,8 +296,8 @@ class TestTransferScores:
     def test_rank_scores_match_the_sorted_positions(self, higher_is_better):
         for values in itertools.product((0.0, -0.0, 1.5, 2.0), repeat=3):
             level_values = dict(zip(LEVELS, values))
-            assert (_rank_scores(level_values, higher_is_better)
-                    == oracles.rank_scores(level_values, higher_is_better))
+            assert (_rank_scores(*values, higher_is_better)
+                    == tuple(oracles.rank_scores(level_values, higher_is_better).values()))
 
     def test_no_complete_groups_raises(self):
         groups = {("t1", "c1", "m1", True): {("easy", "easy"): 0.9}}
@@ -306,6 +305,41 @@ class TestTransferScores:
             warnings.simplefilter("ignore")
             with pytest.raises(ValidationError):
                 transfer_scores(eval_cube(groups))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_rank_oracle_through_the_csv_loader(self, data):
+        # few keys and values, so groups tie, hold -0.0 beside 0.0, point both
+        # ways and miss rows; rows are written in a random order
+        combos = [(tr, ev) for tr in LEVELS for ev in LEVELS]
+        value = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e300]),
+                          st.floats(-10, 10, allow_nan=False))
+        groups = {}
+        for key in data.draw(st.lists(st.tuples(st.sampled_from("ab"), st.just("c1"),
+                                                st.sampled_from("pqr")),
+                                      min_size=1, max_size=6, unique=True)):
+            kept = data.draw(st.sets(st.sampled_from(combos), min_size=8)
+                             | st.just(set(combos)))
+            groups[key] = (data.draw(st.booleans()), {c: data.draw(value) for c in combos
+                                                      if c in kept})
+        rows = [[*key, tr, ev, "metric", repr(v), str(hib).lower()]
+                for key, (hib, values) in groups.items() for (tr, ev), v in values.items()]
+        rows = data.draw(st.permutations(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cube.csv"
+            path.write_text("\n".join(",".join(r) for r in [list(CUBE_COLUMNS), *rows]) + "\n")
+            cube = load_cube_csv(path)
+        expected, complete = oracles.transfer_matrix(groups)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompleteDataWarning)
+            if not complete:
+                with pytest.raises(ValidationError):
+                    transfer_scores(cube)
+                return
+            matrix = transfer_scores(cube)
+        assert matrix.groups == complete
+        assert {k: v.hex() for k, v in matrix.values.items()} == {
+            k: v.hex() for k, v in expected.items()}
 
     def test_to_dict_shape(self):
         entries = {(tr, ev): 0.5 for tr in LEVELS for ev in LEVELS}

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import struct
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import (
@@ -25,7 +26,7 @@ from hlmkit.hlm import (
     report_to_dict,
     triplet_std,
 )
-from oracles import cell_formula, ordering_score
+from oracles import cell_formula, exact_std, ordering_score
 
 # frozen from the population-std oracle: 0.75 + 0.25 * sigmoid(sqrt(0.02 / 3))
 DESCENDING_CELL = 0.8801002704619898
@@ -34,6 +35,22 @@ DESCENDING_CELL = 0.8801002704619898
 @pytest.fixture(scope="module")
 def reference_cube():
     return load_cube_csv(reference_performance_path())
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# Finite floats of every kind: any float (hypothesis favours the edges), raw
+# bit patterns, subnormals, values near +/-1e300, and rounded decimals.
+_STD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_float_of_bits).filter(math.isfinite),
+    st.integers(-2**52, 2**52).map(lambda k: k * 5e-324),
+    st.floats(-1.0, 1.0).map(lambda f: f * 1e300),
+    st.floats(0, 100).map(lambda f: round(f, 4)),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1.7e308, -1.7976931348623157e308]),
+)
 
 
 class TestLogicalScore:
@@ -136,6 +153,28 @@ class TestCellValue:
         t = PerformanceTriplet(0.9, 0.8, 0.7)
         assert triplet_std(t, ddof=1) == pytest.approx(0.1)
         assert cell_value(t, ddof=1) > cell_value(t, ddof=0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(_STD_VALUES, min_size=3, max_size=3),
+           ties=st.sampled_from([(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]),
+           ddof=st.sampled_from([0, 1]))
+    @example(values=[1.7e308, -1.7e308, 0.0], ties=(0, 0, 1), ddof=1)
+    @example(values=[5e-324, 0.0, 1e300], ties=(0, 1, 1), ddof=0)
+    def test_std_is_the_correctly_rounded_exact_root(self, values, ties, ddof):
+        triplet = [values[i] for i in ties]
+        expected = exact_std(triplet, ddof)
+        if math.isinf(expected):  # only a sample STD can pass the float range
+            assert ddof == 1
+            with pytest.raises(ValidationError, match="exceeds the float range"):
+                triplet_std(PerformanceTriplet(*triplet), ddof)
+        else:
+            assert triplet_std(PerformanceTriplet(*triplet), ddof).hex() == expected.hex()
+
+    def test_sample_std_beyond_the_float_range_is_a_validation_error(self):
+        t = PerformanceTriplet(1.7e308, 1.7e308, -1.7e308)
+        assert triplet_std(t) == exact_std([1.7e308, 1.7e308, -1.7e308])
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            triplet_std(t, ddof=1)
 
 
 class TestIndex:
@@ -387,5 +426,5 @@ class TestCubeCsv:
             for ev in ("easy", "medium", "hard", "full")
         )
         cube = load_cube_csv(self.write(tmp_path, body))
-        assert len(cube.eval_rows) == 9
+        assert len(cube.eval_groups[("t1", "c1", "m1")][1]) == 9
         assert ("t1", "c1", "m1") in cube.cells

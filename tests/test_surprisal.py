@@ -275,6 +275,11 @@ class TestSequenceValidation:
         with pytest.raises(ValidationError):
             SurprisalSequence(doc_id="d", values=(1.0, value, 2), base="2")
 
+    @pytest.mark.parametrize("value", [10**400, 10**5000, 2**1024], ids=["1e400", "1e5000", "2^1024"])
+    def test_rejects_ints_beyond_the_float_range(self, value):
+        with pytest.raises(ValidationError, match="an int beyond the float range"):
+            SurprisalSequence(doc_id="d", values=(1.0, value), base="2")
+
     def test_ints_become_floats(self):
         seq = SurprisalSequence(doc_id="d", values=(2, 0, 1.5), base="2")
         assert seq.values == (2.0, 0.0, 1.5)
