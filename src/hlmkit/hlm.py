@@ -31,7 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean
 from typing import Iterable, Mapping
 
 from ._files import INT, LIST, NUMBER, OBJECT, STRING, csv_rows, fields
@@ -90,9 +89,15 @@ def logical_score(t: PerformanceTriplet) -> float:
     raise AssertionError("unreachable: some ordering always holds")
 
 
+def _check_ddof(ddof: int) -> None:
+    if ddof not in (0, 1):
+        raise ValidationError(f"std_ddof must be 0 or 1, got {ddof}")
+
+
 def triplet_std(t: PerformanceTriplet, ddof: int = 0) -> float:
     """Standard deviation of the raw triplet values (population by default): the
     correctly rounded root of the exact variance, the same bits on every Python."""
+    _check_ddof(ddof)
     (x, dx), (y, dy), (z, dz) = (v.as_integer_ratio() for v in (t.easy, t.medium, t.hard))
     d = max(dx, dy, dz)  # powers of two, so every value is exactly (integer / d)
     x, y, z = x * (d // dx), y * (d // dy), z * (d // dz)
@@ -188,7 +193,7 @@ def index(cube: PerformanceCube, axis: str, key: str, ddof: int = 0) -> float:
     values = [cell_value(t, ddof) for k, t in sorted(cube.cells.items()) if k[pos] == key]
     if not values:
         raise MissingKey(f"no cells for {axis}={key!r}")
-    return fmean(values)
+    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,7 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     and the per-key divisor shrinks accordingly, so partial cubes still
     produce a report. Each index equals :func:`index` for its key.
     """
+    _check_ddof(ddof)
     breakdown = []
     groups: tuple[dict[str, list[float]], ...] = ({}, {}, {})  # task, criterion, model
     for key, t in sorted(cube.cells.items()):
@@ -236,7 +242,8 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     if n_missing:
         warn_skipped(f"cube is sparse; skipping {n_missing} missing cells",
                      (k for k in itertools.product(tasks, criteria, models) if k not in cube.cells))
-    i_task, i_criteria, i_model = ({k: fmean(g[k]) for k in sorted(g)} for g in groups)
+    i_task, i_criteria, i_model = ({k: math.fsum(v) / len(v) for k, v in sorted(g.items())}
+                                   for g in groups)
     return HlmReport(
         i_model=i_model,
         i_task=i_task,

@@ -120,13 +120,13 @@ def _uid_value(doc: Document, criterion: str, providers: Providers) -> float:
     else:
         score = lambda s: uid.uid_variance(s, providers.uid_var)
     seqs = _doc_sequences(doc, providers)
+    bases = {s.base for s in seqs}
+    if len(bases) > 1:
+        raise ValidationError(f"mixed surprisal bases for document {doc.id!r}: {sorted(bases)}")
     if providers.per_sentence:
         return uid.sentence_averaged(score, seqs)
     if len(seqs) == 1:
         return score(seqs[0])
-    bases = {s.base for s in seqs}
-    if len(bases) > 1:
-        raise ValidationError(f"mixed surprisal bases for document {doc.id!r}: {sorted(bases)}")
     merged = SurprisalSequence(
         doc_id=doc.id,
         values=tuple(v for s in seqs for v in s.values),

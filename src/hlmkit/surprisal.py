@@ -193,16 +193,6 @@ def _pack(ids: Mapping[str, int], tokens: Iterable[str]) -> int:
     return g
 
 
-def _from_string_grams(order: int, discount: float,
-                       grams: Mapping[tuple[str, ...], int]) -> NgramModel:
-    """The model of ``{gram: count}``, over the words of its grams, the pads and <unk>."""
-    words = sorted({w for g in grams for w in g} | {BOS, EOS, UNK})
-    ids = {w: i for i, w in enumerate(words)}
-    packed = {_pack(ids, gram): c for gram, c in grams.items()}
-    keys = sorted(packed)
-    return NgramModel(order, discount, words, keys, [packed[g] for g in keys])
-
-
 def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
              discount: float = DEFAULT_DISCOUNT) -> NgramModel:
     """Train an interpolated Kneser-Ney model on a corpus.
@@ -225,7 +215,11 @@ def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
     for s in sents:
         padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
         grams.update(zip(*(padded[i:] for i in range(order))))
-    return _from_string_grams(order, discount, grams)
+    words = sorted({w for g in grams for w in g} | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(words)}
+    packed = {_pack(ids, gram): c for gram, c in grams.items()}
+    keys = sorted(packed)
+    return NgramModel(order, discount, words, keys, [packed[g] for g in keys])
 
 
 def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> SurprisalSequence:
@@ -311,78 +305,22 @@ def model_to_dict(model: NgramModel) -> dict:
     }
 
 
-# Fields of each readable dump version. Of version 1, which also stored the
-# raw count tables of every order, only the top-order table is read.
-_MODEL_FIELDS = {
-    1: {"format", "version", "order", "discount", "vocab", "counts"},
-    2: {"format", "version", "order", "discount", "counts"},
-    3: {"format", "version", "order", "discount", "vocab", "grams", "counts"},
-}
-
-
-def _count_table(entries, order: int) -> dict[tuple[str, ...], int]:
-    """Parse ``[[history, [[word, count], ...]], ...]`` into ``{gram: count}``,
-    checking every value.
-
-    Types are compared exactly, so a bool or float count is rejected rather
-    than coerced.
-    """
-    if type(entries) is not list:
-        raise ValidationError("model counts must be a list of [history, words] entries")
-    grams: dict[tuple[str, ...], int] = {}
-    n = 0
-    for i, entry in enumerate(entries):
-        if type(entry) is not list or len(entry) != 2:
-            raise ValidationError(f"count entry {i} must be [history, words]")
-        hist, words = entry
-        if (type(hist) is not list or len(hist) != order - 1
-                or not all(type(t) is str for t in hist)):
-            raise ValidationError(
-                f"count entry {i}: history must be a list of {order - 1} strings")
-        if type(words) is not list or not words:
-            raise ValidationError(f"count entry {i}: words must be a non-empty list")
-        for item in words:
-            if type(item) is not list or len(item) != 2:
-                raise ValidationError(f"count entry {i}: expected [word, count], got {item!r}")
-            w, c = item
-            if type(w) is not str or type(c) is not int or c <= 0:
-                raise ValidationError(
-                    f"count entry {i}: expected a string word and a positive "
-                    f"integer count, got {item!r}")
-            grams[(*hist, w)] = c
-        n += len(words)
-    if len(grams) != n or len({tuple(e[0]) for e in entries}) != len(entries):
-        raise ValidationError("duplicate history or word in model counts")
-    return grams
+# The fields of a dump after "format" and "version", in NgramModel's argument order.
+_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "grams": INTS, "counts": INTS}
 
 
 def model_from_dict(data: dict) -> NgramModel:
-    """Rebuild a model from a version-3 dump or a legacy version-1 or -2 one."""
+    """Rebuild a model from a version-3 dump; any other version is refused."""
     fmt, version = fields(data, {"format": STRING, "version": INT})
     if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
-    if version not in _MODEL_FIELDS:
-        raise ValidationError(f"unsupported model version {version}")
-    if data.keys() != _MODEL_FIELDS[version]:
-        raise ValidationError(
-            f"model version {version} needs fields {sorted(_MODEL_FIELDS[version])}, "
-            f"got {sorted(data)}")
-    order, discount = fields(data, {"order": INT, "discount": NUMBER})
-    if not 1 <= order <= 3:
-        raise ValidationError(f"order must be in [1, 3], got {order}")
-    if version == 3:
-        vocab, grams, counts = fields(data, {"vocab": STRINGS, "grams": INTS, "counts": INTS})
-        return NgramModel(order, discount, vocab, grams, counts)
-    entries = data["counts"]
-    if version == 1:
-        fields(data, {"vocab": STRINGS})
-        # version 1 holds [[k, entries], ...] for k = 1..order
-        tops = [t[1] for t in entries if type(t) is list and len(t) == 2
-                and type(t[0]) is int and t[0] == order] if type(entries) is list else []
-        if len(tops) != 1:
-            raise ValidationError(f"version-1 counts need exactly one order-{order} table")
-        entries = tops[0]
-    return _from_string_grams(order, discount, _count_table(entries, order))
+    if version != MODEL_VERSION:
+        raise ValidationError(f"unsupported model version {version}: retrain the model "
+                              f"with lm-train, which writes version {MODEL_VERSION}")
+    keys = {"format", "version", *_MODEL_FIELDS}
+    if data.keys() != keys:
+        raise ValidationError(f"a model file needs fields {sorted(keys)}, got {sorted(data)}")
+    return NgramModel(*fields(data, _MODEL_FIELDS))
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:

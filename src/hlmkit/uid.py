@@ -14,8 +14,8 @@ consistent. See the README for the base caveat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Callable, Iterable
 
 from .errors import EmptyDocument, ValidationError
@@ -43,13 +43,13 @@ class UidVarConfig:
 def uid_superlinear(seq: SurprisalSequence, cfg: UidSlConfig | None = None) -> float:
     """Mean of surprisal**k over the sequence. Higher is harder."""
     cfg = cfg or UidSlConfig()
-    return fmean(s ** cfg.k for s in seq.values)
+    return math.fsum(s ** cfg.k for s in seq.values) / len(seq.values)
 
 
 def uid_variance(seq: SurprisalSequence, cfg: UidVarConfig | None = None) -> float:
     """Mean squared deviation from the language-level mean. Higher is harder."""
     cfg = cfg or UidVarConfig()
-    return fmean((s - cfg.mu_lang) ** 2 for s in seq.values)
+    return math.fsum((s - cfg.mu_lang) ** 2 for s in seq.values) / len(seq.values)
 
 
 def sentence_averaged(
@@ -64,4 +64,4 @@ def sentence_averaged(
     values = [score(s) for s in seqs]
     if not values:
         raise EmptyDocument("no sentence sequences to average")
-    return fmean(values)
+    return math.fsum(values) / len(values)

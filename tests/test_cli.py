@@ -189,6 +189,14 @@ class TestHlmCommand:
         # a population STD is at most half the range, so ddof 0 runs
         assert main(["hlm", "--cube", str(cube), "-o", str(report)]) == 0
 
+    def test_config_std_ddof_other_than_0_or_1_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "hlmkit.ini"
+        config.write_text("[hlm]\nstd_ddof = 2\n")
+        report = tmp_path / "report.json"
+        assert main(["hlm", "--config", str(config), "-o", str(report)]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: std_ddof must be 0 or 1, got 2\n"
+        assert not report.exists()
+
 
 # sha256 of the hlm and transfer outputs on the bundled reference cube,
 # recorded with the implementation that re-scored every cell per index key.
@@ -349,17 +357,23 @@ class TestErrorPaths:
         assert main([]) == 2
 
 
-def _run_cli(*argv, flags=()):
+def _cli_env():
+    """The environment of a CLI subprocess: PYTHONPATH holds hlmkit's source alone."""
     env = dict(os.environ, PYTHONPATH=str(Path(hlmkit.__file__).parents[1]))
     env.pop("HLMKIT_CONFIG", None)
+    return env
+
+
+def _run_cli(*argv, flags=()):
     return subprocess.run([sys.executable, *flags, "-m", "hlmkit", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_cli_env())
 
 
 def test_runs_on_the_standard_library_alone(tmp_path):
     """``python -S`` leaves site-packages off the path, so training and scoring
     import nothing outside the standard library (``dependencies = []``)."""
-    probe = subprocess.run([sys.executable, "-S", "-c", "import pytest"], capture_output=True)
+    probe = subprocess.run([sys.executable, "-S", "-c", "import pytest"], capture_output=True,
+                           env=_cli_env())
     assert probe.returncode != 0, "site-packages is still importable under -S"
     corpus, model = write_corpus(tmp_path), str(tmp_path / "model.json")
     proc = _run_cli("lm-train", "--corpus", corpus, "-o", model, flags=["-S"])
@@ -438,21 +452,7 @@ def test_neural_score_out_of_float_range_exit_2(tmp_path, capsys):
     assert f"line {len(CORPUS_LINES)}: 'score' is out of the float range" in capsys.readouterr().err
 
 
-# A complete version-1 model file (order 1), the legacy layout that is still read.
-V1_MODEL = {
-    "format": "hlmkit-ngram", "version": 1, "order": 1, "discount": 0.75,
-    "vocab": ["</s>", "<s>", "<unk>", "cat", "the"],
-    "counts": [[1, [[[], [["cat", 1], ["the", 2]]]]]],
-}
-
-
-def _set_first_count(value):
-    def mutate(data):
-        data["counts"][0][1][0][1] = value
-    return mutate
-
-
-def _set_v3(key, index, value):
+def _set_item(key, index, value):
     def mutate(data):
         data[key][index] = value
     return mutate
@@ -464,56 +464,56 @@ def _swap_first_two(key):
     return mutate
 
 
-def _add_v3_gram(history, word):
-    """Insert the gram (history, word) with count 5, keeping the grams sorted."""
+def _add_gram(*gram):
+    """Insert ``gram`` with count 5, keeping the grams sorted."""
     def mutate(data):
         index = {w: i for i, w in enumerate(data["vocab"])}
-        gram = index[history] * len(index) + index[word]
-        i = bisect.bisect(data["grams"], gram)
-        data["grams"].insert(i, gram)
+        packed = 0
+        for w in gram:
+            packed = packed * len(index) + index[w]
+        i = bisect.bisect(data["grams"], packed)
+        data["grams"].insert(i, packed)
         data["counts"].insert(i, 5)
     return mutate
 
 
-# (version of the starting dump, change that makes it malformed)
+# (order of lm-train's starting model file, change that makes it malformed)
 MALFORMED_MODELS = {
     "missing-counts": (2, lambda d: d.pop("counts")),
     "order-not-int": (2, lambda d: d.update(order="x")),
     "order-float": (2, lambda d: d.update(order=2.0)),
     "discount-string": (2, lambda d: d.update(discount="0.75")),
-    "version-string": (2, lambda d: d.update(version="2")),
-    "unknown-field": (2, lambda d: d.update(vocab=5)),
+    "version-string": (2, lambda d: d.update(version="3")),
+    "unknown-field": (2, lambda d: d.update(extra=5)),
     "counts-not-list": (2, lambda d: d.update(counts={"the": 1})),
-    "history-too-long": (2, lambda d: d["counts"][0][0].append("extra")),
-    "history-too-short": (2, lambda d: d["counts"][0][0].pop()),
-    "count-negative": (2, _set_first_count(-5)),
-    "count-zero": (2, _set_first_count(0)),
-    "count-bool": (2, _set_first_count(True)),
-    "count-float": (2, _set_first_count(2.7)),
-    "count-string": (2, _set_first_count("3")),
-    "empty-word-list": (2, lambda d: d["counts"][0].__setitem__(1, [])),
-    "duplicate-history": (2, lambda d: d["counts"].append(d["counts"][0])),
+    # the last count, where the v3-count-* cases change the first
+    "count-negative": (2, _set_item("counts", -1, -5)),
+    "count-zero": (2, _set_item("counts", -1, 0)),
+    "count-bool": (2, _set_item("counts", -1, True)),
+    "count-float": (2, _set_item("counts", -1, 2.7)),
+    "count-string": (2, _set_item("counts", -1, "3")),
+    "v3-missing-grams": (2, lambda d: d.pop("grams")),
+    "v3-gram-out-of-range": (2, lambda d: d["grams"].__setitem__(-1, len(d["vocab"]) ** 2)),
+    "v3-gram-negative": (2, _set_item("grams", 0, -1)),
+    "v3-gram-float": (2, _set_item("grams", 0, 0.0)),
+    "v3-grams-unsorted": (2, _swap_first_two("grams")),
+    "v3-gram-duplicate": (2, lambda d: d["grams"].__setitem__(1, d["grams"][0])),
+    "v3-count-zero": (2, _set_item("counts", 0, 0)),
+    "v3-count-negative": (2, _set_item("counts", 0, -2)),
+    "v3-count-bool": (2, _set_item("counts", 0, True)),
+    "v3-vocab-unsorted": (2, _swap_first_two("vocab")),
+    "v3-vocab-duplicate": (2, lambda d: d["vocab"].__setitem__(1, d["vocab"][0])),
+    "v3-vocab-not-strings": (2, _set_item("vocab", -1, 7)),
+    "v3-missing-pad": (2, lambda d: d["vocab"].remove("<unk>")),
+    "v3-length-mismatch": (2, lambda d: d["counts"].pop()),
+    "v3-gram-predicts-bos": (2, _add_gram("the", "<s>")),
+    # the start pad predicted after the start-pad history itself
+    "v2-gram-predicts-bos": (2, _add_gram("<s>", "<s>")),
+    "unigram-predicts-eos": (1, _add_gram("</s>")),
+    # the order-1 file, whose grams are single words
     "v1-vocab-not-list": (1, lambda d: d.update(vocab=5)),
     "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
-    "v1-count-zero": (1, lambda d: d["counts"][0][1][0][1][0].__setitem__(1, 0)),
-    "v1-no-top-table": (1, lambda d: d.update(order=2)),
-    "v3-missing-grams": (3, lambda d: d.pop("grams")),
-    "v3-gram-out-of-range": (3, lambda d: d["grams"].__setitem__(-1, len(d["vocab"]) ** 2)),
-    "v3-gram-negative": (3, _set_v3("grams", 0, -1)),
-    "v3-gram-float": (3, _set_v3("grams", 0, 0.0)),
-    "v3-grams-unsorted": (3, _swap_first_two("grams")),
-    "v3-gram-duplicate": (3, lambda d: d["grams"].__setitem__(1, d["grams"][0])),
-    "v3-count-zero": (3, _set_v3("counts", 0, 0)),
-    "v3-count-negative": (3, _set_v3("counts", 0, -2)),
-    "v3-count-bool": (3, _set_v3("counts", 0, True)),
-    "v3-vocab-unsorted": (3, _swap_first_two("vocab")),
-    "v3-vocab-duplicate": (3, lambda d: d["vocab"].__setitem__(1, d["vocab"][0])),
-    "v3-vocab-not-strings": (3, _set_v3("vocab", -1, 7)),
-    "v3-missing-pad": (3, lambda d: d["vocab"].remove("<unk>")),
-    "v3-length-mismatch": (3, lambda d: d["counts"].pop()),
-    "v3-gram-predicts-bos": (3, _add_v3_gram("the", "<s>")),
-    "v2-gram-predicts-bos": (2, lambda d: d["counts"][0][1].append(["<s>", 5])),
-    "v1-unigram-predicts-eos": (1, lambda d: d["counts"][0][1][0][1].append(["</s>", 1])),
+    "v1-count-zero": (1, _set_item("counts", 0, 0)),
 }
 
 
@@ -527,31 +527,27 @@ class TestMalformedModel:
 
     @pytest.fixture(scope="class")
     def dumps(self, tmp_path_factory):
-        """A valid model dump of each version: lm-train's order-2 model as
-        version 3, the same table in the version-2 layout, and V1_MODEL."""
+        """lm-train's model file of order 1, 2 and 3, by order."""
         tmp = tmp_path_factory.mktemp("model")
-        path = tmp / "model.json"
-        assert main(["lm-train", "--corpus", write_corpus(tmp), "--order", "2",
-                     "-o", str(path)]) == 0
-        v3 = json.loads(path.read_text())
-        assert v3["version"] == 3
-        table = hlmkit.load_model(path).counts[2]
-        v2 = {key: v3[key] for key in ("format", "order", "discount")}
-        v2.update(version=2, counts=[[list(h), sorted(ws.items())]
-                                     for h, ws in sorted(table.items())])
-        return {1: V1_MODEL, 2: v2, 3: v3}
+        out = {}
+        for order in (1, 2, 3):
+            path = tmp / f"model{order}.json"
+            assert main(["lm-train", "--corpus", write_corpus(tmp), "--order", str(order),
+                         "-o", str(path)]) == 0
+            out[order] = json.loads(path.read_text())
+        return out
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_valid_dump_scores(self, tmp_path, dumps, version):
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_valid_dump_scores(self, tmp_path, dumps, order):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(dumps[version]))
+        path.write_text(json.dumps(dumps[order]))
         proc = self._run_surprisal(tmp_path, path)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_exit_2_without_traceback(self, tmp_path, dumps, case):
-        version, mutate = MALFORMED_MODELS[case]
-        data = json.loads(json.dumps(dumps[version]))
+        order, mutate = MALFORMED_MODELS[case]
+        data = json.loads(json.dumps(dumps[order]))
         mutate(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -563,18 +559,34 @@ class TestMalformedModel:
         with pytest.raises((hlmkit.ValidationError, hlmkit.ParseError)):
             hlmkit.load_model(bad)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_exit_2(self, tmp_path, version):
+        """Versions 1 and 2 stored nested ``[history, [[word, count], ...]]``
+        tables; they are no longer read, and have to be retrained."""
+        table = [[[], [["cat", 1], ["the", 2]]]]
+        dump = {"format": "hlmkit-ngram", "version": version, "order": 1, "discount": 0.75,
+                "counts": table}
+        if version == 1:  # a table per order, and the vocabulary
+            dump.update(counts=[[1, table]], vocab=["</s>", "<s>", "<unk>", "cat", "the"])
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dump))
+        corpus = write_corpus(tmp_path)
+        for argv in (["surprisal", "--corpus", corpus],
+                     ["score", "--corpus", corpus, "--criterion", "uid_sl"]):
+            proc = _run_cli(*argv, "--model", str(path), "-o", str(tmp_path / "out"))
+            assert proc.returncode == 2, proc.stderr
+            assert f"unsupported model version {version}: retrain" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not (tmp_path / "out").exists()
+        with pytest.raises(hlmkit.ValidationError, match="unsupported model version"):
+            hlmkit.load_model(path)
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"format": "hlmkit-ngram\xff"}')
         proc = self._run_surprisal(tmp_path, bad)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-
-    def test_version1_file_still_scores(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(V1_MODEL, indent=1))
-        proc = self._run_surprisal(tmp_path, path)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigFile:
@@ -757,6 +769,21 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert received[0].count(b"\n") == len(CORPUS_LINES)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_input_from_a_pipe_is_read(tmp_path):
+    # as /dev/stdin or a shell's <(...) is
+    fifo = tmp_path / "scores"
+    os.mkfifo(fifo)
+    rows = [dict(GOOD_SCORE, id=f"d{i}", value=float(i)) for i in (1, 2, 3)]
+    writer = threading.Thread(target=lambda: fifo.write_text(_lines(rows)), daemon=True)
+    writer.start()
+    out = tmp_path / "split.json"
+    assert main(["split", "--scores", str(fifo), "-o", str(out)]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert json.loads(out.read_text())["easy"] == ["d1"]
 
 
 def test_output_through_a_symlink_keeps_the_link(tmp_path):

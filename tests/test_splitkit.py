@@ -92,12 +92,12 @@ class TestScoreCorpus:
         assert scores[0].value == pytest.approx(want)
 
     def test_mixed_bases_rejected(self):
-        providers = Providers(surprisals={"d1": [
-            SurprisalSequence("d1", (1.0,), "2"),
-            SurprisalSequence("d1", (1.0,), "e"),
-        ]})
-        with pytest.raises(ValidationError, match="mixed"):
-            score_corpus([Document(id="d1", text="x")], "uid_sl", providers)
+        surprisals = {"d1": [SurprisalSequence("d1", (1.0,), "2"),
+                             SurprisalSequence("d1", (1.0,), "e")]}
+        for per_sentence in (False, True):
+            providers = Providers(surprisals=surprisals, per_sentence=per_sentence)
+            with pytest.raises(ValidationError, match="mixed surprisal bases for document 'd1'"):
+                score_corpus([Document(id="d1", text="x")], "uid_sl", providers)
 
     def test_duplicate_ids_rejected(self):
         docs = [Document(id="d1", text="a"), Document(id="d1", text="b")]

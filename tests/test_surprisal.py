@@ -3,7 +3,6 @@ import json
 import math
 import os
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,41 +322,6 @@ class TestImportExport:
             import_surprisals(path)
 
 
-def version1_dump(sentences, order, discount):
-    """A model file in the version-1 layout: vocabulary plus raw count
-    tables of every order, counted directly from the padded streams."""
-    counts = {k: Counter() for k in range(1, order + 1)}
-    for s in sentences:
-        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
-        for k in counts:
-            for i in range(len(padded) - k + 1):
-                if padded[i + k - 1] != BOS:
-                    counts[k][tuple(padded[i:i + k])] += 1
-    tables = []
-    for k, grams in sorted(counts.items()):
-        rows = {}
-        for gram, c in grams.items():
-            rows.setdefault(gram[:-1], []).append([gram[-1], c])
-        tables.append([k, [[list(h), sorted(ws)] for h, ws in sorted(rows.items())]])
-    vocab = {t for s in sentences for t in s} | {BOS, EOS, UNK}
-    return {"format": "hlmkit-ngram", "version": 1, "order": order,
-            "discount": discount, "vocab": sorted(vocab), "counts": tables}
-
-
-def version2_dump(sentences, order, discount):
-    """A model file in the version-2 layout: the top-order table as
-    ``[[history, [[word, count], ...]], ...]``, sorted by history then word."""
-    rows = {}
-    for s in sentences:
-        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
-        for i in range(len(padded) - order + 1):
-            if padded[i + order - 1] != BOS:
-                row = rows.setdefault(tuple(padded[i:i + order - 1]), Counter())
-                row[padded[i + order - 1]] += 1
-    return {"format": "hlmkit-ngram", "version": 2, "order": order, "discount": discount,
-            "counts": [[list(h), sorted(ws.items())] for h, ws in sorted(rows.items())]}
-
-
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(3)
@@ -404,31 +368,6 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError):
             load_model(path)
-
-    @pytest.mark.parametrize("version", [1, 2])
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_legacy_file_loads_identically_and_resaves_as_version3(self, tmp_path, order,
-                                                                    version):
-        rng = random.Random(40 + order)
-        sentences = random_corpus(rng)
-        model = train_lm(docs_from_sentences(sentences), order=order, discount=0.6)
-        dump = (version1_dump(sentences, order, 0.6) if version == 1
-                else version2_dump(sentences, order, 0.6))
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(dump, sort_keys=True, indent=1) + "\n")
-        loaded = load_model(legacy)
-        assert loaded.words == model.words
-        assert loaded.counts == model.counts
-        contexts = {(), ("unseen",) * (order - 1)}
-        contexts |= {h[i:] for h in model.counts[order] for i in range(order)}
-        for ctx in contexts:
-            for w in model.event_vocab + ("never-seen",):
-                assert loaded.prob(w, ctx) == model.prob(w, ctx), (ctx, w)
-        resaved, direct = tmp_path / "resaved.json", tmp_path / "direct.json"
-        save_model(loaded, resaved)
-        save_model(model, direct)
-        assert json.loads(resaved.read_text())["version"] == 3
-        assert resaved.read_bytes() == direct.read_bytes()
 
     def test_file_holds_only_the_top_order_table(self, tmp_path):
         model = train_lm(docs_from_sentences([["a", "b", "a"], ["b"]]), order=3)
