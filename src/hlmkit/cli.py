@@ -160,16 +160,14 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     _require_files(args.corpus, args.model)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.load_model(args.model)
-    seqs = []
-    for doc in corpus:
-        if per_sentence:
-            seqs.extend(surprisal.sentence_surprisals(model, doc, base))
-        else:
-            seqs.append(surprisal.token_surprisals(model, doc, base))
-    surprisal.export_surprisals(seqs, args.output)
+    if per_sentence:
+        seqs = (s for doc in corpus for s in surprisal.sentence_surprisals(model, doc, base))
+    else:
+        seqs = (surprisal.token_surprisals(model, doc, base) for doc in corpus)
+    n = surprisal.export_surprisals(seqs, args.output)
     if args.validate:
         surprisal.import_surprisals(args.output)
-    print(f"wrote {args.output} ({len(seqs)} sequences)")
+    print(f"wrote {args.output} ({n} sequences)")
     return 0
 
 

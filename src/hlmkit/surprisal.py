@@ -18,9 +18,11 @@ import json
 import math
 import operator
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -72,12 +74,8 @@ class SurprisalSequence:
 
 def _tokenize_sentences(text: str) -> list[list[str]]:
     """Lowercased word tokens per sentence; empty sentences dropped."""
-    out = []
-    for sent in segment_sentences(text):
-        toks = [t.lower() for t in tokenize_words(sent)]
-        if toks:
-            out.append(toks)
-    return out
+    sents = ([t.lower() for t in tokenize_words(s)] for s in segment_sentences(text))
+    return [toks for toks in sents if toks]
 
 
 class NgramModel:
@@ -110,43 +108,59 @@ class NgramModel:
             raise ValidationError(
                 f"model vocabulary must be strictly increasing and hold {BOS}, {EOS} and {UNK}")
         size = len(words)
+        grams, counts = tuple(grams), tuple(counts)  # a caller may change its lists later
         if len(grams) != len(counts) or (counts and min(counts) <= 0):
             raise ValidationError("model counts must be positive, one per gram")
         if grams and not (0 <= grams[0] and grams[-1] < size ** order
                           and all(map(operator.lt, grams, grams[1:]))):
             raise ValidationError(
                 f"model grams must be strictly increasing and in [0, {size}**{order})")
-        self.order = order
-        self.discount = discount
-        self.words = words
+        self.order, self.discount, self.words = order, discount, words
         self.ids = {w: i for i, w in enumerate(words)}
         excluded = {BOS} | ({EOS} if order == 1 else set())
         if not {self.ids[w] for w in excluded}.isdisjoint(map(size.__rmod__, grams)):
             raise ValidationError(f"model grams must not predict {' or '.join(sorted(excluded))}")
+        # Training writes no history holding </s>, or <s> after a word. The grams after
+        # one such history are a window of consecutive packed values: bisect for each.
+        bos, eos, span = self.ids[BOS], self.ids[EOS], size ** (order - 1)
+        windows = [(eos * span, span)][:order - 1] + [
+            (a * span + b * size, size) for a in range(size * (order == 3))
+            for b in (eos, bos) if b == eos or a != bos]
+        if any((i := bisect_left(grams, lo)) < len(grams) and grams[i] < lo + width
+               for lo, width in windows):
+            raise ValidationError(f"model grams must not follow {EOS}, or {BOS} after a word")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
-        self._top = dict(zip(grams, counts))
+        self._grams, self._counts = grams, counts
 
     @cached_property
     def _levels(self) -> list[tuple[dict[int, float], dict[int, float], int]]:
         """Per order j+1: (gram -> interpolated probability, history -> backoff mass,
-        V ** j), built at the first query from ``{0: uniform}`` up. Every suffix of a
-        stored gram is stored one level down, so each value is the recursion's, bit for bit."""
+        V ** j), built at the first query from ``{0: uniform}`` up, one sorted run of grams
+        per history. Every suffix of a stored gram is stored one level down, so each value
+        is the recursion's, bit for bit."""
         size, discount = len(self.words), self.discount
-        tables = [self._top]
+        tables = [(self._grams, self._counts)]
         for k in range(self.order - 1, 0, -1):
-            tables.append(Counter(g % size ** k for g in tables[-1]))
+            continuations = Counter(g % size ** k for g in tables[-1][0])
+            grams = sorted(continuations)
+            tables.append((grams, list(map(continuations.__getitem__, grams))))
         levels, lower = [], {0: self._uniform}
-        for j, table in enumerate(reversed(tables)):
-            totals: dict[int, int] = {}
-            for g, c in table.items():
-                totals[g // size] = totals.get(g // size, 0) + c
-            types = Counter(g // size for g in table)
-            backoffs = {h: discount * types[h] / t for h, t in totals.items()}
-            radix = size ** j
-            lower = {g: (c - discount) / totals[g // size] + backoffs[g // size] * lower[g % radix]
-                     for g, c in table.items()}
-            levels.append((lower, backoffs, radix))
+        while tables:
+            grams, counts = tables.pop()
+            radix, probs, backoffs, i, n = size ** len(levels), {}, {}, 0, len(grams)
+            while i < n:
+                h, end, total = grams[i] // size, i + 1, counts[i]
+                while end < n and grams[end] // size == h:
+                    total += counts[end]
+                    end += 1
+                backoffs[h] = backoff = discount * (end - i) / total
+                for j in range(i, end):
+                    probs[grams[j]] = ((counts[j] - discount) / total
+                                       + backoff * lower[grams[j] % radix])
+                i = end
+            levels.append((probs, backoffs, radix))
+            lower = probs
         return levels
 
     @property
@@ -154,7 +168,7 @@ class NgramModel:
         """The top-order counts as ``{order: {history: {word: count}}}``, derived
         from the packed table on every read (changing it changes no model)."""
         words, size, rows = self.words, len(self.words), {}
-        for g, c in self._top.items():
+        for g, c in zip(self._grams, self._counts):
             rows.setdefault(g // size, {})[words[g % size]] = c
         radixes = [size ** k for k in range(self.order - 2, -1, -1)]
         return {self.order: {tuple(words[h // r % size] for r in radixes): row
@@ -171,8 +185,7 @@ class NgramModel:
         """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids: up
         from the uniform floor, a seen history's stored gram probability, or
         its backoff mass times p for a word it never preceded."""
-        p = self._uniform
-        size = len(self.words)
+        p, size = self._uniform, len(self.words)
         for probs, backoffs, radix in self._levels[:n + 1]:
             hist = h % radix
             backoff = backoffs.get(hist)
@@ -207,19 +220,24 @@ def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
     if not 1 <= order <= 3:
         raise ValidationError(f"order must be in [1, 3], got {order}")
 
-    sents = [s for doc in corpus for s in _tokenize_sentences(doc.text)]
-    if not sents:
+    # one stream of ids, first numbered as seen and then renumbered in sorted order
+    index = {BOS: 0, EOS: 1, UNK: 2}
+    pad, end, stream = [0] * (order - 1), [1] if order >= 2 else [], []
+    for doc in corpus:
+        for s in _tokenize_sentences(doc.text):
+            stream += pad + [index.setdefault(t, len(index)) for t in s] + end
+    if not stream:
         raise EmptyCorpus("corpus contains no tokens")
-
-    grams: Counter = Counter()
-    for s in sents:
-        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
-        grams.update(zip(*(padded[i:] for i in range(order))))
-    words = sorted({w for g in grams for w in g} | {BOS, EOS, UNK})
+    words = sorted(index)
     ids = {w: i for i, w in enumerate(words)}
-    packed = {_pack(ids, gram): c for gram, c in grams.items()}
-    keys = sorted(packed)
-    return NgramModel(order, discount, words, keys, [packed[g] for g in keys])
+    stream = list(map([ids[w] for w in index].__getitem__, stream))
+    size, windows = len(words), iter(stream)
+    for k in range(1, order):
+        windows = map(operator.add, map(size.__mul__, windows), islice(stream, k, None))
+    # a window that ends at a start pad spans two sentences
+    counts = Counter(compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
+    grams = sorted(counts)
+    return NgramModel(order, discount, words, grams, list(map(counts.__getitem__, grams)))
 
 
 def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> SurprisalSequence:
@@ -246,13 +264,10 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     sents = _tokenize_sentences(doc.text)
     if not sents:
         raise EmptyDocument(f"document {doc.id!r} has no tokens")
-    ids, unk = model.ids, model.ids[UNK]
-    size = len(model.words)
-    n = model.order - 1
+    ids, unk, size, n = model.ids, model.ids[UNK], len(model.words), model.order - 1
     top = model._levels[-1][0]
     # the packed start history, and the radix that keeps its last n ids
-    start = _pack(ids, (BOS,) * n)
-    keep = size ** n
+    start, keep = _pack(ids, (BOS,) * n), size ** n
     out = []
     for s in sents:
         h = start
@@ -282,14 +297,14 @@ def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
             for line, obj in read_jsonl(path)]
 
 
-def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> None:
-    """Write sequences as JSONL, one object per line."""
+def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> int:
+    """Write sequences as JSONL, one object per line, as they come; return how many."""
+    n = 0
     with atomic_write(path) as fh:
-        for s in seqs:
-            fh.write(json.dumps(
-                {"id": s.doc_id, "surprisals": list(s.values), "base": s.base},
-                ensure_ascii=False,
-            ) + "\n")
+        for n, s in enumerate(seqs, 1):
+            fh.write(json.dumps({"id": s.doc_id, "surprisals": list(s.values), "base": s.base},
+                                ensure_ascii=False) + "\n")
+    return n
 
 
 def model_to_dict(model: NgramModel) -> dict:
@@ -300,8 +315,8 @@ def model_to_dict(model: NgramModel) -> dict:
         "order": model.order,
         "discount": model.discount,
         "vocab": list(model.words),
-        "grams": list(model._top),
-        "counts": list(model._top.values()),
+        "grams": list(model._grams),
+        "counts": list(model._counts),
     }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegenerateStats, EmptyDocument, ValidationError
 
@@ -110,6 +111,7 @@ def tokenize_words(text: str) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=1 << 16)  # a corpus repeats its words: count each one once
 def count_syllables(word: str) -> int:
     """Heuristic syllable count, always >= 1.
 

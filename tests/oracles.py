@@ -221,3 +221,24 @@ class CountTableKN:
                 # an unseen word's discounted term is exactly 0.0: skip it
                 p = (c - self.discount) / total + backoff * p if c else backoff * p
         return p
+
+
+def train_counts(sentences: list[list[str]], order: int) -> tuple[list[str], list[int], list[int]]:
+    """The vocabulary and the sorted packed top-order grams and counts that
+    ``train_lm`` gave as first written for model v3: each sentence padded on
+    its own, its windows counted as tuples of words, and each tuple packed in
+    base ``len(words)`` one at a time."""
+    grams: Counter = Counter()
+    for s in sentences:
+        padded = [BOS] * (order - 1) + s + ([EOS] if order >= 2 else [])
+        grams.update(zip(*(padded[i:] for i in range(order))))
+    words = sorted({w for g in grams for w in g} | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(words)}
+    packed = {}
+    for gram, c in grams.items():
+        g = 0
+        for w in gram:
+            g = g * len(ids) + ids[w]
+        packed[g] = c
+    keys = sorted(packed)
+    return words, keys, [packed[g] for g in keys]

@@ -510,6 +510,10 @@ MALFORMED_MODELS = {
     # the start pad predicted after the start-pad history itself
     "v2-gram-predicts-bos": (2, _add_gram("<s>", "<s>")),
     "unigram-predicts-eos": (1, _add_gram("</s>")),
+    # histories training never writes: </s>, or <s> after a word
+    "order-1-file-read-as-order-2": (1, lambda d: d.update(order=2)),
+    "history-bos-after-word": (3, _add_gram("the", "<s>", "cat")),
+    "history-holds-eos": (3, _add_gram("cat", "</s>", "the")),
     # the order-1 file, whose grams are single words
     "v1-vocab-not-list": (1, lambda d: d.update(vocab=5)),
     "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
@@ -753,6 +757,34 @@ def test_lone_surrogate_in_input_exit_2(tmp_path, capsys):
     assert main(["score", "--corpus", corpus, "--criterion", "flesch", "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ValidationError: cannot write ")
     assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+def test_surprisal_streams_and_a_late_failure_keeps_the_previous_output(tmp_path, capsys,
+                                                                          monkeypatch):
+    """Each document is scored as it is written: the second document's id
+    cannot be written, so the command stops there, before the others are
+    scored, and leaves the previous output and no temporary file."""
+    model = tmp_path / "model.json"
+    assert main(["lm-train", "--corpus", write_corpus(tmp_path), "-o", str(model)]) == 0
+    corpus = write_corpus(tmp_path, name="bad.jsonl",
+                          lines=[CORPUS_LINES[0], dict(CORPUS_LINES[1], id="\ud800")]
+                          + CORPUS_LINES[2:])
+    out = tmp_path / "s.jsonl"
+    out.write_bytes(b"previous output\n")
+    scored = []
+    score = hlmkit.surprisal.token_surprisals
+
+    def recording(model, doc, base):
+        scored.append(doc.id)
+        return score(model, doc, base)
+
+    monkeypatch.setattr(hlmkit.surprisal, "token_surprisals", recording)
+    capsys.readouterr()
+    assert main(["surprisal", "--corpus", corpus, "--model", str(model), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError: cannot write ")
+    assert scored == ["d1", "\ud800"]
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "corpus.jsonl", "model.json", "s.jsonl"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
