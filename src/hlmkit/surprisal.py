@@ -18,13 +18,14 @@ import json
 import math
 import operator
 import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._files import (INT, INTS, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_json, read_jsonl, record)
@@ -134,33 +135,42 @@ class NgramModel:
         self._grams, self._counts = grams, counts
 
     @cached_property
-    def _levels(self) -> list[tuple[dict[int, float], dict[int, float], int]]:
-        """Per order j+1: (gram -> interpolated probability, history -> backoff mass,
-        V ** j), built at the first query from ``{0: uniform}`` up, one sorted run of grams
-        per history. Every suffix of a stored gram is stored one level down, so each value
-        is the recursion's, bit for bit."""
+    def _levels(self) -> list[tuple]:
+        """Per order, built at the first query from the uniform floor up: the sorted grams,
+        where each first id's grams start, each gram's history backoff mass and each gram's
+        p, in arrays below the top order and a gram -> p dict at it. Every suffix of a
+        stored gram is stored one level down, so each value is the recursion's, bit for bit."""
         size, discount = len(self.words), self.discount
-        tables = [(self._grams, self._counts)]
+        # top down: a lower order's grams are the distinct suffixes one order up, and its
+        # counts how many grams there end in each; each gram keeps its suffix's index
+        tables = [[self._grams, self._counts]]
         for k in range(self.order - 1, 0, -1):
-            continuations = Counter(g % size ** k for g in tables[-1][0])
-            grams = sorted(continuations)
-            tables.append((grams, list(map(continuations.__getitem__, grams))))
-        levels, lower = [], {0: self._uniform}
+            tally = Counter(map((size ** k).__rmod__, tables[-1][0]))
+            grams = sorted(tally)
+            tables.append([grams, list(map(tally.__getitem__, grams))])
+            dict.update(tally, zip(grams, count()))  # now suffix -> index
+            tables[-2].append(array("q", map(tally.__getitem__,
+                                             map((size ** k).__rmod__, tables[-2][0]))))
+        levels, tally = [], None  # frees the last suffix index
         while tables:
-            grams, counts = tables.pop()
-            radix, probs, backoffs, i, n = size ** len(levels), {}, {}, 0, len(grams)
-            while i < n:
+            grams, counts, *index = tables.pop()
+            lower = map(levels[-1][3].__getitem__, index[0]) if levels else repeat(self._uniform)
+            totals, backoffs, i, n = [], array("d"), 0, len(grams)
+            while i < n:  # one sorted run of grams per history
                 h, end, total = grams[i] // size, i + 1, counts[i]
                 while end < n and grams[end] // size == h:
                     total += counts[end]
                     end += 1
-                backoffs[h] = backoff = discount * (end - i) / total
-                for j in range(i, end):
-                    probs[grams[j]] = ((counts[j] - discount) / total
-                                       + backoff * lower[grams[j] % radix])
+                totals += [total] * (end - i)
+                backoffs.extend([discount * (end - i) / total] * (end - i))
                 i = end
-            levels.append((probs, backoffs, radix))
-            lower = probs
+            probs = array("d", [(c - discount) / t + b * q
+                                for c, t, b, q in zip(counts, totals, backoffs, lower)])
+            lower = index = totals = None  # freed before the dict grows
+            step = size ** len(levels)
+            starts = array("q", map(bisect_left, repeat(grams), range(0, size * step + 1, step)))
+            levels.append((array("q", grams), starts, backoffs, probs) if tables
+                          else (grams, starts, backoffs, dict(zip(grams, probs))))
         return levels
 
     @property
@@ -179,18 +189,36 @@ class NgramModel:
         if word == BOS:
             raise ValidationError("the start pad is not a predictable token")
         n = min(self.order - 1, len(context))
-        return self._p(_pack(self.ids, context[len(context) - n:]), n, _pack(self.ids, (word,)))
+        h, w = _pack(self.ids, context[len(context) - n:]), _pack(self.ids, (word,))
+        p = self._levels[-1][3].get(h * len(self.words) + w) if n == self.order - 1 else None
+        return self._p(h, n, w) if p is None else p
 
-    def _p(self, h: int, n: int, w: int) -> float:
-        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids: up
-        from the uniform floor, a seen history's stored gram probability, or
-        its backoff mass times p for a word it never preceded."""
-        p, size = self._uniform, len(self.words)
-        for probs, backoffs, radix in self._levels[:n + 1]:
-            hist = h % radix
-            backoff = backoffs.get(hist)
-            if backoff is not None:
-                p = probs.get(hist * size + w, backoff * p)
+    @cached_property
+    def _p(self) -> Callable[[int, int, int], float]:
+        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids when the top order
+        stores no gram ``h * V + w``, over the tables bound once: up from the word's unigram
+        p (for an unstored word, the backoff mass times the uniform floor), at each order a
+        seen history's stored gram p, or its backoff mass times p."""
+        levels, size, top = self._levels, len(self.words), self.order - 1
+        (_, unigram_starts, unigram_backoffs, unigrams), middle = levels[0], levels[1:-1]
+        stored, starts, backoffs, _ = levels[-1]
+        first = size ** max(top - 1, 0)  # a top-order history // first is its first id
+        unseen = unigram_backoffs[0] * self._uniform if unigram_backoffs else self._uniform
+
+        def p(h, n, w):
+            lo, hi = unigram_starts[w], unigram_starts[w + 1]
+            q, v = unigrams[lo] if lo < hi else unseen, h % size
+            for grams, runs, mid_backoffs, probs in middle if n else ():  # order 3: bigrams
+                lo, hi = runs[v], runs[v + 1]
+                if lo == hi:  # unseen, so no top-order history ends in it either
+                    return q
+                i = bisect_left(grams, g := v * size + w, lo, hi)
+                q = probs[i] if i < hi and grams[i] == g else mid_backoffs[lo] * q
+            if n == top and n:  # the history's run, among the grams of its first id
+                i = bisect_left(stored, h * size, starts[h // first], hi := starts[h // first + 1])
+                if i < hi and stored[i] // size == h:
+                    q = backoffs[i] * q
+            return q
         return p
 
     def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
@@ -265,7 +293,7 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     if not sents:
         raise EmptyDocument(f"document {doc.id!r} has no tokens")
     ids, unk, size, n = model.ids, model.ids[UNK], len(model.words), model.order - 1
-    top = model._levels[-1][0]
+    top, miss = model._levels[-1][3], model._p
     # the packed start history, and the radix that keeps its last n ids
     start, keep = _pack(ids, (BOS,) * n), size ** n
     out = []
@@ -277,7 +305,7 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
             g = h * size + w
             p = top.get(g)
             if p is None:
-                p = model._p(h, n, w)
+                p = miss(h, n, w)
             # max() guards float round-off when p is within an ulp of 1
             values.append(max(0.0, -log(p)))
             h = g % keep

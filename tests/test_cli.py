@@ -175,6 +175,25 @@ class TestHlmCommand:
         report = tmp_path / "report.json"
         run_twice_and_compare(["hlm", "-o", str(report)], report)
 
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.permutations(
+               reference_performance_path().read_text(encoding="utf-8").splitlines()[1:]),
+           ddof=st.sampled_from(["0", "1"]))
+    def test_outputs_ignore_the_cube_row_order(self, rows, ddof):
+        """Permuting a cube's data rows leaves the report, the heatmap CSV and
+        the heatmap SVG byte-identical."""
+        lines = reference_performance_path().read_text(encoding="utf-8").splitlines()
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = []
+            for name, body in (("given", lines[1:]), ("permuted", rows)):
+                cube = Path(tmp, f"{name}_cube.csv")
+                cube.write_text("\n".join([lines[0], *body]) + "\n", encoding="utf-8")
+                files = [Path(tmp, f"{name}{ext}") for ext in (".json", ".csv", ".svg")]
+                assert main(["hlm", "--cube", str(cube), "--std-ddof", ddof, "-o", str(files[0]),
+                             "--heatmap-csv", str(files[1]), "--heatmap-svg", str(files[2])]) == 0
+                outputs.append([f.read_bytes() for f in files])
+            assert outputs[0] == outputs[1]
+
     def test_sample_std_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         cube = tmp_path / "cube.csv"
         cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
