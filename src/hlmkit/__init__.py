@@ -17,82 +17,38 @@ The package is organized around a small pipeline:
 * :mod:`hlmkit.cli` is the command-line driver tying it together.
 """
 
-from .errors import (
-    DegenerateStats,
-    EmptyCorpus,
-    EmptyDocument,
-    HlmkitError,
-    IncompleteDataWarning,
-    MissingKey,
-    MissingScore,
-    MissingSurprisal,
-    ParseError,
-    TooSmall,
-    ValidationError,
-)
-from .experiment import (
-    Schedule,
-    TrainingLog,
-    TransferMatrix,
-    convergence_ratio,
-    make_schedule,
-    seeded_shuffle,
-    transfer_scores,
-)
-from .hlm import (
-    HlmReport,
-    PerformanceCube,
-    PerformanceTriplet,
-    cell_value,
-    compute_report,
-    index,
-    load_cube_csv,
-    logical_score,
-)
-from .splitkit import (
-    DifficultyScore,
-    DifficultySplit,
-    Providers,
-    score_corpus,
-    tertile_split,
-)
-from .surprisal import (
-    NgramModel,
-    SurprisalSequence,
-    import_surprisals,
-    load_model,
-    save_model,
-    sentence_surprisals,
-    token_surprisals,
-    train_lm,
-)
-from .textstat import (
-    Document,
-    FleschConfig,
-    TextStats,
-    count_syllables,
-    flesch_score,
-    segment_sentences,
-    text_stats,
-    tokenize_words,
-)
-from .uid import UidSlConfig, UidVarConfig, uid_superlinear, uid_variance
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateStats", "EmptyCorpus", "EmptyDocument", "HlmkitError",
-    "IncompleteDataWarning", "MissingKey", "MissingScore", "MissingSurprisal",
-    "ParseError", "TooSmall", "ValidationError",
-    "Schedule", "TrainingLog", "TransferMatrix", "convergence_ratio",
-    "make_schedule", "seeded_shuffle", "transfer_scores",
-    "HlmReport", "PerformanceCube", "PerformanceTriplet", "cell_value",
-    "compute_report", "index", "load_cube_csv", "logical_score",
-    "DifficultyScore", "DifficultySplit", "Providers", "score_corpus", "tertile_split",
-    "NgramModel", "SurprisalSequence", "import_surprisals", "load_model",
-    "save_model", "sentence_surprisals", "token_surprisals", "train_lm",
-    "Document", "FleschConfig", "TextStats", "count_syllables", "flesch_score",
-    "segment_sentences", "text_stats", "tokenize_words",
-    "UidSlConfig", "UidVarConfig", "uid_superlinear", "uid_variance",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": ("DegenerateStats", "EmptyCorpus", "EmptyDocument", "HlmkitError",
+               "IncompleteDataWarning", "MissingKey", "MissingScore", "MissingSurprisal",
+               "ParseError", "TooSmall", "ValidationError"),
+    "experiment": ("Schedule", "TrainingLog", "TransferMatrix", "convergence_ratio",
+                   "make_schedule", "seeded_shuffle", "transfer_scores"),
+    "hlm": ("HlmReport", "PerformanceCube", "PerformanceTriplet", "cell_value",
+            "compute_report", "index", "load_cube_csv", "logical_score"),
+    "splitkit": ("DifficultyScore", "DifficultySplit", "Providers", "score_corpus",
+                 "tertile_split"),
+    "surprisal": ("NgramModel", "SurprisalSequence", "import_surprisals", "load_model",
+                  "save_model", "sentence_surprisals", "token_surprisals", "train_lm"),
+    "textstat": ("Document", "FleschConfig", "TextStats", "count_syllables", "flesch_score",
+                 "segment_sentences", "text_stats", "tokenize_words"),
+    "uid": ("UidSlConfig", "UidVarConfig", "uid_superlinear", "uid_variance"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the submodule ``name``, or the one that defines ``name``, on first use."""
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

@@ -39,12 +39,20 @@ def open_input(path: str | Path, newline: str | None = None):
         raise ParseError(f"input is not valid UTF-8: {e}") from None
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# one decoder for every call: json.loads with a hook builds a new one each time
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _decode(text: str, line: int | None = None):
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=line or e.lineno) from None
-    except (RecursionError, ValueError) as e:  # nested too deeply, or an over-long integer
+    except (RecursionError, ValueError) as e:  # too deep, an over-long integer, NaN or Infinity
         raise ParseError(f"invalid JSON: {e}", line=line) from None
 
 

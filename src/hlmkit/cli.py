@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+# eager on purpose: perfbench/tracing.py looks up all seven layers in sys.modules
 from . import experiment, hlm, splitkit, surprisal, svg, uid
 from ._files import BOOL, NUMBER, atomic_write, fields, open_input, read_json
 from .data import reference_performance_path
@@ -172,18 +173,19 @@ def cmd_surprisal(args, cfg: _Config) -> int:
 
 
 def _report_heatmap_data(i_model, i_task, i_criteria, cells):
-    """Rows/columns/values for the index heatmap, summary lines included, from
-    the three index dicts and (task, criterion, model, value) cells."""
+    """Row labels, column labels and value grid of the index heatmap, and the
+    (model, criterion) pair of each cell row, from the three index dicts and
+    (task, criterion, model, value) cells; a cell is found by names, not label."""
     models, tasks, criteria = sorted(i_model), sorted(i_task), sorted(i_criteria)
-    cell_rows = [f"{m}/{c}" for m in models for c in criteria]
-    rows = cell_rows + ["I_task"] + [f"I_model {m}" for m in models] \
-        + [f"I_criteria {c}" for c in criteria]
-    cols = tasks + ["index"]
-    values = {(f"{model}/{criterion}", task): v for task, criterion, model, v in cells}
-    values.update({("I_task", t): i_task[t] for t in tasks})
-    values.update({(f"I_model {m}", "index"): i_model[m] for m in models})
-    values.update({(f"I_criteria {c}", "index"): i_criteria[c] for c in criteria})
-    return rows, cols, values, cell_rows, tasks
+    pairs = [(m, c) for m in models for c in criteria]
+    values = {(model, criterion, task): v for task, criterion, model, v in cells}
+    rows = ([f"{m}/{c}" for m, c in pairs] + ["I_task"] + [f"I_model {m}" for m in models]
+            + [f"I_criteria {c}" for c in criteria])
+    blank = [None] * len(tasks)
+    grid = ([[values.get((m, c, t)) for t in tasks] + [None] for m, c in pairs]
+            + [[i_task[t] for t in tasks] + [None]] + [blank + [i_model[m]] for m in models]
+            + [blank + [i_criteria[c]] for c in criteria])
+    return rows, tasks + ["index"], grid, pairs
 
 
 def cmd_hlm(args, cfg: _Config) -> int:
@@ -194,15 +196,15 @@ def cmd_hlm(args, cfg: _Config) -> int:
     report = hlm.compute_report(cube, ddof=std_ddof)
     _dump_json(hlm.report_to_dict(report), args.output)
     if args.heatmap_csv or args.heatmap_svg:
-        rows, cols, values, cell_rows, tasks = _report_heatmap_data(
+        rows, cols, grid, pairs = _report_heatmap_data(
             report.i_model, report.i_task, report.i_criteria,
             [(c.task, c.criterion, c.model, c.value) for c in report.cells])
     if args.heatmap_csv:
-        _write_csv(args.heatmap_csv, [["model", "criterion"] + tasks] + [
-            row.split("/", 1) + [values.get((row, t), "") for t in tasks] for row in cell_rows
+        _write_csv(args.heatmap_csv, [["model", "criterion"] + cols[:-1]] + [
+            [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
         ])
     if args.heatmap_svg:
-        _write_text(args.heatmap_svg, svg.heatmap_svg(rows, cols, values, title="HLM index"))
+        _write_text(args.heatmap_svg, svg.heatmap_svg(rows, cols, grid, title="HLM index"))
     if args.validate:
         if hlm.report_from_dict(read_json(args.output)) != report:
             raise ValidationError("report did not round-trip")
@@ -275,9 +277,9 @@ def cmd_report(args, cfg: _Config) -> int:
         _require_files(args.hlm_report)
         if not args.heatmap_out:
             raise ValidationError("--hlm-report requires --heatmap-out")
-        rows, cols, values, _, _ = _report_heatmap_data(
+        rows, cols, grid, _ = _report_heatmap_data(
             *hlm.report_values(read_json(args.hlm_report)))
-        _write_text(args.heatmap_out, svg.heatmap_svg(rows, cols, values, title="HLM index"))
+        _write_text(args.heatmap_out, svg.heatmap_svg(rows, cols, grid, title="HLM index"))
         wrote.append(args.heatmap_out)
     if args.curves:
         _require_files(*args.curves)

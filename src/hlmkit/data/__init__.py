@@ -7,13 +7,12 @@ transfer score matrix per model. Both are ingested measurements transcribed
 from externally published results; nothing in this package produces them.
 """
 
-from importlib.resources import files
 from pathlib import Path
 
 
 def reference_performance_path() -> Path:
-    return Path(str(files(__package__) / "reference_performance.csv"))
+    return Path(__file__).with_name("reference_performance.csv")
 
 
 def reference_transfer_path() -> Path:
-    return Path(str(files(__package__) / "reference_transfer.csv"))
+    return Path(__file__).with_name("reference_transfer.csv")

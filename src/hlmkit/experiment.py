@@ -25,7 +25,6 @@ from typing import Sequence
 from ._files import INT_OR_NULL, INTS, STRING, STRINGS, csv_rows, fields
 from .errors import ParseError, ValidationError
 from .hlm import LEVELS, PerformanceCube, warn_skipped
-from .splitkit import DifficultySplit
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
 DEFAULT_EPSILON_REL = 0.001

@@ -7,6 +7,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Sequence
 
 from .errors import ValidationError
@@ -16,6 +18,7 @@ _ROW_H = 26
 _MARGIN_L = 130
 _MARGIN_T = 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_MAX_PLOTTED = sys.float_info.max / 4  # beyond it, an axis span or tick may overflow to inf
 
 
 def _f(x: float) -> str:
@@ -39,10 +42,11 @@ def _diverging_color(v: float) -> str:
 def heatmap_svg(
     row_labels: Sequence[str],
     col_labels: Sequence[str],
-    values: dict[tuple[str, str], float],
+    values: Sequence[Sequence[float | None]],
     title: str = "",
 ) -> str:
-    """Grid of colored cells with numeric labels, rows x columns."""
+    """Grid of colored cells with numeric labels, rows x columns; ``values[i][j]``
+    is the cell of row ``i`` and column ``j``, None for an empty cell."""
     if not row_labels or not col_labels:
         raise ValidationError("heatmap needs at least one row and one column")
     width = _MARGIN_L + _CELL * len(col_labels) + 20
@@ -59,15 +63,14 @@ def heatmap_svg(
         parts.append(
             f'<text x="{_f(x)}" y="{_MARGIN_T - 8}" text-anchor="middle">{_esc(col)}</text>'
         )
-    for i, row in enumerate(row_labels):
+    for i, (row, row_values) in enumerate(zip(row_labels, values)):
         y = _MARGIN_T + i * _ROW_H
         parts.append(
             f'<text x="{_MARGIN_L - 6}" y="{_f(y + _ROW_H / 2 + 4)}" '
             f'text-anchor="end">{_esc(row)}</text>'
         )
-        for j, col in enumerate(col_labels):
+        for j, v in enumerate(row_values):
             x = _MARGIN_L + j * _CELL
-            v = values.get((row, col))
             if v is None:
                 parts.append(
                     f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_ROW_H}" '
@@ -103,10 +106,12 @@ def curves_svg(
     ys = [y for _, pts in series for _, y in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1
+    if max(-x0, x1, -y0, y1) > _MAX_PLOTTED:
+        raise ValidationError(f"curve values beyond ±{_MAX_PLOTTED:.4g} cannot be plotted")
+    if x1 == x0:  # a flat axis spans 1, or one float step where + 1 rounds away
+        x1 = max(x0 + 1, math.nextafter(x0, math.inf))
     if y1 == y0:
-        y1 = y0 + 1
+        y1 = max(y0 + 1, math.nextafter(y0, math.inf))
 
     def px(x: float) -> float:
         return left + (x - x0) / (x1 - x0) * plot_w

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import EmptyDocument, ValidationError
-from .surprisal import SurprisalSequence
 
 
 @dataclass(frozen=True)

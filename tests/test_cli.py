@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlmkit
+from hlmkit import svg
 from hlmkit.cli import main
 from hlmkit.data import reference_performance_path
+from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
 
 CORPUS_LINES = [
@@ -208,6 +211,33 @@ class TestHlmCommand:
         # a population STD is at most half the range, so ddof 0 runs
         assert main(["hlm", "--cube", str(cube), "-o", str(report)]) == 0
 
+    def test_heatmap_keeps_apart_names_that_join_to_one_label(self, tmp_path):
+        # the cells (model a, criterion b/c) and (model a/b, criterion c) are
+        # both labelled a/b/c, yet each keeps its own value and its own names
+        cube = tmp_path / "cube.csv"
+        cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
+            f"t,{criterion},{model},{tr},full,accuracy,{v},true\n"
+            for model, criterion, values in (("a", "b/c", (0.9, 0.8, 0.7)),
+                                             ("a/b", "c", (0.7, 0.8, 0.9)))
+            for tr, v in zip(("easy", "medium", "hard"), values)))
+        report, hm_csv, hm_svg = (tmp_path / name for name in ("r.json", "h.csv", "h.svg"))
+        with pytest.warns(IncompleteDataWarning, match="skipping 2 missing cells"):
+            assert main(["hlm", "--cube", str(cube), "-o", str(report), "--heatmap-csv",
+                         str(hm_csv), "--heatmap-svg", str(hm_svg)]) == 0
+        value = {(c["model"], c["criterion"]): c["value"]
+                 for c in json.loads(report.read_text())["cells"]}
+        assert value[("a", "b/c")] == -value[("a/b", "c")] != 0
+        assert hm_csv.read_text().splitlines() == [
+            "model,criterion,t", f"a,b/c,{value[('a', 'b/c')]!r}", "a,c,", "a/b,b/c,",
+            f"a/b,c,{value[('a/b', 'c')]!r}"]
+        svg_text = hm_svg.read_text()
+        labels = re.findall(r'text-anchor="middle">(-?\d+\.\d\d)</text>', svg_text)
+        assert labels[:2] == [f"{value[('a', 'b/c')]:.2f}", f"{value[('a/b', 'c')]:.2f}"]
+        # the same figure from the report file
+        out = tmp_path / "again.svg"
+        assert main(["report", "--hlm-report", str(report), "--heatmap-out", str(out)]) == 0
+        assert out.read_text() == svg_text
+
     def test_config_std_ddof_other_than_0_or_1_exit_2(self, tmp_path, capsys):
         config = tmp_path / "hlmkit.ini"
         config.write_text("[hlm]\nstd_ddof = 2\n")
@@ -301,6 +331,9 @@ class TestTransferCommand:
         run_twice_and_compare(["transfer", "--cube", cube, "-o", str(out)], out)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestReportCommand:
     def test_renders_both_svgs(self, tmp_path):
         report = tmp_path / "report.json"
@@ -318,6 +351,29 @@ class TestReportCommand:
     def test_requires_some_work(self, tmp_path, capsys):
         assert main(["report"]) == 2
         assert "nothing to render" in capsys.readouterr().err
+
+    def test_curves_beyond_the_plottable_range_exit_2(self, tmp_path, capsys):
+        # the distance between the two values overflows to inf
+        log = tmp_path / "log.csv"
+        log.write_text("step,value\n1,1e308\n2,-1e308\n")
+        out = tmp_path / "curves.svg"
+        assert main(["report", "--curves", str(log), "--curves-out", str(out),
+                     "--validate"]) == 2
+        assert capsys.readouterr().err.startswith("error: ValidationError: curve values beyond ")
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=5),
+                    min_size=1, max_size=3))
+    def test_no_finite_curve_plots_a_non_finite_number(self, logs):
+        series = [(f"s{i}", log) for i, log in enumerate(logs)]
+        largest = max(abs(n) for _, points in series for point in points for n in point)
+        try:
+            text = svg.curves_svg(series)
+        except ValidationError:
+            assert largest > sys.float_info.max / 4
+        else:
+            assert "nan" not in text and "inf" not in text
 
 
 class TestDeterminism:
@@ -438,6 +494,9 @@ BAD_SCORE_FIELDS = {
     "value-string": ("value", "x"),
     "value-bool": ("value", True),
     "value-out-of-float-range": ("value", 10 ** 400),
+    "value-nan": ("value", float("nan")),
+    "value-infinity": ("value", float("inf")),
+    "value-minus-infinity": ("value", -float("inf")),
     "id-int": ("id", 5),
     "criterion-list": ("criterion", ["uid_sl"]),
 }
@@ -729,6 +788,8 @@ MALFORMED_INPUTS = {
     "deep-model": (DEEP, _surprisal_model),
     "boundaries-number": (json.dumps(dict(SPLIT, boundaries=3)), _schedule),
     "boundaries-string": (json.dumps(dict(SPLIT, boundaries=["x", 2])), _schedule),
+    "boundaries-nan": (json.dumps(dict(SPLIT, boundaries=[float("nan"), float("inf")])),
+                       _schedule),
     "easy-string": (json.dumps(dict(SPLIT, easy="abc")), _schedule),
     "easy-number": (json.dumps(dict(SPLIT, easy=[1])), _schedule),
     "surprisal-base-number": (
@@ -742,6 +803,10 @@ MALFORMED_INPUTS = {
     "report-cell-number": (
         json.dumps({"i_model": {"m": 0.5}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5},
                     "std_ddof": 0, "cells": [1]}),
+        _report),
+    "report-index-nan": (
+        json.dumps({"i_model": {"m": float("nan")}, "i_task": {"t": 0.5},
+                    "i_criteria": {"c": 0.5}, "std_ddof": 0, "cells": []}),
         _report),
     "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
     "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",
