@@ -35,7 +35,7 @@ _EXPORTS = {
                   "save_model", "sentence_surprisals", "token_surprisals", "train_lm"),
     "textstat": ("Document", "FleschConfig", "TextStats", "count_syllables", "flesch_score",
                  "segment_sentences", "text_stats", "tokenize_words"),
-    "uid": ("UidSlConfig", "UidVarConfig", "uid_superlinear", "uid_variance"),
+    "uid": ("uid_superlinear", "uid_variance"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -104,7 +105,7 @@ def fields(obj, spec: dict, line: int | None = None) -> list:
     ``obj`` must be an object holding every key of ``spec`` (other keys are
     ignored), and each value must have exactly the JSON type of its kind: a
     boolean is not a number and a numeric string is not a number. Numbers
-    come back as floats; one beyond the float range is a ParseError.
+    come back as floats; one beyond the float range, such as 1e400, is a ParseError.
     """
     if type(obj) is not dict or not spec.keys() <= obj.keys():
         raise ParseError(f"expected an object with keys {list(spec)}, got {_show(obj)}", line=line)
@@ -118,8 +119,10 @@ def fields(obj, spec: dict, line: int | None = None) -> list:
                 if type(item) not in items:
                     raise ParseError(f"{key!r} must be {what}, got {_show(item)}", line=line)
         if float in (items or types):
-            try:
+            try:  # an integer beyond the float range overflows; a literal such as 1e400 is inf
                 value = [float(v) for v in value] if items else float(value)
+                if not all(map(math.isfinite, value if items else [value])):
+                    raise OverflowError
             except OverflowError:
                 raise ParseError(f"{key!r} is out of the float range", line=line) from None
         values.append(value)

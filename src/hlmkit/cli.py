@@ -98,8 +98,8 @@ def _check_svg(path: str) -> None:
 # subcommand handlers
 
 def cmd_score(args, cfg: _Config) -> int:
-    k = cfg.resolve(args.k, "score", "k", uid.UidSlConfig.k, float)
-    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", uid.UidVarConfig.mu_lang, float)
+    k = cfg.resolve(args.k, "score", "k", uid.DEFAULT_K, float)
+    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", uid.DEFAULT_MU_LANG, float)
     base = cfg.resolve(args.base, "score", "base", surprisal.SurprisalSequence.base, str)
     per_sentence = cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool)
     _require_files(args.corpus, args.model, args.surprisals, args.neural_scores)
@@ -112,8 +112,8 @@ def cmd_score(args, cfg: _Config) -> int:
         ),
         neural=splitkit.load_neural_scores(args.neural_scores) if args.neural_scores else None,
         base=base,
-        uid_sl=uid.UidSlConfig(k=k),
-        uid_var=uid.UidVarConfig(mu_lang=mu_lang),
+        k=k,
+        mu_lang=mu_lang,
         flesch=cfg.flesch_config(),
         per_sentence=per_sentence,
     )
@@ -327,9 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neural-scores", help="neural score JSONL (for the neural criterion)")
     p.add_argument("--base", choices=("2", "e"))
     p.add_argument("--k", type=float,
-                   help=f"super-linearity exponent (default {uid.UidSlConfig.k})")
+                   help=f"super-linearity exponent (default {uid.DEFAULT_K})")
     p.add_argument("--mu-lang", type=float,
-                   help=f"language-level mean surprisal (default {uid.UidVarConfig.mu_lang})")
+                   help=f"language-level mean surprisal (default {uid.DEFAULT_MU_LANG})")
     p.add_argument("--per-sentence", action=argparse.BooleanOptionalAction,
                    help="average UID scores over sentences")
     p.add_argument("-o", "--output", required=True)

@@ -136,14 +136,6 @@ def cell_value(t: PerformanceTriplet, ddof: int = 0) -> float:
     return _cell_terms(t, ddof)[3]
 
 
-@dataclass(frozen=True)
-class CubeCell:
-    task: str
-    criterion: str
-    model: str
-    triplet: PerformanceTriplet
-
-
 class PerformanceCube:
     """Benchmark metric values indexed by (task, criterion, model).
 
@@ -153,14 +145,9 @@ class PerformanceCube:
     transfer analysis; see :mod:`hlmkit.experiment`.
     """
 
-    def __init__(self, cells: Iterable[CubeCell],
+    def __init__(self, cells: Mapping[tuple[str, str, str], PerformanceTriplet],
                  eval_groups: Mapping[tuple, tuple[bool, dict]] | None = None):
-        self.cells: dict[tuple[str, str, str], PerformanceTriplet] = {}
-        for c in cells:
-            key = (c.task, c.criterion, c.model)
-            if key in self.cells:
-                raise ValidationError(f"duplicate cube cell {key}")
-            self.cells[key] = c.triplet
+        self.cells = dict(cells)
         # (task, criterion, model) -> (higher_is_better, {(train_level, eval_level): value})
         self.eval_groups = dict(eval_groups or {})
         if not self.cells and not self.eval_groups:
@@ -334,12 +321,11 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
                 raise ValidationError(f"line {lineno}: duplicate row for {key + level}")
             group[2][level] = val
 
-    cells = []
+    cells = {}
     incomplete = []
     for key, (direction, full, _) in sorted(groups.items()):
         if len(full) == 3:
-            cells.append(CubeCell(*key, PerformanceTriplet(
-                full["easy"], full["medium"], full["hard"], direction)))
+            cells[key] = PerformanceTriplet(full["easy"], full["medium"], full["hard"], direction)
         elif full:
             incomplete.append(key)
     if incomplete:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,15 +56,6 @@ class DifficultyScore:
         return self.value if self.higher_is_harder else -self.value
 
 
-@dataclass(frozen=True)
-class NeuralScore:
-    """One row of an imported neural difficulty score file."""
-
-    doc_id: str
-    value: float
-    higher_is_harder: bool
-
-
 @dataclass
 class Providers:
     """External inputs score_corpus may need, depending on the criterion.
@@ -72,16 +63,17 @@ class Providers:
     ``lm`` computes surprisals on the fly; ``surprisals`` supplies imported
     sequences keyed by doc id (several per id are treated as sentence
     sequences). ``per_sentence`` averages UID scores over sentences instead
-    of scoring the document-level concatenation.
+    of scoring the document-level concatenation. ``k`` and ``mu_lang`` are
+    the constants of ``uid_sl`` and ``uid_var``.
     """
 
     lm: NgramModel | None = None
     surprisals: Mapping[str, Sequence[SurprisalSequence]] | None = None
-    neural: Mapping[str, NeuralScore] | None = None
-    base: str = "2"
-    uid_sl: uid.UidSlConfig = field(default_factory=uid.UidSlConfig)
-    uid_var: uid.UidVarConfig = field(default_factory=uid.UidVarConfig)
-    flesch: FleschConfig = field(default_factory=FleschConfig)
+    neural: Mapping[str, DifficultyScore] | None = None
+    base: str = SurprisalSequence.base
+    k: float = uid.DEFAULT_K
+    mu_lang: float = uid.DEFAULT_MU_LANG
+    flesch: FleschConfig = FleschConfig()
     per_sentence: bool = False
 
 
@@ -116,15 +108,15 @@ def _doc_sequences(doc: Document, providers: Providers) -> list[SurprisalSequenc
 
 def _uid_value(doc: Document, criterion: str, providers: Providers) -> float:
     if criterion == "uid_sl":
-        score = lambda s: uid.uid_superlinear(s, providers.uid_sl)
+        score = lambda s: uid.uid_superlinear(s, providers.k)
     else:
-        score = lambda s: uid.uid_variance(s, providers.uid_var)
+        score = lambda s: uid.uid_variance(s, providers.mu_lang)
     seqs = _doc_sequences(doc, providers)
     bases = {s.base for s in seqs}
     if len(bases) > 1:
         raise ValidationError(f"mixed surprisal bases for document {doc.id!r}: {sorted(bases)}")
     if providers.per_sentence:
-        return uid.sentence_averaged(score, seqs)
+        return math.fsum(map(score, seqs)) / len(seqs)
     if len(seqs) == 1:
         return score(seqs[0])
     merged = SurprisalSequence(
@@ -224,17 +216,15 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
     return list(docs.values())
 
 
-def load_neural_scores(path: str | Path) -> dict[str, NeuralScore]:
+def load_neural_scores(path: str | Path) -> dict[str, DifficultyScore]:
     """Neural score JSONL: {"id": str, "score": number, "higher_is_harder": bool}."""
-    out: dict[str, NeuralScore] = {}
+    out: dict[str, DifficultyScore] = {}
     for line, obj in read_jsonl(path):
         doc_id, score, harder = fields(
             obj, {"id": STRING, "score": NUMBER, "higher_is_harder": BOOL}, line)
-        if not math.isfinite(score):
-            raise ValidationError(f"line {line}: non-finite score")
         if doc_id in out:
             raise ValidationError(f"line {line}: duplicate id {doc_id!r}")
-        out[doc_id] = NeuralScore(doc_id, score, harder)
+        out[doc_id] = record(line, DifficultyScore, doc_id, "neural", score, harder)
     return out
 
 
@@ -272,4 +262,7 @@ def split_from_dict(data: dict) -> DifficultySplit:
         "hard": STRINGS})
     if len(boundaries) != 2:
         raise ValidationError("split must have exactly two boundaries")
+    repeated = sorted(i for i, n in Counter(easy + medium + hard).items() if n > 1)
+    if repeated:
+        raise ValidationError(f"split lists document ids more than once: {repeated}")
     return DifficultySplit(criterion, tuple(easy), tuple(medium), tuple(hard), tuple(boundaries))

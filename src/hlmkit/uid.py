@@ -15,52 +15,20 @@ consistent. See the README for the base caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
 
-from .errors import EmptyDocument, ValidationError
+from .errors import ValidationError
 
-
-@dataclass(frozen=True)
-class UidSlConfig:
-    """Exponent controlling super-linearity strength."""
-
-    k: float = 1.25
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValidationError(f"k must be > 0, got {self.k}")
+DEFAULT_K = 1.25
+DEFAULT_MU_LANG = 3.8845
 
 
-@dataclass(frozen=True)
-class UidVarConfig:
-    """Language-level mean surprisal the variance is taken around."""
-
-    mu_lang: float = 3.8845
-
-
-def uid_superlinear(seq: SurprisalSequence, cfg: UidSlConfig | None = None) -> float:
-    """Mean of surprisal**k over the sequence. Higher is harder."""
-    cfg = cfg or UidSlConfig()
-    return math.fsum(s ** cfg.k for s in seq.values) / len(seq.values)
+def uid_superlinear(seq: SurprisalSequence, k: float = DEFAULT_K) -> float:
+    """Mean of surprisal**k over the sequence, for an exponent k > 0. Higher is harder."""
+    if not k > 0:
+        raise ValidationError(f"k must be > 0, got {k}")
+    return math.fsum(s ** k for s in seq.values) / len(seq.values)
 
 
-def uid_variance(seq: SurprisalSequence, cfg: UidVarConfig | None = None) -> float:
+def uid_variance(seq: SurprisalSequence, mu_lang: float = DEFAULT_MU_LANG) -> float:
     """Mean squared deviation from the language-level mean. Higher is harder."""
-    cfg = cfg or UidVarConfig()
-    return math.fsum((s - cfg.mu_lang) ** 2 for s in seq.values) / len(seq.values)
-
-
-def sentence_averaged(
-    score: Callable[[SurprisalSequence], float],
-    seqs: Iterable[SurprisalSequence],
-) -> float:
-    """Average a UID score over per-sentence sequences.
-
-    Opt-in alternative to scoring the whole-document concatenation; pass a
-    closure such as ``lambda s: uid_superlinear(s, cfg)``.
-    """
-    values = [score(s) for s in seqs]
-    if not values:
-        raise EmptyDocument("no sentence sequences to average")
-    return math.fsum(values) / len(values)
+    return math.fsum((s - mu_lang) ** 2 for s in seq.values) / len(seq.values)

@@ -21,7 +21,6 @@ from hlmkit.cli import _build_parser
 from hlmkit.data import reference_performance_path, reference_transfer_path
 from hlmkit.experiment import TrainingLog, convergence_ratio, transfer_scores
 from hlmkit.hlm import (
-    CubeCell,
     PerformanceCube,
     PerformanceTriplet,
     cell_value,
@@ -32,7 +31,7 @@ from hlmkit.hlm import (
 from hlmkit.splitkit import DifficultyScore, split_to_dict, tertile_split
 from hlmkit.surprisal import BOS, SurprisalSequence, train_lm
 from hlmkit.textstat import Document, TextStats, flesch_score
-from hlmkit.uid import UidSlConfig, uid_superlinear, uid_variance
+from hlmkit.uid import uid_superlinear, uid_variance
 from oracles import (
     flesch_formula,
     kn_prob,
@@ -123,12 +122,11 @@ def test_c05_uid_oracle_equivalence_and_minimality():
         # brute force over discretized grids: for fixed N and fixed sum the
         # even sequence minimizes the super-linear mean (k > 1)
         grid = [i * 0.5 for i in range(9)]
-        cfg = UidSlConfig(k=1.25)
         for n in (2, 3, 4):
             for combo in itertools.product(grid, repeat=n):
                 uniform = SurprisalSequence("u", tuple([sum(combo) / n] * n), "2")
-                got = uid_superlinear(SurprisalSequence("d", combo, "2"), cfg)
-                assert got >= uid_superlinear(uniform, cfg) - 1e-12
+                got = uid_superlinear(SurprisalSequence("d", combo, "2"), k=1.25)
+                assert got >= uid_superlinear(uniform, k=1.25) - 1e-12
 
 
 def test_c06_ngram_model_against_naive_oracle():
@@ -188,10 +186,10 @@ def test_c07_tertile_split_properties():
 
 
 def _transfer_cube(groups):
-    eval_groups, cells = {}, []
+    eval_groups, cells = {}, {}
     for (task, hib), entries in groups.items():
         eval_groups[(task, "c1", "m1")] = (hib, dict(entries))
-        cells.append(CubeCell(task, "c1", "m1", PerformanceTriplet(1, 1, 1, hib)))
+        cells[(task, "c1", "m1")] = PerformanceTriplet(1, 1, 1, hib)
     return PerformanceCube(cells, eval_groups)
 
 

@@ -431,6 +431,35 @@ class TestErrorPaths:
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
 
+    def test_uid_sl_with_k_0_exit_2(self, tmp_path, capsys):
+        surprisals = tmp_path / "s.jsonl"
+        surprisals.write_text(_lines({"id": d["id"], "surprisals": [1.0], "base": "2"}
+                                     for d in CORPUS_LINES))
+        out = tmp_path / "x.jsonl"
+        code = main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "uid_sl",
+                     "--surprisals", str(surprisals), "--k", "0", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ValidationError: k must be > 0, got 0.0\n"
+        assert not out.exists()
+
+    def test_k_is_checked_only_where_it_is_used(self, tmp_path):
+        # flesch reads no k, as it reads no mu_lang
+        out = tmp_path / "x.jsonl"
+        assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "flesch",
+                     "--k", "0", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == len(CORPUS_LINES)
+
+    def test_split_listing_an_id_twice_exit_2(self, tmp_path, capsys):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(dict(SPLIT, easy=["a", "a"], medium=["a"], hard=["b"])))
+        out = tmp_path / "schedule.json"
+        code = main(["schedule", "--split", str(split), "--order", "random", "--seed", "3",
+                     "--validate", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValidationError: split lists document ids more than once: ['a']\n")
+        assert not out.exists()
+
 
 def _cli_env():
     """The environment of a CLI subprocess: PYTHONPATH holds hlmkit's source alone."""
@@ -528,6 +557,17 @@ def test_neural_score_out_of_float_range_exit_2(tmp_path, capsys):
     assert main(["score", "--corpus", corpus, "--criterion", "neural",
                  "--neural-scores", str(neural), "-o", str(tmp_path / "s.jsonl")]) == 2
     assert f"line {len(CORPUS_LINES)}: 'score' is out of the float range" in capsys.readouterr().err
+
+
+def test_neural_score_literal_beyond_the_float_range_exit_2(tmp_path, capsys):
+    # a float literal such as 1e400 decodes to inf, not to an error
+    rows = [{"id": d["id"], "score": 1.0, "higher_is_harder": True} for d in CORPUS_LINES]
+    neural = tmp_path / "neural.jsonl"
+    neural.write_text(_lines(rows[:-1]) + _lines(rows[-1:]).replace("1.0", "1e400"))
+    assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "neural",
+                 "--neural-scores", str(neural), "-o", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ParseError: line {len(CORPUS_LINES)}: 'score' is out of the float range\n")
 
 
 def _set_item(key, index, value):
@@ -790,6 +830,8 @@ MALFORMED_INPUTS = {
     "boundaries-string": (json.dumps(dict(SPLIT, boundaries=["x", 2])), _schedule),
     "boundaries-nan": (json.dumps(dict(SPLIT, boundaries=[float("nan"), float("inf")])),
                        _schedule),
+    "boundaries-1e400": (json.dumps(dict(SPLIT, boundaries=[1.0, -1.0])).replace("1.0", "1e400"),
+                         _schedule),
     "easy-string": (json.dumps(dict(SPLIT, easy="abc")), _schedule),
     "easy-number": (json.dumps(dict(SPLIT, easy=[1])), _schedule),
     "surprisal-base-number": (
@@ -807,6 +849,10 @@ MALFORMED_INPUTS = {
     "report-index-nan": (
         json.dumps({"i_model": {"m": float("nan")}, "i_task": {"t": 0.5},
                     "i_criteria": {"c": 0.5}, "std_ddof": 0, "cells": []}),
+        _report),
+    "report-index-1e400": (
+        '{"i_model": {"m": 1e400}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5}, '
+        '"std_ddof": 0, "cells": []}',
         _report),
     "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
     "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",

@@ -24,7 +24,7 @@ from hlmkit.experiment import (
     transfer_scores,
     transfer_to_dict,
 )
-from hlmkit.hlm import CUBE_COLUMNS, CubeCell, PerformanceCube, PerformanceTriplet, load_cube_csv
+from hlmkit.hlm import CUBE_COLUMNS, PerformanceCube, PerformanceTriplet, load_cube_csv
 from hlmkit.splitkit import DifficultyScore, DifficultySplit, tertile_split
 import oracles
 
@@ -215,10 +215,10 @@ class TestConvergenceRatio:
 def eval_cube(groups):
     """Build a cube with eval-level rows from {group_key: {(train, eval): value}}."""
     eval_groups = {}
-    cells = []
+    cells = {}
     for (task, criterion, model, hib), entries in groups.items():
         eval_groups[(task, criterion, model)] = (hib, dict(entries))
-        cells.append(CubeCell(task, criterion, model, PerformanceTriplet(1.0, 1.0, 1.0, hib)))
+        cells[(task, criterion, model)] = PerformanceTriplet(1.0, 1.0, 1.0, hib)
     return PerformanceCube(cells, eval_groups)
 
 

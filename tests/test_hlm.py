@@ -15,7 +15,6 @@ from hlmkit.errors import (
     ValidationError,
 )
 from hlmkit.hlm import (
-    CubeCell,
     PerformanceCube,
     PerformanceTriplet,
     cell_value,
@@ -179,32 +178,29 @@ class TestCellValue:
 
 class TestIndex:
     def test_single_cell_cube(self):
-        cube = PerformanceCube([CubeCell("t1", "flesch", "m1",
-                                         PerformanceTriplet(0.9, 0.8, 0.7))])
+        cube = PerformanceCube({("t1", "flesch", "m1"): PerformanceTriplet(0.9, 0.8, 0.7)})
         for axis, key in (("task", "t1"), ("criterion", "flesch"), ("model", "m1")):
             assert index(cube, axis, key) == pytest.approx(DESCENDING_CELL, abs=1e-12)
 
     def test_opposite_cells_cancel(self):
-        cube = PerformanceCube([
-            CubeCell("t1", "c1", "m1", PerformanceTriplet(0.9, 0.8, 0.7)),
-            CubeCell("t2", "c1", "m1", PerformanceTriplet(0.7, 0.8, 0.9)),
-        ])
+        cube = PerformanceCube({
+            ("t1", "c1", "m1"): PerformanceTriplet(0.9, 0.8, 0.7),
+            ("t2", "c1", "m1"): PerformanceTriplet(0.7, 0.8, 0.9),
+        })
         assert index(cube, "model", "m1") == pytest.approx(0.0, abs=1e-15)
 
     def test_wt2_task_index_restricted_to_uid_sl(self, reference_cube):
-        cells = [
-            CubeCell("WT2", "uid_sl", m, reference_cube.triplet("WT2", "uid_sl", m))
-            for m in ("BERT", "LSTM")
-        ]
+        cells = {("WT2", "uid_sl", m): reference_cube.triplet("WT2", "uid_sl", m)
+                 for m in ("BERT", "LSTM")}
         assert index(PerformanceCube(cells), "task", "WT2") == pytest.approx(1.0, abs=1e-3)
 
     def test_missing_key(self):
-        cube = PerformanceCube([CubeCell("t1", "c1", "m1", PerformanceTriplet(1, 2, 3))])
+        cube = PerformanceCube({("t1", "c1", "m1"): PerformanceTriplet(1, 2, 3)})
         with pytest.raises(MissingKey):
             index(cube, "model", "nope")
 
     def test_bad_axis(self):
-        cube = PerformanceCube([CubeCell("t1", "c1", "m1", PerformanceTriplet(1, 2, 3))])
+        cube = PerformanceCube({("t1", "c1", "m1"): PerformanceTriplet(1, 2, 3)})
         with pytest.raises(ValidationError):
             index(cube, "direction", "m1")
 
@@ -232,22 +228,19 @@ class TestComputeReport:
             assert logical_score(reference_cube.triplet("WT2", "flesch", model)) == -0.75
 
     def test_sparse_cube_warns_and_averages_present_cells(self):
-        cells = [
-            CubeCell("t1", "c1", "m1", PerformanceTriplet(0.9, 0.8, 0.7)),
-            CubeCell("t2", "c1", "m1", PerformanceTriplet(0.9, 0.8, 0.7)),
-            CubeCell("t1", "c1", "m2", PerformanceTriplet(0.9, 0.8, 0.7)),
-        ]
-        cube = PerformanceCube(cells)
+        triplet = PerformanceTriplet(0.9, 0.8, 0.7)
+        cube = PerformanceCube({("t1", "c1", "m1"): triplet, ("t2", "c1", "m1"): triplet,
+                                ("t1", "c1", "m2"): triplet})
         with pytest.warns(IncompleteDataWarning, match="t2.*m2"):
             report = compute_report(cube)
         assert report.i_model["m2"] == pytest.approx(DESCENDING_CELL, abs=1e-12)
 
     def test_sparse_diagonal_cube_warning_is_bounded(self):
         # cell i = (t_i, c_i, m_i): 60 present cells of a 60^3 cross product
-        cube = PerformanceCube([
-            CubeCell(f"t{i:02d}", f"c{i:02d}", f"m{i:02d}", PerformanceTriplet(0.9, 0.8, 0.7))
+        cube = PerformanceCube({
+            (f"t{i:02d}", f"c{i:02d}", f"m{i:02d}"): PerformanceTriplet(0.9, 0.8, 0.7)
             for i in range(60)
-        ])
+        })
         with pytest.warns(IncompleteDataWarning) as record:
             report = compute_report(cube)
         message = str(record[0].message)
@@ -288,7 +281,7 @@ class TestReportMatchesIndex:
     @given(cells=_CELLS, ddof=st.sampled_from([0, 1]))
     def test_every_index_and_cell_value(self, cells, ddof):
         # insertion order is the generated order, not the sorted one
-        cube = PerformanceCube(CubeCell(*key, PerformanceTriplet(*t)) for key, t in cells)
+        cube = PerformanceCube({key: PerformanceTriplet(*t) for key, t in cells})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = compute_report(cube, ddof)

@@ -1,6 +1,7 @@
 """The import contract: ``import hlmkit`` loads a submodule only on the first
 use of one of its names, and a layer imports no layer it only annotates."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -67,7 +68,16 @@ def test_every_public_name_is_its_modules_object():
         "ns = {}\n"
         "exec('from hlmkit import *', ns)\n"
         "print(json.dumps([first, sorted(set(hlmkit.__all__) - set(ns))]))") == [[], []]
-    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 52
+    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 50
+
+
+@pytest.mark.parametrize("module, name", [
+    ("uid", "UidSlConfig"), ("uid", "UidVarConfig"), ("uid", "sentence_averaged"),
+    ("splitkit", "NeuralScore"), ("hlm", "CubeCell")])
+def test_plain_values_replace_the_deleted_records(module, name):
+    # k and mu_lang are floats, a neural row is a DifficultyScore and a cube a mapping
+    assert not hasattr(hlmkit, name)
+    assert not hasattr(importlib.import_module(f"hlmkit.{module}"), name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -13,7 +13,6 @@ from hlmkit.errors import (
 )
 from hlmkit.splitkit import (
     DifficultyScore,
-    NeuralScore,
     Providers,
     index_surprisals,
     load_corpus_jsonl,
@@ -27,6 +26,7 @@ from hlmkit.splitkit import (
 )
 from hlmkit.surprisal import SurprisalSequence, train_lm
 from hlmkit.textstat import Document
+from oracles import uid_sl_formula
 
 MU = 3.8845
 
@@ -48,18 +48,18 @@ class TestScoreCorpus:
         assert scores[0].higher_is_harder is True
 
     def test_neural_value_passes_through(self):
-        providers = Providers(neural={"d1": NeuralScore("d1", 2.0, True)})
+        providers = Providers(neural={"d1": DifficultyScore("d1", "neural", 2.0, True)})
         scores = score_corpus([Document(id="d1", text="x")], "neural", providers)
         assert scores[0].value == 2.0
         assert scores[0].higher_is_harder is True
 
     def test_neural_direction_read_from_file(self):
-        providers = Providers(neural={"d1": NeuralScore("d1", 2.0, False)})
+        providers = Providers(neural={"d1": DifficultyScore("d1", "neural", 2.0, False)})
         scores = score_corpus([Document(id="d1", text="x")], "neural", providers)
         assert scores[0].higher_is_harder is False
 
     def test_missing_neural_score(self):
-        providers = Providers(neural={"other": NeuralScore("other", 1.0, True)})
+        providers = Providers(neural={"other": DifficultyScore("other", "neural", 1.0, True)})
         with pytest.raises(MissingScore, match="d1"):
             score_corpus([Document(id="d1", text="x")], "neural", providers)
 
@@ -111,6 +111,36 @@ class TestScoreCorpus:
     def test_unknown_criterion(self):
         with pytest.raises(ValidationError):
             score_corpus([Document(id="d1", text="x")], "bogus")
+
+
+class TestPerSentenceAverage:
+    """``per_sentence`` scores a document as the mean of its sentences' scores."""
+
+    @staticmethod
+    def score(parts, criterion, per_sentence=True, **constants):
+        providers = Providers(surprisals={"d": parts}, per_sentence=per_sentence, **constants)
+        return score_corpus([Document(id="d", text="x")], criterion, providers)[0].value
+
+    def test_mean_over_sentences(self):
+        sentences = [seq("d", 1.0, 1.0), seq("d", 3.0)]
+        assert self.score(sentences, "uid_var", mu_lang=1.0) == pytest.approx((0.0 + 4.0) / 2)
+
+    def test_differs_from_concatenated(self):
+        # two uneven sentences: averaging weights them equally,
+        # concatenation weights per token
+        parts = [seq("d", 1.0, 1.0, 1.0), seq("d", 5.0)]
+        averaged = self.score(parts, "uid_sl", k=1.25)
+        assert averaged != pytest.approx(self.score(parts, "uid_sl", per_sentence=False, k=1.25))
+
+    def test_random_spot_check(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            parts = [
+                seq("d", *[rng.uniform(0, 9) for _ in range(rng.randint(1, 6))])
+                for _ in range(rng.randint(1, 4))
+            ]
+            want = sum(uid_sl_formula(p.values) for p in parts) / len(parts)
+            assert self.score(parts, "uid_sl") == pytest.approx(want, abs=1e-12)
 
 
 def make_scores(values, criterion="uid_sl", higher_is_harder=True):
@@ -208,7 +238,7 @@ class TestFileFormats:
         path = tmp_path / "n.jsonl"
         path.write_text('{"id": "d1", "score": 2.0, "higher_is_harder": true}\n')
         scores = load_neural_scores(path)
-        assert scores["d1"] == NeuralScore("d1", 2.0, True)
+        assert scores["d1"] == DifficultyScore("d1", "neural", 2.0, True)
 
     def test_neural_scores_require_direction(self, tmp_path):
         path = tmp_path / "n.jsonl"
@@ -226,6 +256,11 @@ class TestFileFormats:
         split = tertile_split(make_scores(range(1, 10)))
         data = json.loads(json.dumps(split_to_dict(split)))
         assert split_from_dict(data) == split
+
+    def test_split_lists_each_id_once(self):
+        data = dict(split_to_dict(tertile_split(make_scores(range(1, 10)))), hard=["d1", "d9"])
+        with pytest.raises(ValidationError, match=r"more than once: \['d1'\]"):
+            split_from_dict(data)
 
     def test_index_surprisals_groups_by_id(self):
         seqs = [seq("a", 1.0), seq("b", 2.0), seq("a", 3.0)]

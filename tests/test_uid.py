@@ -1,18 +1,11 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hlmkit.errors import ValidationError
 from hlmkit.surprisal import SurprisalSequence
-from hlmkit.uid import (
-    UidSlConfig,
-    UidVarConfig,
-    sentence_averaged,
-    uid_superlinear,
-    uid_variance,
-)
+from hlmkit.uid import uid_superlinear, uid_variance
 from oracles import uid_sl_formula, uid_var_formula
 
 MU = 3.8845
@@ -52,16 +45,19 @@ class TestSuperlinear:
     def test_uniform_minimizes_for_fixed_sum(self):
         # brute force: among same-sum grids, the even split scores lowest
         grid = [i * 0.5 for i in range(9)]
-        cfg = UidSlConfig(k=1.25)
         for n in (2, 3, 4):
             for combo in itertools.product(grid, repeat=n):
                 total = sum(combo)
-                uniform = uid_superlinear(seq(*([total / n] * n)), cfg)
-                assert uid_superlinear(seq(*combo), cfg) >= uniform - 1e-12
+                uniform = uid_superlinear(seq(*([total / n] * n)), k=1.25)
+                assert uid_superlinear(seq(*combo), k=1.25) >= uniform - 1e-12
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            UidSlConfig(k=0.0)
+        with pytest.raises(ValidationError, match="k must be > 0, got 0.0"):
+            uid_superlinear(seq(1.0), k=0.0)
+
+    def test_negative_k_is_refused(self):
+        with pytest.raises(ValidationError, match="k must be > 0, got -1"):
+            uid_superlinear(seq(1.0), k=-1)
 
 
 class TestVariance:
@@ -88,31 +84,5 @@ class TestVariance:
             assert all(v == MU for v in values)
 
     def test_custom_mean(self):
-        assert uid_variance(seq(2.0, 4.0), UidVarConfig(mu_lang=3.0)) == pytest.approx(1.0)
+        assert uid_variance(seq(2.0, 4.0), mu_lang=3.0) == pytest.approx(1.0)
 
-
-class TestSentenceAveraged:
-    def test_mean_over_sentences(self):
-        sentences = [seq(1.0, 1.0), seq(3.0)]
-        got = sentence_averaged(lambda s: uid_variance(s, UidVarConfig(mu_lang=1.0)), sentences)
-        assert got == pytest.approx((0.0 + 4.0) / 2)
-
-    def test_differs_from_concatenated(self):
-        # two uneven sentences: averaging weights them equally,
-        # concatenation weights per token
-        a, b = seq(1.0, 1.0, 1.0), seq(5.0)
-        merged = seq(1.0, 1.0, 1.0, 5.0)
-        cfg = UidSlConfig(k=1.25)
-        averaged = sentence_averaged(lambda s: uid_superlinear(s, cfg), [a, b])
-        assert averaged != pytest.approx(uid_superlinear(merged, cfg))
-
-    def test_random_spot_check(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            parts = [
-                seq(*[rng.uniform(0, 9) for _ in range(rng.randint(1, 6))])
-                for _ in range(rng.randint(1, 4))
-            ]
-            got = sentence_averaged(uid_superlinear, parts)
-            want = sum(uid_sl_formula(p.values) for p in parts) / len(parts)
-            assert got == pytest.approx(want, abs=1e-12)
