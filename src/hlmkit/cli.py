@@ -192,8 +192,8 @@ def cmd_hlm(args, cfg: _Config) -> int:
     std_ddof = cfg.resolve(args.std_ddof, "hlm", "std_ddof", 0, int)
     cube_path = args.cube or str(reference_performance_path())
     _require_files(cube_path)
-    cube = hlm.load_cube_csv(cube_path)
-    report = hlm.compute_report(cube, ddof=std_ddof)
+    # no name holds the cube, so it is freed before the outputs are built
+    report = hlm.compute_report(hlm.load_cube_csv(cube_path), ddof=std_ddof)
     _dump_json(hlm.report_to_dict(report), args.output)
     if args.heatmap_csv or args.heatmap_svg:
         rows, cols, grid, pairs = _report_heatmap_data(

@@ -38,6 +38,8 @@ from .errors import IncompleteDataWarning, MissingKey, ParseError, ValidationErr
 
 LEVELS = ("easy", "medium", "hard")
 _EVAL_LEVELS = LEVELS + ("full",)
+# one shared (train_level, eval_level) key per valid pair, so no cube row keeps its own copy
+_LEVEL_PAIRS = {pair: pair for pair in itertools.product(LEVELS, _EVAL_LEVELS)}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 AXES = ("model", "task", "criterion")
 
@@ -287,6 +289,7 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     """
     # (task, criterion, model) -> (higher_is_better, full rows, other rows)
     groups: dict[tuple, tuple[bool, dict[str, float], dict[tuple[str, str], float]]] = {}
+    names: dict[str, str] = {}  # one string object per task, criterion and model name
     for lineno, row in csv_rows(path, CUBE_COLUMNS):
         task, criterion, model, train_level, eval_level, metric, value, hib = row
         if train_level not in LEVELS:
@@ -303,9 +306,11 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
         if direction is None:
             raise ParseError(f"invalid boolean {hib!r}", line=lineno)
 
+        level = _LEVEL_PAIRS[train_level, eval_level]
         key = (task, criterion, model)
         group = groups.get(key)
         if group is None:
+            key = tuple(names.setdefault(name, name) for name in key)
             group = groups[key] = (direction, {}, {})
         elif group[0] != direction:
             raise ValidationError(
@@ -314,9 +319,8 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
         if eval_level == "full":
             if train_level in group[1]:
                 raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
-            group[1][train_level] = val
+            group[1][level[0]] = val
         else:
-            level = (train_level, eval_level)
             if level in group[2]:
                 raise ValidationError(f"line {lineno}: duplicate row for {key + level}")
             group[2][level] = val

@@ -85,8 +85,8 @@ def heatmap_svg(
                 f'<text x="{_f(x + _CELL / 2)}" y="{_f(y + _ROW_H / 2 + 4)}" '
                 f'text-anchor="middle">{_f(v)}</text>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def curves_svg(
@@ -156,5 +156,5 @@ def curves_svg(
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(f'<text x="{width - right + 40}" y="{ly}">{_esc(label)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

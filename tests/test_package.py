@@ -17,8 +17,10 @@ LAYERS = ("experiment", "hlm", "splitkit", "surprisal", "svg", "textstat", "uid"
 
 def _fresh(code):
     """What ``code`` prints as JSON, run in a fresh ``python -S``: without
-    site-packages, whose ``.pth`` files may import modules of their own."""
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    site-packages, whose ``.pth`` files may import modules of their own. ``-B``
+    keeps it from writing bytecode into ``src/``, which the environment given
+    here would otherwise allow."""
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(Path(hlmkit.__file__).parents[1])})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
