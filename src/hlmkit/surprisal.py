@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,6 +43,7 @@ DEFAULT_ORDER = 2
 DEFAULT_DISCOUNT = 0.75
 
 _LOG = {"2": math.log2, "e": math.log}
+_GRAM_LIMIT = 2 ** 63  # V ** order stays below it, so every packed gram is an int64
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,15 @@ class NgramModel:
             raise ValidationError(f"order must be in [1, 3], got {order}")
         if not 0 < discount < 1:
             raise ValidationError(f"discount must be in (0, 1), got {discount}")
+        _check_packable(size := len(vocab), order)
         words = tuple(vocab)
         if not ({BOS, EOS, UNK} <= set(words) and all(map(operator.lt, words, words[1:]))):
             raise ValidationError(
                 f"model vocabulary must be strictly increasing and hold {BOS}, {EOS} and {UNK}")
-        size = len(words)
-        grams, counts = tuple(grams), tuple(counts)  # a caller may change its lists later
         if len(grams) != len(counts) or (counts and min(counts) <= 0):
             raise ValidationError("model counts must be positive, one per gram")
         if grams and not (0 <= grams[0] and grams[-1] < size ** order
-                          and all(map(operator.lt, grams, grams[1:]))):
+                          and all(map(operator.lt, grams, islice(grams, 1, None)))):
             raise ValidationError(
                 f"model grams must be strictly increasing and in [0, {size}**{order})")
         self.order, self.discount, self.words = order, discount, words
@@ -121,25 +121,27 @@ class NgramModel:
         excluded = {BOS} | ({EOS} if order == 1 else set())
         if not {self.ids[w] for w in excluded}.isdisjoint(map(size.__rmod__, grams)):
             raise ValidationError(f"model grams must not predict {' or '.join(sorted(excluded))}")
-        # Training writes no history holding </s>, or <s> after a word. The grams after
-        # one such history are a window of consecutive packed values: bisect for each.
+        # Training writes no history holding </s>, or <s> after a word: no first id </s>, and
+        # no last history id </s>, or <s> but after a first id <s> (one pass over the grams)
         bos, eos, span = self.ids[BOS], self.ids[EOS], size ** (order - 1)
-        windows = [(eos * span, span)][:order - 1] + [
-            (a * span + b * size, size) for a in range(size * (order == 3))
-            for b in (eos, bos) if b == eos or a != bos]
-        if any((i := bisect_left(grams, lo)) < len(grams) and grams[i] < lo + width
-               for lo, width in windows):
+        lo, hi, i = (bisect_left(grams, x * span) for x in (bos, bos + 1, eos))
+        lasts = [map(size.__rmod__, map(size.__rfloordiv__, part)) for part in
+                 (islice(grams, lo, hi), chain(islice(grams, lo), islice(grams, hi, None)))]
+        if order > 1 and (i < len(grams) and grams[i] < (eos + 1) * span
+                          or {eos}.intersection(lasts[0]) or {bos, eos}.intersection(lasts[1])):
             raise ValidationError(f"model grams must not follow {EOS}, or {BOS} after a word")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
-        self._grams, self._counts = grams, counts
+        try:  # copies, since a caller may change its lists later; each gram is below V ** order
+            self._grams, self._counts = array("q", grams), array("q", counts)
+        except OverflowError:
+            raise ValidationError("model counts must be below 2**63") from None
 
     @cached_property
-    def _levels(self) -> list[tuple]:
-        """Per order, built at the first query from the uniform floor up: the sorted grams,
-        where each first id's grams start, each gram's history backoff mass and each gram's
-        p, in arrays below the top order and a gram -> p dict at it. Every suffix of a
-        stored gram is stored one level down, so each value is the recursion's, bit for bit."""
+    def _levels(self) -> list[tuple[array, array, array, array]]:
+        """Per order, built at the first query from the uniform floor up, four arrays: the sorted
+        grams, where each first id's grams start, and each gram's history backoff mass and p.
+        Every suffix of a stored gram is stored one level down, so each value is the recursion's."""
         size, discount = len(self.words), self.discount
         # top down: a lower order's grams are the distinct suffixes one order up, and its
         # counts how many grams there end in each; each gram keeps its suffix's index
@@ -147,7 +149,7 @@ class NgramModel:
         for k in range(self.order - 1, 0, -1):
             tally = Counter(map((size ** k).__rmod__, tables[-1][0]))
             grams = sorted(tally)
-            tables.append([grams, list(map(tally.__getitem__, grams))])
+            tables.append([array("q", grams), array("q", map(tally.__getitem__, grams))])
             dict.update(tally, zip(grams, count()))  # now suffix -> index
             tables[-2].append(array("q", map(tally.__getitem__,
                                              map((size ** k).__rmod__, tables[-2][0]))))
@@ -166,11 +168,9 @@ class NgramModel:
                 i = end
             probs = array("d", [(c - discount) / t + b * q
                                 for c, t, b, q in zip(counts, totals, backoffs, lower)])
-            lower = index = totals = None  # freed before the dict grows
             step = size ** len(levels)
             starts = array("q", map(bisect_left, repeat(grams), range(0, size * step + 1, step)))
-            levels.append((array("q", grams), starts, backoffs, probs) if tables
-                          else (grams, starts, backoffs, dict(zip(grams, probs))))
+            levels.append((grams, starts, backoffs, probs))
         return levels
 
     @property
@@ -188,38 +188,39 @@ class NgramModel:
         """p(word | context). Unknown words and context tokens map to <unk>."""
         if word == BOS:
             raise ValidationError("the start pad is not a predictable token")
-        n = min(self.order - 1, len(context))
+        n, size = min(self.order - 1, len(context)), len(self.words)
         h, w = _pack(self.ids, context[len(context) - n:]), _pack(self.ids, (word,))
-        p = self._levels[-1][3].get(h * len(self.words) + w) if n == self.order - 1 else None
-        return self._p(h, n, w) if p is None else p
+        (grams, starts, _, probs), f = self._levels[n], (g := h * size + w) // size ** n
+        i = bisect_left(grams, g, lo := starts[f], hi := starts[f + 1])
+        return probs[i] if i < hi and grams[i] == g else self._miss(h, n, w, i, lo, hi)
 
     @cached_property
-    def _p(self) -> Callable[[int, int, int], float]:
-        """p(w | h) for the packed history ``h`` of ``n <= order - 1`` ids when the top order
-        stores no gram ``h * V + w``, over the tables bound once: up from the word's unigram
-        p (for an unstored word, the backoff mass times the uniform floor), at each order a
-        seen history's stored gram p, or its backoff mass times p."""
-        levels, size, top = self._levels, len(self.words), self.order - 1
+    def _miss(self) -> Callable[[int, int, int, int, int, int], float]:
+        """p(w | h) for the packed history ``h`` of ``n`` ids when order ``n + 1`` stores no
+        ``g = h * V + w``: ``bisect_left`` stopped at ``i`` in ``[lo, hi)``, the grams of g's
+        first id, so ``h``'s run, if stored, holds ``grams[i]`` or ``grams[i - 1]``. Up from
+        the unigram p, each order gives a stored gram's p, or a seen history's backoff * p."""
+        levels, size = self._levels, len(self.words)
         (_, unigram_starts, unigram_backoffs, unigrams), middle = levels[0], levels[1:-1]
-        stored, starts, backoffs, _ = levels[-1]
-        first = size ** max(top - 1, 0)  # a top-order history // first is its first id
         unseen = unigram_backoffs[0] * self._uniform if unigram_backoffs else self._uniform
 
-        def p(h, n, w):
-            lo, hi = unigram_starts[w], unigram_starts[w + 1]
-            q, v = unigrams[lo] if lo < hi else unseen, h % size
-            for grams, runs, mid_backoffs, probs in middle if n else ():  # order 3: bigrams
-                lo, hi = runs[v], runs[v + 1]
-                if lo == hi:  # unseen, so no top-order history ends in it either
+        def miss(h, n, w, i, lo, hi):
+            a, b = unigram_starts[w], unigram_starts[w + 1]
+            q, v = unigrams[a] if a < b else unseen, h % size
+            for grams, runs, mid_backoffs, probs in middle if n == 2 else ():  # order 3
+                a, b = runs[v], runs[v + 1]
+                if a == b:  # unseen, so no top-order history ends in it either
                     return q
-                i = bisect_left(grams, g := v * size + w, lo, hi)
-                q = probs[i] if i < hi and grams[i] == g else mid_backoffs[lo] * q
-            if n == top and n:  # the history's run, among the grams of its first id
-                i = bisect_left(stored, h * size, starts[h // first], hi := starts[h // first + 1])
-                if i < hi and stored[i] // size == h:
+                j = bisect_left(grams, g := v * size + w, a, b)
+                q = probs[j] if j < b and grams[j] == g else mid_backoffs[a] * q
+            if n:
+                grams, _, backoffs, _ = levels[n]
+                if i < hi and grams[i] // size == h:
                     q = backoffs[i] * q
+                elif lo < i and grams[i - 1] // size == h:
+                    q = backoffs[i - 1] * q
             return q
-        return p
+        return miss
 
     def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
         """Full conditional distribution over the predictable vocabulary."""
@@ -232,6 +233,11 @@ def _pack(ids: Mapping[str, int], tokens: Iterable[str]) -> int:
     for t in tokens:
         g = g * size + ids.get(t, unk)
     return g
+
+
+def _check_packable(size: int, order: int) -> None:
+    if size ** order >= _GRAM_LIMIT:  # each packed gram is one int64 array item
+        raise ValidationError(f"{size} words are too many for order {order}: V ** {order} >= 2**63")
 
 
 def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
@@ -257,15 +263,20 @@ def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
     if not stream:
         raise EmptyCorpus("corpus contains no tokens")
     words = sorted(index)
+    _check_packable(size := len(words), order)
     ids = {w: i for i, w in enumerate(words)}
-    stream = list(map([ids[w] for w in index].__getitem__, stream))
-    size, windows = len(words), iter(stream)
+    stream = windows = list(map([ids[w] for w in index].__getitem__, stream))
     for k in range(1, order):
         windows = map(operator.add, map(size.__mul__, windows), islice(stream, k, None))
     # a window that ends at a start pad spans two sentences
-    counts = Counter(compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
-    grams = sorted(counts)
-    return NgramModel(order, discount, words, grams, list(map(counts.__getitem__, grams)))
+    windows = sorted(compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
+    # each run of equal windows is one gram, counted by where the runs end
+    ends = array("q", compress(count(1), map(operator.ne, windows,
+                                             chain(islice(windows, 1, None), [-1]))))
+    grams = array("q", map(windows.__getitem__, map((-1).__add__, ends)))
+    stream = windows = None  # freed before the model copies the grams
+    counts = array("q", map(operator.sub, ends, chain([0], ends)))
+    return NgramModel(order, discount, words, grams, counts)
 
 
 def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> SurprisalSequence:
@@ -293,8 +304,8 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     if not sents:
         raise EmptyDocument(f"document {doc.id!r} has no tokens")
     ids, unk, size, n = model.ids, model.ids[UNK], len(model.words), model.order - 1
-    top, miss = model._levels[-1][3], model._p
-    # the packed start history, and the radix that keeps its last n ids
+    (grams, starts, _, probs), miss = model._levels[-1], model._miss
+    # the packed start history, and the radix that keeps its last n ids (g // keep: g's first)
     start, keep = _pack(ids, (BOS,) * n), size ** n
     out = []
     for s in sents:
@@ -302,10 +313,9 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
         values = []
         for tok in s:
             w = ids.get(tok, unk)
-            g = h * size + w
-            p = top.get(g)
-            if p is None:
-                p = miss(h, n, w)
+            f = (g := h * size + w) // keep
+            i = bisect_left(grams, g, lo := starts[f], hi := starts[f + 1])
+            p = probs[i] if i < hi and grams[i] == g else miss(h, n, w, i, lo, hi)
             # max() guards float round-off when p is within an ulp of 1
             values.append(max(0.0, -log(p)))
             h = g % keep

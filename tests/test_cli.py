@@ -612,6 +612,9 @@ MALFORMED_MODELS = {
     "count-string": (2, _set_item("counts", -1, "3")),
     "v3-missing-grams": (2, lambda d: d.pop("grams")),
     "v3-gram-out-of-range": (2, lambda d: d["grams"].__setitem__(-1, len(d["vocab"]) ** 2)),
+    # values the int64 arrays cannot hold
+    "v3-gram-beyond-int64": (2, _set_item("grams", -1, 2 ** 63)),
+    "v3-count-beyond-int64": (2, _set_item("counts", -1, 2 ** 63)),
     "v3-gram-negative": (2, _set_item("grams", 0, -1)),
     "v3-gram-float": (2, _set_item("grams", 0, 0.0)),
     "v3-grams-unsorted": (2, _swap_first_two("grams")),

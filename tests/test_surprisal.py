@@ -6,12 +6,13 @@ import random
 import tempfile
 import tracemalloc
 from array import array
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlmkit import cli
+from hlmkit import cli, surprisal
 from hlmkit.errors import EmptyCorpus, ParseError, ValidationError
 from hlmkit.surprisal import (
     BOS,
@@ -37,6 +38,30 @@ ALPHABET = list("abcdefghij")
 
 def docs_from_sentences(sentences):
     return [Document(id=f"d{i}", text=" ".join(s)) for i, s in enumerate(sentences)]
+
+
+def zipf_docs(seed=10, words=3000, docs=300):
+    """Documents of Zipf-like word frequencies: an order-3 model of them stores 20k+ grams."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(words)]
+    weights = [1 / (r + 1) for r in range(len(vocab))]
+    return [Document(id=f"d{d}", text=" ".join(
+                " ".join(rng.choices(vocab, weights, k=rng.randint(3, 20))) + "."
+                for _ in range(8)))
+            for d in range(docs)]
+
+
+def traced_bytes(build):
+    """What ``build()`` returns, and the traced bytes it peaked at and still holds."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
 
 
 def random_corpus(rng, max_tokens=20, max_vocab=10):
@@ -87,6 +112,24 @@ class TestTrainLm:
     def test_invalid_discount(self, discount):
         with pytest.raises(ValidationError):
             train_lm(docs_from_sentences([["a"]]), order=1, discount=discount)
+
+    def test_peak_and_held_memory_per_gram(self):
+        """Training counts by sorting the packed windows, with no window -> count dict, and
+        the model keeps its grams and counts as int64 arrays: 86-88 traced bytes per
+        stored gram at the peak and 27-29 held (Python 3.10-3.13), where counting with a
+        Counter into tuples read 167-170 and 66-68."""
+        model, peak, held = traced_bytes(lambda: train_lm(zipf_docs(), order=3))
+        stored = len(model_to_dict(model)["grams"])
+        assert stored >= 20_000
+        assert peak / stored < 145 and held / stored < 45
+
+    def test_vocabulary_beyond_int64_packing_is_refused_before_packing(self, monkeypatch):
+        # the real bound needs 2**21 distinct words; a lower one shows where train_lm checks
+        monkeypatch.setattr(surprisal, "_GRAM_LIMIT", 7 ** 3)
+        docs = docs_from_sentences([["a", "b", "c"], ["d"]])  # 7 words with the pads
+        with pytest.raises(ValidationError, match=r"^7 words are too many for order 3"):
+            train_lm(docs, order=3)
+        assert len(model_to_dict(train_lm(docs, order=2))["vocab"]) == 7
 
 
 class TestDistributions:
@@ -146,6 +189,42 @@ _QUERY_WORDS = st.sampled_from(["a", "b", "c", "d", "zz", "qq"])
 # a terminator followed by a capital ends a sentence, so one-token sentences occur.
 _TRAIN_TOKENS = st.sampled_from(["a", "b", "é", "ß", "жук", "中文", "0", "<", "<>", "<unk>",
                                  "</s>", "<s>", "Zed.", "Go!", "c."])
+
+
+class TestModelChecks:
+    """The constructor's checks cost no per-word work beyond the vocabulary itself."""
+
+    def test_vocabulary_beyond_int64_packing_is_refused_first(self):
+        # 2**21 + 3 words: V ** 3 >= 2**63. The size is checked before the vocabulary's
+        # order (this one repeats a word), and before any array is built
+        words = [BOS, EOS, UNK] + ["w"] * 2 ** 21
+        with pytest.raises(ValidationError, match=r"^2097155 words are too many for order 3"):
+            NgramModel(3, 0.75, words, [], [])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            NgramModel(2, 0.75, words, [], [])
+
+    def test_int64_bound_is_exact(self):
+        surprisal._check_packable(2 ** 21 - 1, 3)  # the largest order-3 vocabulary
+        with pytest.raises(ValidationError, match="2097152 words"):
+            surprisal._check_packable(2 ** 21, 3)
+
+    @pytest.mark.parametrize("field, message", [("grams", r"in \[0, 5\*\*2\)"),
+                                                ("counts", r"counts must be below 2\*\*63")])
+    def test_values_beyond_int64_are_refused(self, field, message):
+        dump = model_to_dict(train_lm(docs_from_sentences([["a", "b"]]), order=2))
+        dump[field][-1] = 2 ** 63
+        with pytest.raises(ValidationError, match=message):
+            NgramModel(2, 0.75, dump["vocab"], dump["grams"], dump["counts"])
+
+    def test_history_check_builds_nothing_per_word(self):
+        """An order-3 model of 200k words and no grams: the history check makes one pass
+        over the stored grams, so the build holds only the vocabulary's tuple and index
+        (90-111 traced bytes per word, as at order 2). It bisected two windows per word,
+        and peaked at 290-304."""
+        words = sorted([BOS, EOS, UNK] + [f"w{i:06d}" for i in range(200_000)])
+        model, peak, _ = traced_bytes(lambda: NgramModel(3, 0.75, words, [], []))
+        assert model.prob("w000001", ("w000002", "w000003")) == 1 / (len(words) - 1)
+        assert peak / len(words) < 120
 
 
 class TestTrainOracle:
@@ -255,10 +334,59 @@ class TestMissPath:
     def test_lower_orders_hold_only_arrays(self, order):
         model = train_lm(docs_from_sentences([["a", "b", "a"], ["b", "c"]]), order=order)
         model.prob("a", ("b",))
-        *lower, top = model._levels
-        assert len(lower) == order - 1 and isinstance(top[-1], dict)
-        for level in lower:
-            assert all(isinstance(part, array) for part in level), level
+        # every order, the top one too: sorted grams, first-id starts, backoffs, p; no dict
+        assert len(model._levels) == order
+        for level in model._levels:
+            assert [type(part) for part in level] == [array] * 4, level
+            assert [part.typecode for part in level] == ["q", "q", "d", "d"]
+        assert model._levels[-1][0] is model._grams
+
+
+class TestInsertionPoint:
+    """A top-order miss reuses the point where its one search stopped: the history's
+    backoff is read at ``grams[i]`` or ``grams[i - 1]``. Every gram missed at each
+    position scores as ``prob()`` and the naive oracle give."""
+
+    # "e" only ends sentences, so at order 3 no gram starts with it; "zz" is unseen
+    SENTENCES = [["b", "c", "b"], ["c", "d", "b", "c"], ["d", "e"], ["b", "d", "d", "c", "e"],
+                 ["c", "c", "b", "d"]]
+    WORDS = ["b", "c", "d", "e", "zz"]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_missed_grams_at_every_position(self, order):
+        model = train_lm(docs_from_sentences(self.SENTENCES), order=order)
+        grams, starts, _, _ = model._levels[-1]
+        size, n, index = len(model.words), order - 1, model.ids
+        contexts = [(BOS,) * (n - k) + tail for k in range(n + 1)
+                    for tail in itertools.product(self.WORDS, repeat=k)]
+        positions = set()
+        for ctx in contexts:
+            h = 0
+            for t in ctx:
+                h = h * size + index.get(t, index[UNK])
+            for w in self.WORDS:
+                g = h * size + index.get(w, index[UNK])
+                lo, hi = starts[g // size ** n], starts[g // size ** n + 1]
+                i = bisect_left(grams, g, lo, hi)
+                if i < hi and grams[i] == g:
+                    continue
+                if i == len(grams):
+                    positions.add("past the last gram")
+                if lo < i and grams[i - 1] // size == h != (grams[i] // size if i < hi else -1):
+                    positions.add("end of the history's run")
+                if n and i == lo < hi and grams[i] // size == h:
+                    positions.add("first history of the block, i == lo")
+                if n and lo < i == hi and grams[i - 1] // size == h:
+                    positions.add("last history of the block, i == hi")
+                positions.add("miss")
+                doc = Document(id="q", text=" ".join([t for t in ctx if t != BOS] + [w]))
+                got = token_surprisals(model, doc).values[-1]
+                assert got == -math.log2(model.prob(w, ctx)), (ctx, w)
+                want = kn_prob(self.SENTENCES, order, 0.75, w, ctx)
+                assert got == pytest.approx(-math.log2(want), abs=1e-12), (ctx, w)
+        assert positions == ({"miss"} if order == 1 else {
+            "miss", "past the last gram", "end of the history's run",
+            "first history of the block, i == lo", "last history of the block, i == hi"})
 
 
 class TestCorpusIndependence:
@@ -511,31 +639,23 @@ class TestPersistence:
         assert model_to_dict(model) == before
 
     def test_load_peak_memory_per_stored_gram(self, tmp_path):
-        """Loading a model and deriving its tables keep one copy of the grams,
-        and only the top order in a dict: the traced peak is 191-193 bytes per
-        stored gram on Python 3.10-3.13. It was 285-289 while every order's
-        tables were dicts, and 411-414 while the model also kept a gram -> count
-        dict beside per-history total and type dicts."""
-        rng = random.Random(10)
-        vocab = [f"w{i}" for i in range(3000)]
-        weights = [1 / (r + 1) for r in range(len(vocab))]  # Zipf-like word frequencies
-        docs = [Document(id=f"d{d}", text=" ".join(
-                    " ".join(rng.choices(vocab, weights, k=rng.randint(3, 20))) + "."
-                    for _ in range(8)))
-                for d in range(300)]
+        """Loading a model and deriving its tables keep one copy of the grams, and
+        every order in arrays: the traced peak is 121-124 bytes per stored gram on
+        Python 3.10-3.13, and the model holds 65-67 after its first query. They were
+        191-193 and 165-168 while the top order was a gram -> p dict, 285-289 at the
+        peak while every order's tables were dicts, and 411-414 while the model also
+        kept a gram -> count dict beside per-history total and type dicts."""
         path = tmp_path / "m.json"
-        save_model(train_lm(docs, order=3), path)
+        save_model(train_lm(zipf_docs(), order=3), path)
         stored = len(json.loads(path.read_text())["grams"])
         assert stored >= 20_000
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            load_model(path).prob("w1", ("w2",))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak / stored < 230
+
+        def load_and_query():
+            model = load_model(path)
+            model.prob("w1", ("w2",))
+            return model
+        _, peak, held = traced_bytes(load_and_query)
+        assert peak / stored < 160 and held / stored < 100
 
     def test_counts_view_is_a_copy(self):
         model = train_lm(docs_from_sentences([["a", "b", "a"]]), order=2)
