@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("DegenerateStats", "EmptyCorpus", "EmptyDocument", "HlmkitError",
-               "IncompleteDataWarning", "MissingKey", "MissingScore", "MissingSurprisal",
-               "ParseError", "TooSmall", "ValidationError"),
+               "IncompleteDataWarning", "MissingScore", "MissingSurprisal", "ParseError",
+               "TooSmall", "ValidationError"),
     "experiment": ("Schedule", "TrainingLog", "TransferMatrix", "convergence_ratio",
                    "make_schedule", "seeded_shuffle", "transfer_scores"),
     "hlm": ("HlmReport", "PerformanceCube", "PerformanceTriplet", "cell_value",
-            "compute_report", "index", "load_cube_csv", "logical_score"),
+            "compute_report", "load_cube_csv", "logical_score"),
     "splitkit": ("DifficultyScore", "DifficultySplit", "Providers", "score_corpus",
                  "tertile_split"),
     "surprisal": ("NgramModel", "SurprisalSequence", "import_surprisals", "load_model",

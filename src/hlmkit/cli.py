@@ -177,6 +177,10 @@ def _report_heatmap_data(i_model, i_task, i_criteria, cells):
     (model, criterion) pair of each cell row, from the three index dicts and
     (task, criterion, model, value) cells; a cell is found by names, not label."""
     models, tasks, criteria = sorted(i_model), sorted(i_task), sorted(i_criteria)
+    height, width = (len(models) + 1) * (len(criteria) + 1), len(tasks) + 1
+    if height * width > 16 * max(1, len(cells)):
+        raise ValidationError(f"a heatmap of {height} rows x {width} columns is too sparse for "
+                              f"{len(cells)} cells (at most 16 positions per cell)")
     pairs = [(m, c) for m in models for c in criteria]
     values = {(model, criterion, task): v for task, criterion, model, v in cells}
     rows = ([f"{m}/{c}" for m, c in pairs] + ["I_task"] + [f"I_model {m}" for m in models]
@@ -194,11 +198,11 @@ def cmd_hlm(args, cfg: _Config) -> int:
     _require_files(cube_path)
     # no name holds the cube, so it is freed before the outputs are built
     report = hlm.compute_report(hlm.load_cube_csv(cube_path), ddof=std_ddof)
-    _dump_json(hlm.report_to_dict(report), args.output)
-    if args.heatmap_csv or args.heatmap_svg:
+    if args.heatmap_csv or args.heatmap_svg:  # its size check runs before anything is written
         rows, cols, grid, pairs = _report_heatmap_data(
             report.i_model, report.i_task, report.i_criteria,
             [(c.task, c.criterion, c.model, c.value) for c in report.cells])
+    _dump_json(hlm.report_to_dict(report), args.output)
     if args.heatmap_csv:
         _write_csv(args.heatmap_csv, [["model", "criterion"] + cols[:-1]] + [
             [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)

@@ -58,9 +58,5 @@ class TooSmall(HlmkitError):
     """Too few documents to split into three difficulty levels."""
 
 
-class MissingKey(HlmkitError):
-    """A performance cube has no cells for the requested key."""
-
-
 class IncompleteDataWarning(UserWarning):
     """Emitted when sparse input data forces cells or groups to be skipped."""

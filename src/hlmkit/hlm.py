@@ -34,14 +34,13 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ._files import INT, LIST, NUMBER, OBJECT, STRING, csv_rows, fields
-from .errors import IncompleteDataWarning, MissingKey, ParseError, ValidationError
+from .errors import IncompleteDataWarning, ParseError, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
 _EVAL_LEVELS = LEVELS + ("full",)
 # one shared (train_level, eval_level) key per valid pair, so no cube row keeps its own copy
 _LEVEL_PAIRS = {pair: pair for pair in itertools.product(LEVELS, _EVAL_LEVELS)}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-AXES = ("model", "task", "criterion")
 
 CUBE_COLUMNS = (
     "task", "criterion", "model", "train_level", "eval_level",
@@ -155,12 +154,6 @@ class PerformanceCube:
         if not self.cells and not self.eval_groups:
             raise ValidationError("performance cube is empty")
 
-    def triplet(self, task: str, criterion: str, model: str) -> PerformanceTriplet:
-        try:
-            return self.cells[(task, criterion, model)]
-        except KeyError:
-            raise MissingKey(f"no cell for ({task!r}, {criterion!r}, {model!r})") from None
-
 
 def warn_skipped(message: str, keys: Iterable) -> None:
     """One IncompleteDataWarning: ``message``, then the first 10 of ``keys``
@@ -168,21 +161,6 @@ def warn_skipped(message: str, keys: Iterable) -> None:
     shown = list(itertools.islice(keys, 10))
     warnings.warn(f"{message}, the first {len(shown)} in sorted order: {shown}",
                   IncompleteDataWarning, stacklevel=3)
-
-
-def _axis_selector(axis: str):
-    if axis not in AXES:
-        raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
-    return {"task": 0, "criterion": 1, "model": 2}[axis]
-
-
-def index(cube: PerformanceCube, axis: str, key: str, ddof: int = 0) -> float:
-    """Mean cell value over all cube cells sharing ``key`` on ``axis``."""
-    pos = _axis_selector(axis)
-    values = [cell_value(t, ddof) for k, t in sorted(cube.cells.items()) if k[pos] == key]
-    if not values:
-        raise MissingKey(f"no cells for {axis}={key!r}")
-    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -213,7 +191,7 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     Cells absent from the full task x criterion x model cross product are
     skipped with a warning that gives their count and the first few of them,
     and the per-key divisor shrinks accordingly, so partial cubes still
-    produce a report. Each index equals :func:`index` for its key.
+    produce a report.
     """
     _check_ddof(ddof)
     breakdown = []
@@ -268,10 +246,13 @@ def report_values(data: dict, numbers: tuple[str, ...] = ("value",)):
     each cell's task, criterion, model and ``numbers`` keys; no other key is read."""
     *axes, cells = fields(data, {"i_model": OBJECT, "i_task": OBJECT, "i_criteria": OBJECT,
                                  "cells": LIST})
-    spec = {"task": STRING, "criterion": STRING, "model": STRING,
-            **dict.fromkeys(numbers, NUMBER)}
-    return (*(dict(zip(axis, fields(axis, dict.fromkeys(axis, NUMBER)))) for axis in axes),
-            [fields(c, spec) for c in cells])
+    spec = {"task": STRING, "criterion": STRING, "model": STRING, **dict.fromkeys(numbers, NUMBER)}
+    i_model, i_task, i_criteria = (dict(zip(a, fields(a, dict.fromkeys(a, NUMBER)))) for a in axes)
+    cells = [fields(c, spec) for c in cells]
+    keys = {(t, c, m) for t, c, m, *_ in cells if t in i_task and c in i_criteria and m in i_model}
+    if len(keys) < len(cells):
+        raise ValidationError("a cell key repeats, or is not in i_task x i_criteria x i_model")
+    return i_model, i_task, i_criteria, cells
 
 
 # ---------------------------------------------------------------------------

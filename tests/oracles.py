@@ -114,6 +114,13 @@ def cell_formula(easy: float, medium: float, hard: float, higher_is_better: bool
     return s + 0.25 * (1 if s > 0 else -1) / (1 + math.exp(-std))
 
 
+def axis_index(values: dict, axis: int, key: str) -> float:
+    """Mean of the cell values whose (task, criterion, model) key holds ``key``
+    at position ``axis``: their exact fsum over their count."""
+    matched = [v for k, v in values.items() if k[axis] == key]
+    return math.fsum(matched) / len(matched)
+
+
 def exact_std(values, ddof: int = 0) -> float:
     """Standard deviation from the exact Fraction variance: its square root in
     Decimal at 60 digits, then rounded to a float (inf beyond the float range)."""

@@ -62,9 +62,9 @@ def test_c01_reference_ordering_reproduction():
             want = ordering_score(t.easy, t.medium, t.hard, t.higher_is_better)
             assert logical_score(t) == want, (task, crit, model)
         # spot anchors, checked by hand against the published table
-        assert logical_score(cube.triplet("SST2", "flesch", "BERT")) == 0.0
-        assert logical_score(cube.triplet("ROC", "uid_sl", "LSTM")) == 0.375
-        assert logical_score(cube.triplet("WT2", "flesch", "BERT")) == -0.75
+        assert logical_score(cube.cells[("SST2", "flesch", "BERT")]) == 0.0
+        assert logical_score(cube.cells[("ROC", "uid_sl", "LSTM")]) == 0.375
+        assert logical_score(cube.cells[("WT2", "flesch", "BERT")]) == -0.75
         assert time.perf_counter() - start < 1.0
 
 
@@ -74,9 +74,9 @@ def test_c02_extreme_cells_of_reference_heatmap():
         cube = load_cube_csv(reference_performance_path())
         for crit in ("uid_sl", "uid_var", "neural"):
             for model in ("BERT", "LSTM"):
-                v = cell_value(cube.triplet("WT2", crit, model))
+                v = cell_value(cube.cells[("WT2", crit, model)])
                 assert v >= 0.99, (crit, model, v)
-        assert cell_value(cube.triplet("WT2", "flesch", "BERT")) <= -0.99
+        assert cell_value(cube.cells[("WT2", "flesch", "BERT")]) <= -0.99
         assert time.perf_counter() - start < 1.0
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -881,6 +882,67 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert main(args + [OUTPUT_FLAG.get(args[0], "-o"), str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ParseError: ")
     assert not out.exists()
+
+
+def _diagonal_cube(tmp, n=50):
+    """A cube whose cell i is (t_i, c_i, m_i): n cells on an n x n x n grid."""
+    cube = tmp / "cube.csv"
+    cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
+        f"t{i:02d},c{i:02d},m{i:02d},{tr},full,accuracy,{v},true\n"
+        for i in range(n) for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
+    return str(cube)
+
+
+def _heatmap_of(report):
+    return ["report", "--hlm-report", str(report),
+            "--heatmap-out", str(report.with_name("heatmap.svg"))]
+
+
+def _report_of(tmp, cells, models=None):
+    """Argv of ``report`` on a report file of (task, criterion, model, value)
+    cells, whose index dicts name the cells' tasks, criteria and ``models``."""
+    def index(names):
+        return dict.fromkeys(sorted(set(names)), 0.5)
+    report = tmp / "report.json"
+    report.write_text(json.dumps({
+        "i_task": index(c[0] for c in cells), "i_criteria": index(c[1] for c in cells),
+        "i_model": index(models or [c[2] for c in cells]), "std_ddof": 0,
+        "cells": [dict(zip(("task", "criterion", "model", "value"), c)) for c in cells]}))
+    return _heatmap_of(report)
+
+
+def _report_of_diagonal_cube(tmp):
+    report = tmp / "report.json"
+    assert main(["hlm", "--cube", _diagonal_cube(tmp), "-o", str(report)]) == 0
+    return _heatmap_of(report)
+
+
+# argv of a command whose inputs are well formed but refused: a heatmap with far
+# more grid positions than cells, or report cells the index dicts do not match
+REFUSED_INPUTS = {
+    "hlm-heatmap-of-diagonal-cube": lambda tmp: [
+        "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
+        "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")],
+    "report-heatmap-of-diagonal-cube": _report_of_diagonal_cube,
+    "report-repeated-cell-key": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.9), ("t", "c", "m", -0.9)]),
+    "report-cell-outside-the-index": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.9), ("t", "c", "ghost", 0.5)], models=["m"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::hlmkit.errors.IncompleteDataWarning")
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_refused_input_exit_2_and_writes_nothing(tmp_path, capsys, case):
+    argv = REFUSED_INPUTS[case](tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 def test_lone_surrogate_in_input_exit_2(tmp_path, capsys):

@@ -9,24 +9,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hlmkit.data import reference_performance_path
-from hlmkit.errors import (
-    IncompleteDataWarning,
-    MissingKey,
-    ParseError,
-    ValidationError,
-)
+from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.hlm import (
     PerformanceCube,
     PerformanceTriplet,
     cell_value,
     compute_report,
-    index,
     load_cube_csv,
     logical_score,
     report_to_dict,
     triplet_std,
 )
-from oracles import cell_formula, exact_std, ordering_score
+from oracles import axis_index, cell_formula, exact_std, ordering_score
 
 # frozen from the population-std oracle: 0.75 + 0.25 * sigmoid(sqrt(0.02 / 3))
 DESCENDING_CELL = 0.8801002704619898
@@ -55,9 +49,9 @@ _STD_VALUES = st.one_of(
 
 class TestLogicalScore:
     def test_reference_spot_anchors(self, reference_cube):
-        assert logical_score(reference_cube.triplet("SST2", "flesch", "BERT")) == 0.0
-        assert logical_score(reference_cube.triplet("ROC", "uid_sl", "LSTM")) == 0.375
-        assert logical_score(reference_cube.triplet("WT2", "flesch", "BERT")) == -0.75
+        assert logical_score(reference_cube.cells[("SST2", "flesch", "BERT")]) == 0.0
+        assert logical_score(reference_cube.cells[("ROC", "uid_sl", "LSTM")]) == 0.375
+        assert logical_score(reference_cube.cells[("WT2", "flesch", "BERT")]) == -0.75
 
     @pytest.mark.parametrize("triplet,expected", [
         ((3.0, 2.0, 1.0), 0.75),
@@ -121,9 +115,9 @@ class TestCellValue:
         assert cell_value(PerformanceTriplet(3.3, 3.3, 3.3)) == 0.0
 
     def test_perplexity_cell_saturates_near_one(self, reference_cube):
-        got = cell_value(reference_cube.triplet("WT2", "uid_sl", "BERT"))
+        got = cell_value(reference_cube.cells[("WT2", "uid_sl", "BERT")])
         assert got == pytest.approx(1.0, abs=1e-3)
-        assert logical_score(reference_cube.triplet("WT2", "uid_sl", "BERT")) == 0.75
+        assert logical_score(reference_cube.cells[("WT2", "uid_sl", "BERT")]) == 0.75
 
     def test_sign_matches_logical_score(self):
         rng = random.Random(23)
@@ -179,31 +173,22 @@ class TestCellValue:
 
 class TestIndex:
     def test_single_cell_cube(self):
-        cube = PerformanceCube({("t1", "flesch", "m1"): PerformanceTriplet(0.9, 0.8, 0.7)})
-        for axis, key in (("task", "t1"), ("criterion", "flesch"), ("model", "m1")):
-            assert index(cube, axis, key) == pytest.approx(DESCENDING_CELL, abs=1e-12)
+        report = compute_report(
+            PerformanceCube({("t1", "flesch", "m1"): PerformanceTriplet(0.9, 0.8, 0.7)}))
+        for got in (report.i_task["t1"], report.i_criteria["flesch"], report.i_model["m1"]):
+            assert got == pytest.approx(DESCENDING_CELL, abs=1e-12)
 
     def test_opposite_cells_cancel(self):
         cube = PerformanceCube({
             ("t1", "c1", "m1"): PerformanceTriplet(0.9, 0.8, 0.7),
             ("t2", "c1", "m1"): PerformanceTriplet(0.7, 0.8, 0.9),
         })
-        assert index(cube, "model", "m1") == pytest.approx(0.0, abs=1e-15)
+        assert compute_report(cube).i_model["m1"] == pytest.approx(0.0, abs=1e-15)
 
     def test_wt2_task_index_restricted_to_uid_sl(self, reference_cube):
-        cells = {("WT2", "uid_sl", m): reference_cube.triplet("WT2", "uid_sl", m)
+        cells = {("WT2", "uid_sl", m): reference_cube.cells[("WT2", "uid_sl", m)]
                  for m in ("BERT", "LSTM")}
-        assert index(PerformanceCube(cells), "task", "WT2") == pytest.approx(1.0, abs=1e-3)
-
-    def test_missing_key(self):
-        cube = PerformanceCube({("t1", "c1", "m1"): PerformanceTriplet(1, 2, 3)})
-        with pytest.raises(MissingKey):
-            index(cube, "model", "nope")
-
-    def test_bad_axis(self):
-        cube = PerformanceCube({("t1", "c1", "m1"): PerformanceTriplet(1, 2, 3)})
-        with pytest.raises(ValidationError):
-            index(cube, "direction", "m1")
+        assert compute_report(PerformanceCube(cells)).i_task["WT2"] == pytest.approx(1.0, abs=1e-3)
 
 
 class TestComputeReport:
@@ -224,9 +209,9 @@ class TestComputeReport:
         # both models, and anti-human-like under flesch
         for criterion in ("uid_sl", "uid_var", "neural"):
             for model in ("BERT", "LSTM"):
-                assert logical_score(reference_cube.triplet("WT2", criterion, model)) == 0.75
+                assert logical_score(reference_cube.cells[("WT2", criterion, model)]) == 0.75
         for model in ("BERT", "LSTM"):
-            assert logical_score(reference_cube.triplet("WT2", "flesch", model)) == -0.75
+            assert logical_score(reference_cube.cells[("WT2", "flesch", model)]) == -0.75
 
     def test_sparse_cube_warns_and_averages_present_cells(self):
         triplet = PerformanceTriplet(0.9, 0.8, 0.7)
@@ -276,7 +261,7 @@ _CELLS = st.lists(
 
 
 class TestReportMatchesIndex:
-    """The one-pass report agrees exactly with index() and cell_value()."""
+    """The one-pass report agrees exactly with the axis_index oracle and cell_value()."""
 
     @settings(max_examples=150, deadline=None)
     @given(cells=_CELLS, ddof=st.sampled_from([0, 1]))
@@ -286,14 +271,14 @@ class TestReportMatchesIndex:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = compute_report(cube, ddof)
-        for axis, pos, got in (("task", 0, report.i_task), ("criterion", 1, report.i_criteria),
-                               ("model", 2, report.i_model)):
+        values = {key: cell_value(t, ddof) for key, t in cube.cells.items()}
+        for pos, got in enumerate((report.i_task, report.i_criteria, report.i_model)):
             assert list(got) == sorted({key[pos] for key, _ in cells})
             for key, value in got.items():
-                assert value == index(cube, axis, key, ddof)
+                assert value == axis_index(values, pos, key)
         assert [(c.task, c.criterion, c.model) for c in report.cells] == sorted(cube.cells)
         for c in report.cells:
-            assert c.value == cell_value(cube.triplet(c.task, c.criterion, c.model), ddof)
+            assert c.value == values[(c.task, c.criterion, c.model)]
 
         missing = sorted(
             set(itertools.product(report.i_task, report.i_criteria, report.i_model))
@@ -324,7 +309,7 @@ class TestCubeCsv:
             "t1,c1,m1,hard,full,accuracy,0.7,true\n",
         )
         cube = load_cube_csv(path)
-        assert cube.triplet("t1", "c1", "m1") == PerformanceTriplet(0.9, 0.8, 0.7, True)
+        assert cube.cells[("t1", "c1", "m1")] == PerformanceTriplet(0.9, 0.8, 0.7, True)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "cube.csv"
@@ -427,7 +412,7 @@ class TestCubeCsv:
         body = "".join(f"t1,c1,m1,{tr},full,accuracy,0.5,{raw}\n"
                        for tr in ("easy", "medium", "hard"))
         cube = load_cube_csv(self.write(tmp_path, body))
-        assert cube.triplet("t1", "c1", "m1").higher_is_better is expected
+        assert cube.cells[("t1", "c1", "m1")].higher_is_better is expected
 
     def test_bad_boolean(self, tmp_path):
         path = self.write(tmp_path, "t1,c1,m1,easy,full,accuracy,0.9, maybe \n")
@@ -444,7 +429,7 @@ class TestCubeCsv:
             "t1,c1,m1,medium,full,accuracy,0.8,true\n"
             "t1,c1,m1,hard,full,accuracy,0.7,true\n",
         )
-        assert load_cube_csv(path).triplet("t1", "c1", "m1") == PerformanceTriplet(0.9, 0.8, 0.7)
+        assert load_cube_csv(path).cells[("t1", "c1", "m1")] == PerformanceTriplet(0.9, 0.8, 0.7)
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         path = self.write(

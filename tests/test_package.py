@@ -70,16 +70,23 @@ def test_every_public_name_is_its_modules_object():
         "ns = {}\n"
         "exec('from hlmkit import *', ns)\n"
         "print(json.dumps([first, sorted(set(hlmkit.__all__) - set(ns))]))") == [[], []]
-    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 50
+    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 48
 
 
 @pytest.mark.parametrize("module, name", [
     ("uid", "UidSlConfig"), ("uid", "UidVarConfig"), ("uid", "sentence_averaged"),
-    ("splitkit", "NeuralScore"), ("hlm", "CubeCell")])
+    ("splitkit", "NeuralScore"), ("hlm", "CubeCell"), ("hlm", "index"), ("hlm", "AXES"),
+    ("errors", "MissingKey")])
 def test_plain_values_replace_the_deleted_records(module, name):
-    # k and mu_lang are floats, a neural row is a DifficultyScore and a cube a mapping
+    # k and mu_lang are floats, a neural row is a DifficultyScore, a cube a mapping,
+    # and an index is read from compute_report(cube).i_model, .i_task or .i_criteria
     assert not hasattr(hlmkit, name)
     assert not hasattr(importlib.import_module(f"hlmkit.{module}"), name)
+
+
+def test_cube_cells_replace_triplet():
+    # a cell is read as cube.cells[(task, criterion, model)]
+    assert not hasattr(hlmkit.PerformanceCube, "triplet")
 
 
 def test_unknown_name_raises_attribute_error():
