@@ -64,14 +64,6 @@ class _Config:
         })
 
 
-def _require_files(*paths):
-    """Check that every input path exists before any work begins. A pipe such as
-    ``/dev/stdin`` is an input too; a directory fails with exit 3 when it is opened."""
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise FileNotFoundError(f"input file not found: {p}")
-
-
 def _dump_json(data: dict, path: str) -> None:
     with atomic_write(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
@@ -102,7 +94,6 @@ def cmd_score(args, cfg: _Config) -> int:
     mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", uid.DEFAULT_MU_LANG, float)
     base = cfg.resolve(args.base, "score", "base", surprisal.SurprisalSequence.base, str)
     per_sentence = cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool)
-    _require_files(args.corpus, args.model, args.surprisals, args.neural_scores)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(
         lm=surprisal.load_model(args.model) if args.model else None,
@@ -126,7 +117,6 @@ def cmd_score(args, cfg: _Config) -> int:
 
 
 def cmd_split(args, cfg: _Config) -> int:
-    _require_files(args.scores)
     scores = splitkit.scores_from_jsonl(args.scores)
     split = splitkit.tertile_split(scores)
     _dump_json(splitkit.split_to_dict(split), args.output)
@@ -143,7 +133,6 @@ def cmd_split(args, cfg: _Config) -> int:
 def cmd_lm_train(args, cfg: _Config) -> int:
     order = cfg.resolve(args.order, "lm-train", "order", surprisal.DEFAULT_ORDER, int)
     discount = cfg.resolve(args.discount, "lm-train", "discount", surprisal.DEFAULT_DISCOUNT, float)
-    _require_files(args.corpus)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.train_lm(corpus, order=order, discount=discount)
     surprisal.save_model(model, args.output)
@@ -158,7 +147,6 @@ def cmd_lm_train(args, cfg: _Config) -> int:
 def cmd_surprisal(args, cfg: _Config) -> int:
     base = cfg.resolve(args.base, "surprisal", "base", surprisal.SurprisalSequence.base, str)
     per_sentence = cfg.resolve(args.per_sentence, "surprisal", "per_sentence", False, bool)
-    _require_files(args.corpus, args.model)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.load_model(args.model)
     if per_sentence:
@@ -195,22 +183,22 @@ def _report_heatmap_data(i_model, i_task, i_criteria, cells):
 def cmd_hlm(args, cfg: _Config) -> int:
     std_ddof = cfg.resolve(args.std_ddof, "hlm", "std_ddof", 0, int)
     cube_path = args.cube or str(reference_performance_path())
-    _require_files(cube_path)
     # no name holds the cube, so it is freed before the outputs are built
     report = hlm.compute_report(hlm.load_cube_csv(cube_path), ddof=std_ddof)
-    if args.heatmap_csv or args.heatmap_svg:  # its size check runs before anything is written
+    if args.heatmap_csv or args.heatmap_svg:  # checked, and rendered, before any write
         rows, cols, grid, pairs = _report_heatmap_data(
             report.i_model, report.i_task, report.i_criteria,
             [(c.task, c.criterion, c.model, c.value) for c in report.cells])
+    heatmap = svg.heatmap_svg(rows, cols, grid, title="HLM index") if args.heatmap_svg else None
     _dump_json(hlm.report_to_dict(report), args.output)
     if args.heatmap_csv:
         _write_csv(args.heatmap_csv, [["model", "criterion"] + cols[:-1]] + [
             [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
         ])
     if args.heatmap_svg:
-        _write_text(args.heatmap_svg, svg.heatmap_svg(rows, cols, grid, title="HLM index"))
+        _write_text(args.heatmap_svg, heatmap)
     if args.validate:
-        if hlm.report_from_dict(read_json(args.output)) != report:
+        if read_json(args.output) != hlm.report_to_dict(report):
             raise ValidationError("report did not round-trip")
         if args.heatmap_svg:
             _check_svg(args.heatmap_svg)
@@ -220,7 +208,6 @@ def cmd_hlm(args, cfg: _Config) -> int:
 
 def cmd_schedule(args, cfg: _Config) -> int:
     seed = cfg.resolve(args.seed, "schedule", "seed", None, int)
-    _require_files(args.split)
     split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, seed)
     _dump_json(experiment.schedule_to_dict(schedule), args.output)
@@ -235,12 +222,11 @@ def cmd_schedule(args, cfg: _Config) -> int:
 def cmd_converge(args, cfg: _Config) -> int:
     epsilon_rel = cfg.resolve(args.epsilon, "converge", "epsilon_rel",
                               experiment.DEFAULT_EPSILON_REL, float)
-    _require_files(args.log, args.manifest)
+    if args.manifest:  # read even when a flag wins, so that a bad manifest is refused
+        (direction,) = fields(read_json(args.manifest), {"higher_is_better": BOOL})
     if args.higher_is_better is not None:
         direction = args.higher_is_better
-    elif args.manifest:
-        (direction,) = fields(read_json(args.manifest), {"higher_is_better": BOOL})
-    else:
+    elif not args.manifest:
         raise ValidationError(
             "metric direction required: pass --higher-is-better/--lower-is-better "
             "or a --manifest file"
@@ -257,7 +243,6 @@ def cmd_converge(args, cfg: _Config) -> int:
 
 
 def cmd_transfer(args, cfg: _Config) -> int:
-    _require_files(args.cube)
     cube = hlm.load_cube_csv(args.cube)
     matrix = experiment.transfer_scores(cube)
     _dump_json(experiment.transfer_to_dict(matrix), args.output)
@@ -276,34 +261,32 @@ def cmd_transfer(args, cfg: _Config) -> int:
 def cmd_report(args, cfg: _Config) -> int:
     if not args.hlm_report and not args.curves:
         raise ValidationError("nothing to render: pass --hlm-report and/or --curves")
-    wrote = []
+    if args.hlm_report and not args.heatmap_out:
+        raise ValidationError("--hlm-report requires --heatmap-out")
+    if args.curves and not args.curves_out:
+        raise ValidationError("--curves requires --curves-out")
+    labels = args.labels or [Path(p).stem for p in args.curves or ()]
+    if args.curves and len(labels) != len(args.curves):
+        raise ValidationError("--labels must match the number of --curves files")
+    outputs = []  # (path, SVG text): both are rendered before either is written
     if args.hlm_report:
-        _require_files(args.hlm_report)
-        if not args.heatmap_out:
-            raise ValidationError("--hlm-report requires --heatmap-out")
         rows, cols, grid, _ = _report_heatmap_data(
             *hlm.report_values(read_json(args.hlm_report)))
-        _write_text(args.heatmap_out, svg.heatmap_svg(rows, cols, grid, title="HLM index"))
-        wrote.append(args.heatmap_out)
+        outputs.append((args.heatmap_out, svg.heatmap_svg(rows, cols, grid, title="HLM index")))
     if args.curves:
-        _require_files(*args.curves)
-        if not args.curves_out:
-            raise ValidationError("--curves requires --curves-out")
-        labels = args.labels or [Path(p).stem for p in args.curves]
-        if len(labels) != len(args.curves):
-            raise ValidationError("--labels must match the number of --curves files")
         series = []
         for label, path in zip(labels, args.curves):
             # direction does not matter for plotting; use the default
             log = experiment.load_training_log(path, higher_is_better=True)
             series.append((label, [(float(s), v) for s, v in log.steps]))
-        _write_text(args.curves_out, svg.curves_svg(
-            series, title="Learning curves", x_label="step", y_label="dev metric"))
-        wrote.append(args.curves_out)
+        outputs.append((args.curves_out, svg.curves_svg(
+            series, title="Learning curves", x_label="step", y_label="dev metric")))
+    for path, text in outputs:
+        _write_text(path, text)
     if args.validate:
-        for path in wrote:
+        for path, _ in outputs:
             _check_svg(path)
-    print(f"wrote {', '.join(wrote)}")
+    print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0
 
 

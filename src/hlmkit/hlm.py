@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._files import INT, LIST, NUMBER, OBJECT, STRING, csv_rows, fields
+from ._files import LIST, NUMBER, OBJECT, STRING, csv_rows, fields
 from .errors import IncompleteDataWarning, ParseError, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
@@ -185,6 +185,17 @@ class HlmReport:
     std_ddof: int = 0
 
 
+def _axis_means(cells: Iterable[tuple[str, str, str, float]]):
+    """The i_task, i_criteria and i_model dicts of (task, criterion, model,
+    value) cells: each name maps to the fsum of its values over their count,
+    in sorted name order."""
+    groups: tuple[dict[str, list[float]], ...] = ({}, {}, {})  # task, criterion, model
+    for *key, value in cells:
+        for axis_groups, k in zip(groups, key):
+            axis_groups.setdefault(k, []).append(value)
+    return tuple({k: math.fsum(v) / len(v) for k, v in sorted(g.items())} for g in groups)
+
+
 def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     """Compute all three index families over a cube in one pass.
 
@@ -195,22 +206,19 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     """
     _check_ddof(ddof)
     breakdown = []
-    groups: tuple[dict[str, list[float]], ...] = ({}, {}, {})  # task, criterion, model
     for key, t in sorted(cube.cells.items()):
         try:
             s, std, sig, value = _cell_terms(t, ddof)
         except ValidationError as e:
             raise ValidationError(f"cell {key}: {e}") from None
         breakdown.append(CellBreakdown(*key, s=s, std=std, sigmoid=sig, value=value))
-        for axis_groups, k in zip(groups, key):
-            axis_groups.setdefault(k, []).append(value)
-    tasks, criteria, models = (sorted(g) for g in groups)
-    n_missing = len(tasks) * len(criteria) * len(models) - len(cube.cells)
+    i_task, i_criteria, i_model = _axis_means(
+        (c.task, c.criterion, c.model, c.value) for c in breakdown)
+    n_missing = len(i_task) * len(i_criteria) * len(i_model) - len(cube.cells)
     if n_missing:
         warn_skipped(f"cube is sparse; skipping {n_missing} missing cells",
-                     (k for k in itertools.product(tasks, criteria, models) if k not in cube.cells))
-    i_task, i_criteria, i_model = ({k: math.fsum(v) / len(v) for k, v in sorted(g.items())}
-                                   for g in groups)
+                     (k for k in itertools.product(i_task, i_criteria, i_model)
+                      if k not in cube.cells))
     return HlmReport(
         i_model=i_model,
         i_task=i_task,
@@ -234,24 +242,19 @@ def report_to_dict(report: HlmReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> HlmReport:
-    """Read back the JSON that :func:`report_to_dict` writes, checking every type."""
-    (std_ddof,) = fields(data, {"std_ddof": INT})
-    *indices, cells = report_values(data, ("s", "std", "sigmoid", "value"))
-    return HlmReport(*indices, cells=tuple(CellBreakdown(*c) for c in cells), std_ddof=std_ddof)
-
-
-def report_values(data: dict, numbers: tuple[str, ...] = ("value",)):
+def report_values(data: dict):
     """The i_model, i_task and i_criteria dicts of a report dict, then a list of
-    each cell's task, criterion, model and ``numbers`` keys; no other key is read."""
+    each cell's task, criterion, model and value; no other key is read."""
     *axes, cells = fields(data, {"i_model": OBJECT, "i_task": OBJECT, "i_criteria": OBJECT,
                                  "cells": LIST})
-    spec = {"task": STRING, "criterion": STRING, "model": STRING, **dict.fromkeys(numbers, NUMBER)}
+    spec = {"task": STRING, "criterion": STRING, "model": STRING, "value": NUMBER}
     i_model, i_task, i_criteria = (dict(zip(a, fields(a, dict.fromkeys(a, NUMBER)))) for a in axes)
     cells = [fields(c, spec) for c in cells]
-    keys = {(t, c, m) for t, c, m, *_ in cells if t in i_task and c in i_criteria and m in i_model}
-    if len(keys) < len(cells):
-        raise ValidationError("a cell key repeats, or is not in i_task x i_criteria x i_model")
+    if len({(t, c, m) for t, c, m, _ in cells}) < len(cells):
+        raise ValidationError("a cell key repeats")
+    # exact ==: fsum makes each mean independent of the order of the cells
+    if [i_task, i_criteria, i_model] != list(_axis_means(cells)):
+        raise ValidationError("i_task, i_criteria or i_model is not the mean of its cells' values")
     return i_model, i_task, i_criteria, cells
 
 

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -19,6 +20,9 @@ _MARGIN_L = 130
 _MARGIN_T = 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MAX_PLOTTED = sys.float_info.max / 4  # beyond it, an axis span or tick may overflow to inf
+# the characters outside XML 1.0's Char production, which no escape can spell in a
+# document; a pattern string, compiled on first use, so importing hlmkit compiles nothing
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _f(x: float) -> str:
@@ -26,6 +30,9 @@ def _f(x: float) -> str:
 
 
 def _esc(s: str) -> str:
+    bad = re.search(_NOT_XML_CHAR, s)
+    if bad:
+        raise ValidationError(f"SVG text cannot hold {bad.group()!r}, as in {s!r:.60}")
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -420,7 +420,7 @@ class TestErrorPaths:
         code = main(["score", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--criterion", "flesch", "-o", str(tmp_path / "x.jsonl")])
         assert code == 3
-        assert "not found" in capsys.readouterr().err
+        assert str(tmp_path / "nope.jsonl") in capsys.readouterr().err
 
     def test_malformed_cube_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "cube.csv"
@@ -898,16 +898,18 @@ def _heatmap_of(report):
             "--heatmap-out", str(report.with_name("heatmap.svg"))]
 
 
-def _report_of(tmp, cells, models=None):
+def _report_of(tmp, cells, models=None, **index_dicts):
     """Argv of ``report`` on a report file of (task, criterion, model, value)
-    cells, whose index dicts name the cells' tasks, criteria and ``models``."""
+    cells, whose index dicts name the cells' tasks, criteria and ``models``
+    at 0.5, unless ``index_dicts`` gives one of them."""
     def index(names):
         return dict.fromkeys(sorted(set(names)), 0.5)
     report = tmp / "report.json"
     report.write_text(json.dumps({
         "i_task": index(c[0] for c in cells), "i_criteria": index(c[1] for c in cells),
         "i_model": index(models or [c[2] for c in cells]), "std_ddof": 0,
-        "cells": [dict(zip(("task", "criterion", "model", "value"), c)) for c in cells]}))
+        "cells": [dict(zip(("task", "criterion", "model", "value"), c)) for c in cells],
+        **index_dicts}))
     return _heatmap_of(report)
 
 
@@ -917,8 +919,30 @@ def _report_of_diagonal_cube(tmp):
     return _heatmap_of(report)
 
 
+def _log(tmp):
+    log = tmp / "log.csv"
+    log.write_text("step,value\n1,0.5\n2,0.9\n")
+    return str(log)
+
+
+def _report_and_curves_without_curves_out(tmp):
+    report = tmp / "report.json"
+    assert main(["hlm", "-o", str(report)]) == 0
+    return _heatmap_of(report) + ["--curves", _log(tmp)]
+
+
+def _hlm_heatmap_of_task(tmp, task):
+    cube = tmp / "cube.csv"
+    cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
+        f"{task},c,m,{tr},full,accuracy,{v},true\n"
+        for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
+    return ["hlm", "--cube", str(cube), "-o", str(tmp / "out.json"), "--validate",
+            "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")]
+
+
 # argv of a command whose inputs are well formed but refused: a heatmap with far
-# more grid positions than cells, or report cells the index dicts do not match
+# more grid positions than cells, report cells the index dicts do not match, a
+# flag missing its partner, or a label that XML cannot hold
 REFUSED_INPUTS = {
     "hlm-heatmap-of-diagonal-cube": lambda tmp: [
         "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
@@ -928,6 +952,16 @@ REFUSED_INPUTS = {
         tmp, [("t", "c", "m", 0.9), ("t", "c", "m", -0.9)]),
     "report-cell-outside-the-index": lambda tmp: _report_of(
         tmp, [("t", "c", "m", 0.9), ("t", "c", "ghost", 0.5)], models=["m"]),
+    "report-index-without-a-cell": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.5)], i_model={"m": 0.5, "ghost": -0.7}),
+    "report-index-not-the-mean": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.9)], i_model={"m": -0.9}, i_task={"t": 0.9},
+        i_criteria={"c": 0.9}),
+    "report-curves-without-curves-out": _report_and_curves_without_curves_out,
+    "report-label-with-a-control-character": lambda tmp: [
+        "report", "--curves", _log(tmp), "--labels", "a\x0bb", "--curves-out",
+        str(tmp / "curves.svg"), "--validate"],
+    "hlm-heatmap-svg-of-a-control-character": lambda tmp: _hlm_heatmap_of_task(tmp, "a\x01b"),
 }
 
 
@@ -943,6 +977,81 @@ def test_refused_input_exit_2_and_writes_nothing(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError: ") and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == inputs
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid file for each placeholder of FULL_ARGV."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    paths = {"CORPUS": write_corpus(tmp), "CUBE": write_transfer_cube(tmp), "LOG": _log(tmp)}
+    for name, file in (("MODEL", "model.json"), ("SURPRISALS", "s.jsonl"),
+                       ("SCORES", "scores.jsonl"), ("SPLIT", "split.json"),
+                       ("REPORT", "report.json"), ("NEURAL", "neural.jsonl"),
+                       ("MANIFEST", "manifest.json"), ("CONFIG", "config.ini")):
+        paths[name] = str(tmp / file)
+    assert main(["lm-train", "--corpus", paths["CORPUS"], "-o", paths["MODEL"]]) == 0
+    assert main(["surprisal", "--corpus", paths["CORPUS"], "--model", paths["MODEL"],
+                 "-o", paths["SURPRISALS"]]) == 0
+    assert main(["score", "--corpus", paths["CORPUS"], "--criterion", "flesch",
+                 "-o", paths["SCORES"]]) == 0
+    assert main(["split", "--scores", paths["SCORES"], "-o", paths["SPLIT"]]) == 0
+    assert main(["hlm", "-o", paths["REPORT"]]) == 0
+    Path(paths["NEURAL"]).write_text(_lines({"id": d["id"], "score": 1.0, "higher_is_harder": True}
+                                            for d in CORPUS_LINES))
+    Path(paths["MANIFEST"]).write_text('{"higher_is_better": true}\n')
+    Path(paths["CONFIG"]).write_text("[defaults]\nbase = 2\n")
+    return paths
+
+
+# Each subcommand with every input flag it has at a valid file, named by its
+# valid_inputs placeholder, and OUT, OUT2 and OUT3 for its outputs.
+FULL_ARGV = {
+    "score": ["score", "--corpus", "CORPUS", "--criterion", "uid_sl", "--model", "MODEL",
+              "--surprisals", "SURPRISALS", "--neural-scores", "NEURAL", "-o", "OUT"],
+    "split": ["split", "--scores", "SCORES", "-o", "OUT"],
+    "lm-train": ["lm-train", "--corpus", "CORPUS", "-o", "OUT"],
+    "surprisal": ["surprisal", "--corpus", "CORPUS", "--model", "MODEL", "-o", "OUT"],
+    "hlm": ["hlm", "--cube", "CUBE", "-o", "OUT", "--heatmap-csv", "OUT2", "--heatmap-svg", "OUT3"],
+    "schedule": ["schedule", "--split", "SPLIT", "--order", "easy_to_hard", "-o", "OUT"],
+    "converge": ["converge", "--log", "LOG", "--manifest", "MANIFEST", "--higher-is-better",
+                 "-o", "OUT"],
+    "transfer": ["transfer", "--cube", "CUBE", "--csv", "OUT2", "-o", "OUT"],
+    "report": ["report", "--hlm-report", "REPORT", "--heatmap-out", "OUT",
+               "--curves", "LOG", "LOG", "--curves-out", "OUT2"],
+}
+INPUT_FLAGS = ("--corpus", "--model", "--surprisals", "--neural-scores", "--scores", "--cube",
+               "--split", "--log", "--manifest", "--hlm-report", "--curves", "--config")
+MISSING_INPUTS = [(command, flag) for command, argv in FULL_ARGV.items()
+                  for flag in argv + ["--config"] if flag in INPUT_FLAGS]
+
+
+def _full_argv(command, inputs, out_dir, flags=()):
+    """FULL_ARGV of ``command`` with ``--config`` and ``flags``, its placeholders filled."""
+    paths = dict(inputs, **{out: str(out_dir / out.lower()) for out in ("OUT", "OUT2", "OUT3")})
+    return [paths.get(arg, arg) for arg in FULL_ARGV[command] + ["--config", "CONFIG", *flags]]
+
+
+@pytest.mark.parametrize("command", sorted(FULL_ARGV))
+def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
+    # so that a missing-input case below fails for its missing file alone
+    assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 0
+    assert os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, flag", MISSING_INPUTS)
+def test_missing_input_exit_3_and_writes_nothing(valid_inputs, tmp_path, capsys, command, flag):
+    """Each input is refused by the reader that opens it, with the OS message
+    naming its path, before any output is written."""
+    argv = _full_argv(command, valid_inputs, tmp_path)
+    missing = str(tmp_path / "missing")
+    argv[argv.index(flag) + 1] = missing
+    inputs = sorted(os.listdir(Path(valid_inputs["CORPUS"]).parent))
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(Path(valid_inputs["CORPUS"]).parent)) == inputs
 
 
 def test_lone_surrogate_in_input_exit_2(tmp_path, capsys):
@@ -1030,7 +1139,7 @@ def test_report_reads_only_the_keys_the_heatmap_shows(tmp_path):
     # no std_ddof and no s/std/sigmoid: the heatmap does not use them
     report = tmp_path / "report.json"
     report.write_text(json.dumps({
-        "i_model": {"m": 0.5}, "i_task": {"t": 0.25}, "i_criteria": {"c": 0.75},
+        "i_model": {"m": 0.5}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5},
         "cells": [{"task": "t", "criterion": "c", "model": "m", "value": 0.5}]}))
     out = tmp_path / "heatmap.svg"
     assert main(["report", "--hlm-report", str(report), "--heatmap-out", str(out),
@@ -1130,4 +1239,6 @@ def test_every_input_exits_0_2_or_3(fuzz_inputs, name, data):
         bad = Path(tmp) / "input"
         bad.write_bytes(content)
         paths = dict(fuzz_inputs, BAD=str(bad), OUT=str(Path(tmp) / "output"))
-        assert main([paths.get(arg, arg) for arg in argv]) in (0, 2, 3)
+        code = main([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 2, 3)
+        assert code == 0 or not Path(paths["OUT"]).exists()
