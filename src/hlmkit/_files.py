@@ -114,8 +114,8 @@ def fields(obj, spec: dict, line: int | None = None) -> list:
         value = obj[key]
         if type(value) not in types:
             raise ParseError(f"{key!r} must be {what}, got {_show(value)}", line=line)
-        if items:
-            for item in value:
+        if items and not set(map(type, value)) <= set(items):  # one C-level pass
+            for item in value:  # name the first item of another type
                 if type(item) not in items:
                     raise ParseError(f"{key!r} must be {what}, got {_show(item)}", line=line)
         if float in (items or types):

@@ -265,6 +265,10 @@ def cmd_report(args, cfg: _Config) -> int:
         raise ValidationError("--hlm-report requires --heatmap-out")
     if args.curves and not args.curves_out:
         raise ValidationError("--curves requires --curves-out")
+    if args.heatmap_out and not args.hlm_report:
+        raise ValidationError("--heatmap-out requires --hlm-report")
+    if (args.curves_out or args.labels) and not args.curves:
+        raise ValidationError("--curves-out and --labels require --curves")
     labels = args.labels or [Path(p).stem for p in args.curves or ()]
     if args.curves and len(labels) != len(args.curves):
         raise ValidationError("--labels must match the number of --curves files")

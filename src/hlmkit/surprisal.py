@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -37,7 +37,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 DEFAULT_ORDER = 2
 DEFAULT_DISCOUNT = 0.75
@@ -119,16 +119,21 @@ class NgramModel:
         self.order, self.discount, self.words = order, discount, words
         self.ids = {w: i for i, w in enumerate(words)}
         excluded = {BOS} | ({EOS} if order == 1 else set())
-        if not {self.ids[w] for w in excluded}.isdisjoint(map(size.__rmod__, grams)):
-            raise ValidationError(f"model grams must not predict {' or '.join(sorted(excluded))}")
-        # Training writes no history holding </s>, or <s> after a word: no first id </s>, and
-        # no last history id </s>, or <s> but after a first id <s> (one pass over the grams)
-        bos, eos, span = self.ids[BOS], self.ids[EOS], size ** (order - 1)
+        # Training writes no gram that predicts an excluded word or follows </s>, or <s> after a
+        # word: one pass over each gram's last two ids, g % V**2 = h * V + w, finds a bad pair
+        bos, eos, span, pairs = self.ids[BOS], self.ids[EOS], size ** (order - 1), size * size
         lo, hi, i = (bisect_left(grams, x * span) for x in (bos, bos + 1, eos))
-        lasts = [map(size.__rmod__, map(size.__rfloordiv__, part)) for part in
-                 (islice(grams, lo, hi), chain(islice(grams, lo), islice(grams, hi, None)))]
-        if order > 1 and (i < len(grams) and grams[i] < (eos + 1) * span
-                          or {eos}.intersection(lasts[0]) or {bos, eos}.intersection(lasts[1])):
+        width = size if grams and order > 1 else 0  # each h's pairs (none built for no grams)
+        bad = {p for w in excluded for p in range(self.ids[w], pairs if grams else 0, size)}
+        bad.update(range(eos * size, eos * size + width))  # h is </s>
+        ok = bad.isdisjoint(map(operator.mod, islice(grams, lo, hi), repeat(pairs)))  # first <s>
+        bad.update(range(bos * size, bos * size + width))  # h is <s> after a word
+        rest = chain(islice(grams, lo), islice(grams, hi, None))
+        if not (ok and bad.isdisjoint(map(operator.mod, rest, repeat(pairs)))
+                and (i == len(grams) or grams[i] >= (eos + 1) * span)):  # no first id </s>
+            if not {self.ids[w] for w in excluded}.isdisjoint(map(size.__rmod__, grams)):
+                raise ValidationError(
+                    f"model grams must not predict {' or '.join(sorted(excluded))}")
             raise ValidationError(f"model grams must not follow {EOS}, or {BOS} after a word")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
@@ -346,24 +351,24 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> in
 
 
 def model_to_dict(model: NgramModel) -> dict:
-    """Versioned JSON-safe dump: sorted vocabulary, increasing packed grams, counts."""
+    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, counts."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
         "vocab": list(model.words),
-        "grams": list(model._grams),
+        "gaps": list(map(operator.sub, model._grams, chain([0], model._grams))),
         "counts": list(model._counts),
     }
 
 
-# The fields of a dump after "format" and "version", in NgramModel's argument order.
-_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "grams": INTS, "counts": INTS}
+# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams).
+_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS, "counts": INTS}
 
 
 def model_from_dict(data: dict) -> NgramModel:
-    """Rebuild a model from a version-3 dump; any other version is refused."""
+    """Rebuild a model from a version-4 dump; any other version is refused."""
     fmt, version = fields(data, {"format": STRING, "version": INT})
     if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
@@ -373,7 +378,12 @@ def model_from_dict(data: dict) -> NgramModel:
     keys = {"format", "version", *_MODEL_FIELDS}
     if data.keys() != keys:
         raise ValidationError(f"a model file needs fields {sorted(keys)}, got {sorted(data)}")
-    return NgramModel(*fields(data, _MODEL_FIELDS))
+    order, discount, vocab, gaps, counts = fields(data, _MODEL_FIELDS)
+    try:  # the running sums are the grams; the constructor checks their order and range
+        grams = array("q", accumulate(gaps))
+    except OverflowError:
+        raise ValidationError("model gaps must sum to grams below 2**63") from None
+    return NgramModel(order, discount, vocab, grams, counts)
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:

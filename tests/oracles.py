@@ -12,8 +12,14 @@ import re
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 BOS, EOS, UNK = "<s>", "</s>", "<unk>"
+
+
+def dump_grams(dump: dict) -> list[int]:
+    """The packed grams of a version-4 model dump: the running sums of its gaps."""
+    return list(accumulate(dump["gaps"]))
 
 
 def kn_event_vocab(sentences: list[list[str]], order: int) -> list[str]:

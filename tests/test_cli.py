@@ -22,6 +22,7 @@ from hlmkit.cli import main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
+from oracles import dump_grams
 
 CORPUS_LINES = [
     {"id": "d1", "text": "The cat sat on the mat. It was warm."},
@@ -590,10 +591,17 @@ def _add_gram(*gram):
         packed = 0
         for w in gram:
             packed = packed * len(index) + index[w]
-        i = bisect.bisect(data["grams"], packed)
-        data["grams"].insert(i, packed)
+        grams = dump_grams(data)
+        i = bisect.bisect(grams, packed)
+        grams.insert(i, packed)
+        data["gaps"] = [b - a for a, b in zip([0] + grams, grams)]
         data["counts"].insert(i, 5)
     return mutate
+
+
+def _last_gram_at_the_range_end(data):
+    """Make the last gram, the sum of the gaps, V ** 2: one past the largest order-2 gram."""
+    data["gaps"][-1] += len(data["vocab"]) ** 2 - sum(data["gaps"])
 
 
 # (order of lm-train's starting model file, change that makes it malformed)
@@ -611,15 +619,17 @@ MALFORMED_MODELS = {
     "count-bool": (2, _set_item("counts", -1, True)),
     "count-float": (2, _set_item("counts", -1, 2.7)),
     "count-string": (2, _set_item("counts", -1, "3")),
-    "v3-missing-grams": (2, lambda d: d.pop("grams")),
-    "v3-gram-out-of-range": (2, lambda d: d["grams"].__setitem__(-1, len(d["vocab"]) ** 2)),
-    # values the int64 arrays cannot hold
-    "v3-gram-beyond-int64": (2, _set_item("grams", -1, 2 ** 63)),
+    "v4-missing-gaps": (2, lambda d: d.pop("gaps")),
+    "v4-gaps-sum-to-the-range-end": (2, _last_gram_at_the_range_end),
+    # values the int64 arrays cannot hold: a gap, or a sum of gaps that each fit
+    "v4-gap-beyond-int64": (2, _set_item("gaps", -1, 2 ** 63)),
+    "v4-gaps-sum-past-int64": (2, lambda d: d["gaps"].__setitem__(slice(0, 2), [2 ** 62] * 2)),
     "v3-count-beyond-int64": (2, _set_item("counts", -1, 2 ** 63)),
-    "v3-gram-negative": (2, _set_item("grams", 0, -1)),
-    "v3-gram-float": (2, _set_item("grams", 0, 0.0)),
-    "v3-grams-unsorted": (2, _swap_first_two("grams")),
-    "v3-gram-duplicate": (2, lambda d: d["grams"].__setitem__(1, d["grams"][0])),
+    "v4-first-gap-negative": (2, _set_item("gaps", 0, -1)),
+    "v4-gap-float": (2, _set_item("gaps", 0, 0.0)),
+    # a later gram below the one before it, or equal to it
+    "v4-gap-negative": (2, _set_item("gaps", 1, -1)),
+    "v4-gap-zero": (2, _set_item("gaps", 1, 0)),
     "v3-count-zero": (2, _set_item("counts", 0, 0)),
     "v3-count-negative": (2, _set_item("counts", 0, -2)),
     "v3-count-bool": (2, _set_item("counts", 0, True)),
@@ -685,15 +695,19 @@ class TestMalformedModel:
         with pytest.raises((hlmkit.ValidationError, hlmkit.ParseError)):
             hlmkit.load_model(bad)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_exit_2(self, tmp_path, version):
         """Versions 1 and 2 stored nested ``[history, [[word, count], ...]]``
-        tables; they are no longer read, and have to be retrained."""
+        tables, and version 3 the packed grams themselves; they are no longer
+        read, and have to be retrained."""
         table = [[[], [["cat", 1], ["the", 2]]]]
         dump = {"format": "hlmkit-ngram", "version": version, "order": 1, "discount": 0.75,
                 "counts": table}
         if version == 1:  # a table per order, and the vocabulary
             dump.update(counts=[[1, table]], vocab=["</s>", "<s>", "<unk>", "cat", "the"])
+        if version == 3:  # the sorted vocabulary, and the grams "cat" and "the"
+            dump.update(vocab=["</s>", "<s>", "<unk>", "cat", "the"], grams=[3, 4],
+                        counts=[1, 2])
         path = tmp_path / "old.json"
         path.write_text(json.dumps(dump))
         corpus = write_corpus(tmp_path)
@@ -863,13 +877,15 @@ MALFORMED_INPUTS = {
                            lambda bad, tmp: ["converge", "--log", bad, "--higher-is-better"]),
     # an integer step the float axis of the curves plot cannot hold
     "log-step-too-big": ("step,value\n1,0.5\n1" + "0" * 400 + ",0.9\n",
-                         lambda bad, tmp: ["report", "--curves", bad,
-                                           "--curves-out", str(tmp / "out")]),
+                         lambda bad, tmp: ["report", "--curves", bad]),
 }
 
 
-# the option that names each subcommand's output, where it is not -o
-OUTPUT_FLAG = {"report": "--heatmap-out"}
+def _output_flag(args):
+    """The option that names the command's output: report's names its input's SVG."""
+    if args[0] == "report":
+        return "--curves-out" if "--curves" in args else "--heatmap-out"
+    return "-o"
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -879,7 +895,7 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     bad.write_text(content)
     out = tmp_path / "out"
     args = argv(str(bad), tmp_path)
-    assert main(args + [OUTPUT_FLAG.get(args[0], "-o"), str(out)]) == 2
+    assert main(args + [_output_flag(args), str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ParseError: ")
     assert not out.exists()
 
@@ -958,6 +974,14 @@ REFUSED_INPUTS = {
         tmp, [("t", "c", "m", 0.9)], i_model={"m": -0.9}, i_task={"t": 0.9},
         i_criteria={"c": 0.9}),
     "report-curves-without-curves-out": _report_and_curves_without_curves_out,
+    # an output flag whose input is not given
+    "report-heatmap-out-without-hlm-report": lambda tmp: [
+        "report", "--curves", _log(tmp), "--curves-out", str(tmp / "c.svg"),
+        "--heatmap-out", str(tmp / "h.svg")],
+    "report-labels-without-curves": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.5)]) + ["--labels", "x", "y"],
+    "report-curves-out-without-curves": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.5)]) + ["--curves-out", str(tmp / "c.svg")],
     "report-label-with-a-control-character": lambda tmp: [
         "report", "--curves", _log(tmp), "--labels", "a\x0bb", "--curves-out",
         str(tmp / "curves.svg"), "--validate"],
@@ -1164,7 +1188,7 @@ JSON_VALUES = st.recursive(
                                                                  max_size=4),
     max_leaves=12,
 )
-MODEL_KEYS = ("format", "version", "order", "discount", "vocab", "grams", "counts")
+MODEL_KEYS = ("format", "version", "order", "discount", "vocab", "gaps", "counts")
 
 # Every input a subcommand reads: its argv, with BAD for the generated file
 # and valid files for the other inputs, the file's shape, and the keys one

@@ -24,6 +24,7 @@ from hlmkit.surprisal import (
     import_surprisals,
     export_surprisals,
     load_model,
+    model_from_dict,
     model_to_dict,
     save_model,
     sentence_surprisals,
@@ -31,7 +32,7 @@ from hlmkit.surprisal import (
     train_lm,
 )
 from hlmkit.textstat import Document
-from oracles import CountTableKN, kn_prob, train_counts
+from oracles import CountTableKN, dump_grams, kn_prob, train_counts
 
 ALPHABET = list("abcdefghij")
 
@@ -119,7 +120,7 @@ class TestTrainLm:
         stored gram at the peak and 27-29 held (Python 3.10-3.13), where counting with a
         Counter into tuples read 167-170 and 66-68."""
         model, peak, held = traced_bytes(lambda: train_lm(zipf_docs(), order=3))
-        stored = len(model_to_dict(model)["grams"])
+        stored = len(model_to_dict(model)["gaps"])
         assert stored >= 20_000
         assert peak / stored < 145 and held / stored < 45
 
@@ -212,9 +213,10 @@ class TestModelChecks:
                                                 ("counts", r"counts must be below 2\*\*63")])
     def test_values_beyond_int64_are_refused(self, field, message):
         dump = model_to_dict(train_lm(docs_from_sentences([["a", "b"]]), order=2))
-        dump[field][-1] = 2 ** 63
+        columns = {"grams": dump_grams(dump), "counts": dump["counts"]}
+        columns[field][-1] = 2 ** 63
         with pytest.raises(ValidationError, match=message):
-            NgramModel(2, 0.75, dump["vocab"], dump["grams"], dump["counts"])
+            NgramModel(2, 0.75, dump["vocab"], columns["grams"], columns["counts"])
 
     def test_history_check_builds_nothing_per_word(self):
         """An order-3 model of 200k words and no grams: the history check makes one pass
@@ -239,7 +241,7 @@ class TestTrainOracle:
         docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
         dump = model_to_dict(train_lm(docs, order=order))
         sentences = [s for d in docs for s in _tokenize_sentences(d.text)]
-        assert (dump["vocab"], dump["grams"], dump["counts"]) == train_counts(sentences, order)
+        assert (dump["vocab"], dump_grams(dump), dump["counts"]) == train_counts(sentences, order)
 
     def test_oov_and_one_token_sentences(self):
         docs = [Document(id="d", text="Zed. Ωmega <unk> ß. Go!")]
@@ -247,7 +249,7 @@ class TestTrainOracle:
         sentences = [["zed"], ["ωmega", "unk", "ß"], ["go"]]
         assert _tokenize_sentences(docs[0].text) == sentences
         dump = model_to_dict(model)
-        assert (dump["vocab"], dump["grams"], dump["counts"]) == train_counts(sentences, 3)
+        assert (dump["vocab"], dump_grams(dump), dump["counts"]) == train_counts(sentences, 3)
         assert model.prob("never-seen", ("ß",)) == model.prob(UNK, ("ß",)) > 0
 
 
@@ -265,7 +267,7 @@ class TestTableOracle:
         model = train_lm(docs_from_sentences(train), order=order, discount=discount)
         dump = model_to_dict(model)
         words = dump["vocab"]
-        oracle = CountTableKN(order, discount, words, dict(zip(dump["grams"], dump["counts"])))
+        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump["counts"])))
         size, index = len(words), {w: i for i, w in enumerate(words)}
 
         def pack(tokens):
@@ -313,7 +315,7 @@ class TestMissPath:
         model = train_lm(docs_from_sentences(train), order=order, discount=discount)
         dump = model_to_dict(model)
         words, size = dump["vocab"], len(dump["vocab"])
-        oracle = CountTableKN(order, discount, words, dict(zip(dump["grams"], dump["counts"])))
+        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump["counts"])))
         index = {w: i for i, w in enumerate(words)}
         sentences = [s + ["never-seen"] for s in held_out]
         doc = Document(id="q", text=" ".join(" ".join(s).capitalize() + "." for s in sentences))
@@ -614,21 +616,21 @@ class TestPersistence:
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n") and ": " not in text
         data = json.loads(text)
-        assert sorted(data) == ["counts", "discount", "format", "grams", "order", "version",
+        assert sorted(data) == ["counts", "discount", "format", "gaps", "order", "version",
                                 "vocab"]
-        assert data["version"] == 3
+        assert data["version"] == 4
         words = data["vocab"]
         assert words == sorted({"a", "b", BOS, EOS, UNK})
         size = len(words)
-        assert data["grams"] == sorted(data["grams"])
+        assert data["gaps"][0] >= 0 and min(data["gaps"][1:]) > 0
         unpacked = {(words[g // size ** 2], words[g // size % size], words[g % size]): c
-                    for g, c in zip(data["grams"], data["counts"])}
+                    for g, c in zip(dump_grams(data), data["counts"])}
         assert unpacked == {(BOS, BOS, "a"): 1, (BOS, "a", "b"): 1, ("a", "b", "a"): 1,
                             ("b", "a", EOS): 1, (BOS, BOS, "b"): 1, (BOS, "b", EOS): 1}
 
     def test_model_keeps_its_own_grams(self):
         dump = model_to_dict(train_lm(docs_from_sentences([["a", "b", "a"], ["b"]]), order=2))
-        vocab, grams, counts = dump["vocab"], dump["grams"], dump["counts"]
+        vocab, grams, counts = dump["vocab"], dump_grams(dump), dump["counts"]
         model = NgramModel(2, 0.75, vocab, grams, counts)
         before = model_to_dict(model)
         vocab.append("zz")
@@ -647,7 +649,7 @@ class TestPersistence:
         kept a gram -> count dict beside per-history total and type dicts."""
         path = tmp_path / "m.json"
         save_model(train_lm(zipf_docs(), order=3), path)
-        stored = len(json.loads(path.read_text())["grams"])
+        stored = len(json.loads(path.read_text())["gaps"])
         assert stored >= 20_000
 
         def load_and_query():
@@ -656,6 +658,22 @@ class TestPersistence:
             return model
         _, peak, held = traced_bytes(load_and_query)
         assert peak / stored < 160 and held / stored < 100
+
+    def test_file_bytes_per_stored_gram(self, tmp_path):
+        """The file stores each gram as its distance from the one before, a few digits
+        where a packed order-3 gram has up to 13: 8.50 bytes per stored gram here,
+        where the packed grams themselves took 13.79."""
+        path = tmp_path / "m.json"
+        save_model(train_lm(zipf_docs(), order=3), path)
+        stored = len(json.loads(path.read_text())["gaps"])
+        assert stored >= 20_000
+        assert path.stat().st_size / stored < 10
+
+    def test_dump_round_trips_the_arrays(self):
+        model = train_lm(zipf_docs(docs=40), order=3)
+        loaded = model_from_dict(model_to_dict(model))
+        assert loaded.words == model.words
+        assert loaded._grams == model._grams and loaded._counts == model._counts
 
     def test_counts_view_is_a_copy(self):
         model = train_lm(docs_from_sentences([["a", "b", "a"]]), order=2)
