@@ -48,13 +48,16 @@ class _Config:
         except (ValueError, configparser.Error) as e:  # a bad cast or interpolation
             raise ValidationError(f"config [{section}] {key}: {e}") from None
 
-    def resolve(self, flag_value, section: str, key: str, default, cast):
-        if flag_value is not None:
-            return flag_value
-        for sect in (section, "defaults"):
-            if self.parser.has_option(sect, key):
-                return self._get(sect, key, cast)
-        return default
+    def knobs(self, args: argparse.Namespace) -> dict:
+        """The command's knobs that are set, by dest; unset ones keep their library default."""
+        knobs = {}
+        for dest, cast in vars(args).get("knob_casts", {}).items():
+            sections = [s for s in (args.command, "defaults") if self.parser.has_option(s, dest)]
+            if getattr(args, dest) is not None:
+                knobs[dest] = getattr(args, dest)
+            elif sections:
+                knobs[dest] = self._get(sections[0], dest, cast)
+        return knobs
 
     def flesch_config(self) -> FleschConfig:
         # Flesch coefficients are config-file-only by design; no CLI flags.
@@ -90,10 +93,6 @@ def _check_svg(path: str) -> None:
 # subcommand handlers
 
 def cmd_score(args, cfg: _Config) -> int:
-    k = cfg.resolve(args.k, "score", "k", uid.DEFAULT_K, float)
-    mu_lang = cfg.resolve(args.mu_lang, "score", "mu_lang", uid.DEFAULT_MU_LANG, float)
-    base = cfg.resolve(args.base, "score", "base", surprisal.SurprisalSequence.base, str)
-    per_sentence = cfg.resolve(args.per_sentence, "score", "per_sentence", False, bool)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(
         lm=surprisal.load_model(args.model) if args.model else None,
@@ -102,11 +101,8 @@ def cmd_score(args, cfg: _Config) -> int:
             if args.surprisals else None
         ),
         neural=splitkit.load_neural_scores(args.neural_scores) if args.neural_scores else None,
-        base=base,
-        k=k,
-        mu_lang=mu_lang,
         flesch=cfg.flesch_config(),
-        per_sentence=per_sentence,
+        **args.knobs,
     )
     scores = splitkit.score_corpus(corpus, args.criterion, providers)
     splitkit.scores_to_jsonl(scores, args.output)
@@ -131,28 +127,21 @@ def cmd_split(args, cfg: _Config) -> int:
 
 
 def cmd_lm_train(args, cfg: _Config) -> int:
-    order = cfg.resolve(args.order, "lm-train", "order", surprisal.DEFAULT_ORDER, int)
-    discount = cfg.resolve(args.discount, "lm-train", "discount", surprisal.DEFAULT_DISCOUNT, float)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
-    model = surprisal.train_lm(corpus, order=order, discount=discount)
+    model = surprisal.train_lm(corpus, **args.knobs)
     surprisal.save_model(model, args.output)
     if args.validate:
         reloaded = surprisal.load_model(args.output)
         if surprisal.model_to_dict(reloaded) != surprisal.model_to_dict(model):
             raise ValidationError("model dump did not round-trip")
-    print(f"wrote {args.output} (order {order}, vocab {len(model.words)})")
+    print(f"wrote {args.output} (order {model.order}, vocab {len(model.words)})")
     return 0
 
 
 def cmd_surprisal(args, cfg: _Config) -> int:
-    base = cfg.resolve(args.base, "surprisal", "base", surprisal.SurprisalSequence.base, str)
-    per_sentence = cfg.resolve(args.per_sentence, "surprisal", "per_sentence", False, bool)
     corpus = splitkit.load_corpus_jsonl(args.corpus)
-    model = surprisal.load_model(args.model)
-    if per_sentence:
-        seqs = (s for doc in corpus for s in surprisal.sentence_surprisals(model, doc, base))
-    else:
-        seqs = (surprisal.token_surprisals(model, doc, base) for doc in corpus)
+    providers = splitkit.Providers(lm=surprisal.load_model(args.model), **args.knobs)
+    seqs = (s for doc in corpus for s in splitkit.doc_sequences(doc, providers))
     n = surprisal.export_surprisals(seqs, args.output)
     if args.validate:
         surprisal.import_surprisals(args.output)
@@ -181,10 +170,9 @@ def _report_heatmap_data(i_model, i_task, i_criteria, cells):
 
 
 def cmd_hlm(args, cfg: _Config) -> int:
-    std_ddof = cfg.resolve(args.std_ddof, "hlm", "std_ddof", 0, int)
     cube_path = args.cube or str(reference_performance_path())
     # no name holds the cube, so it is freed before the outputs are built
-    report = hlm.compute_report(hlm.load_cube_csv(cube_path), ddof=std_ddof)
+    report = hlm.compute_report(hlm.load_cube_csv(cube_path), **args.knobs)
     if args.heatmap_csv or args.heatmap_svg:  # checked, and rendered, before any write
         rows, cols, grid, pairs = _report_heatmap_data(
             report.i_model, report.i_task, report.i_criteria,
@@ -207,9 +195,8 @@ def cmd_hlm(args, cfg: _Config) -> int:
 
 
 def cmd_schedule(args, cfg: _Config) -> int:
-    seed = cfg.resolve(args.seed, "schedule", "seed", None, int)
     split = splitkit.split_from_dict(read_json(args.split))
-    schedule = experiment.make_schedule(split, args.order, seed)
+    schedule = experiment.make_schedule(split, args.order, **args.knobs)
     _dump_json(experiment.schedule_to_dict(schedule), args.output)
     if args.validate:
         loaded = experiment.schedule_from_dict(read_json(args.output))
@@ -220,8 +207,6 @@ def cmd_schedule(args, cfg: _Config) -> int:
 
 
 def cmd_converge(args, cfg: _Config) -> int:
-    epsilon_rel = cfg.resolve(args.epsilon, "converge", "epsilon_rel",
-                              experiment.DEFAULT_EPSILON_REL, float)
     if args.manifest:  # read even when a flag wins, so that a bad manifest is refused
         (direction,) = fields(read_json(args.manifest), {"higher_is_better": BOOL})
     if args.higher_is_better is not None:
@@ -232,7 +217,7 @@ def cmd_converge(args, cfg: _Config) -> int:
             "or a --manifest file"
         )
     log = experiment.load_training_log(args.log, higher_is_better=direction)
-    result = experiment.converge_result_to_dict(log, epsilon_rel)
+    result = experiment.converge_result_to_dict(log, **args.knobs)
     _dump_json(result, args.output)
     if args.validate:
         (ratio,) = fields(read_json(args.output), {"ratio": NUMBER})
@@ -303,6 +288,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="re-read and schema-check outputs after writing")
 
 
+def _knob(p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
+    """Add a flag that the config file may also set, as the key named by its dest."""
+    action = p.add_argument(*flags, **kwargs)
+    cast = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type or str
+    p.set_defaults(knob_casts={**(p.get_default("knob_casts") or {}), action.dest: cast})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hlmkit",
@@ -316,13 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="n-gram model JSON (for uid criteria)")
     p.add_argument("--surprisals", help="imported surprisal JSONL (for uid criteria)")
     p.add_argument("--neural-scores", help="neural score JSONL (for the neural criterion)")
-    p.add_argument("--base", choices=("2", "e"))
-    p.add_argument("--k", type=float,
-                   help=f"super-linearity exponent (default {uid.DEFAULT_K})")
-    p.add_argument("--mu-lang", type=float,
-                   help=f"language-level mean surprisal (default {uid.DEFAULT_MU_LANG})")
-    p.add_argument("--per-sentence", action=argparse.BooleanOptionalAction,
-                   help="average UID scores over sentences")
+    _knob(p, "--base", choices=("2", "e"))
+    _knob(p, "--k", type=float, help=f"super-linearity exponent (default {uid.DEFAULT_K})")
+    _knob(p, "--mu-lang", type=float,
+          help=f"language-level mean surprisal (default {uid.DEFAULT_MU_LANG})")
+    _knob(p, "--per-sentence", action=argparse.BooleanOptionalAction,
+          help="average UID scores over sentences")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_score)
@@ -335,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lm-train", help="train the built-in Kneser-Ney n-gram model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, choices=(1, 2, 3))
-    p.add_argument("--discount", type=float)
+    _knob(p, "--order", type=int, choices=(1, 2, 3))
+    _knob(p, "--discount", type=float)
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_lm_train)
@@ -344,17 +335,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surprisal", help="score per-token surprisals with a trained model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--base", choices=("2", "e"))
-    p.add_argument("--per-sentence", action=argparse.BooleanOptionalAction,
-                   help="emit one sequence per sentence instead of per document")
+    _knob(p, "--base", choices=("2", "e"))
+    _knob(p, "--per-sentence", action=argparse.BooleanOptionalAction,
+          help="emit one sequence per sentence instead of per document")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_surprisal)
 
     p = sub.add_parser("hlm", help="compute the HLM index report from a performance cube")
     p.add_argument("--cube", help="performance cube CSV (default: bundled reference results)")
-    p.add_argument("--std-ddof", type=int, choices=(0, 1),
-                   help="0 = population STD (default), 1 = sample STD")
+    _knob(p, "--std-ddof", type=int, choices=(0, 1),
+          help="0 = population STD (default), 1 = sample STD")
     p.add_argument("--heatmap-csv", help="also write the cell-value matrix as CSV")
     p.add_argument("--heatmap-svg", help="also render the heatmap as SVG")
     p.add_argument("-o", "--output", required=True, help="report JSON path")
@@ -364,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="emit a curriculum schedule from a split")
     p.add_argument("--split", required=True, help="split JSON from the split subcommand")
     p.add_argument("--order", required=True, choices=experiment.ORDERS)
-    p.add_argument("--seed", type=int, help="PRNG seed (random order only)")
+    _knob(p, "--seed", type=int, help="PRNG seed (random order only)")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_schedule)
@@ -376,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lower-is-better", dest="higher_is_better", action="store_false")
     p.set_defaults(higher_is_better=None)
     p.add_argument("--manifest", help="run manifest JSON with a higher_is_better flag")
-    p.add_argument("--epsilon", type=float, help="relative convergence tolerance "
-                   f"(default {experiment.DEFAULT_EPSILON_REL})")
+    _knob(p, "--epsilon", dest="epsilon_rel", type=float,
+          help=f"relative convergence tolerance (default {experiment.DEFAULT_EPSILON_REL})")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
@@ -409,6 +400,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _Config(args.config or os.environ.get("HLMKIT_CONFIG"))
+        args.knobs = cfg.knobs(args)
         return args.func(args, cfg)
     except HlmkitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

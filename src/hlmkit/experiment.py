@@ -231,7 +231,7 @@ def transfer_to_dict(matrix: TransferMatrix) -> dict:
     }
 
 
-def converge_result_to_dict(log: TrainingLog, epsilon_rel: float) -> dict:
+def converge_result_to_dict(log: TrainingLog, epsilon_rel: float = DEFAULT_EPSILON_REL) -> dict:
     step = convergent_step(log, epsilon_rel)
     return {
         "ratio": step / log.steps[-1][0],

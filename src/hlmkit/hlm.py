@@ -182,7 +182,7 @@ class HlmReport:
     i_task: dict[str, float]
     i_criteria: dict[str, float]
     cells: tuple[CellBreakdown, ...]
-    std_ddof: int = 0
+    std_ddof: int
 
 
 def _axis_means(cells: Iterable[tuple[str, str, str, float]]):
@@ -196,7 +196,7 @@ def _axis_means(cells: Iterable[tuple[str, str, str, float]]):
     return tuple({k: math.fsum(v) / len(v) for k, v in sorted(g.items())} for g in groups)
 
 
-def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
+def compute_report(cube: PerformanceCube, std_ddof: int = 0) -> HlmReport:
     """Compute all three index families over a cube in one pass.
 
     Cells absent from the full task x criterion x model cross product are
@@ -204,11 +204,11 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
     and the per-key divisor shrinks accordingly, so partial cubes still
     produce a report.
     """
-    _check_ddof(ddof)
+    _check_ddof(std_ddof)
     breakdown = []
     for key, t in sorted(cube.cells.items()):
         try:
-            s, std, sig, value = _cell_terms(t, ddof)
+            s, std, sig, value = _cell_terms(t, std_ddof)
         except ValidationError as e:
             raise ValidationError(f"cell {key}: {e}") from None
         breakdown.append(CellBreakdown(*key, s=s, std=std, sigmoid=sig, value=value))
@@ -224,7 +224,7 @@ def compute_report(cube: PerformanceCube, ddof: int = 0) -> HlmReport:
         i_task=i_task,
         i_criteria=i_criteria,
         cells=tuple(breakdown),
-        std_ddof=ddof,
+        std_ddof=std_ddof,
     )
 
 

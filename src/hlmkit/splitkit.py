@@ -94,7 +94,8 @@ def index_surprisals(seqs: Sequence[SurprisalSequence]) -> dict[str, list[Surpri
     return out
 
 
-def _doc_sequences(doc: Document, providers: Providers) -> list[SurprisalSequence]:
+def doc_sequences(doc: Document, providers: Providers) -> list[SurprisalSequence]:
+    """``doc``'s sequences: the model's, one per sentence if ``per_sentence``, else the imported."""
     if providers.lm is not None:
         if providers.per_sentence:
             return sentence_surprisals(providers.lm, doc, providers.base)
@@ -111,7 +112,7 @@ def _uid_value(doc: Document, criterion: str, providers: Providers) -> float:
         score = lambda s: uid.uid_superlinear(s, providers.k)
     else:
         score = lambda s: uid.uid_variance(s, providers.mu_lang)
-    seqs = _doc_sequences(doc, providers)
+    seqs = doc_sequences(doc, providers)
     bases = {s.base for s in seqs}
     if len(bases) > 1:
         raise ValidationError(f"mixed surprisal bases for document {doc.id!r}: {sorted(bases)}")

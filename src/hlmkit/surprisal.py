@@ -39,9 +39,6 @@ UNK = "<unk>"
 MODEL_FORMAT = "hlmkit-ngram"
 MODEL_VERSION = 4
 
-DEFAULT_ORDER = 2
-DEFAULT_DISCOUNT = 0.75
-
 _LOG = {"2": math.log2, "e": math.log}
 _GRAM_LIMIT = 2 ** 63  # V ** order stays below it, so every packed gram is an int64
 
@@ -100,7 +97,16 @@ class NgramModel:
     """
 
     def __init__(self, order: int, discount: float, vocab: Sequence[str],
-                 grams: Sequence[int], counts: Sequence[int]):
+                 grams: Iterable[int], counts: Iterable[int]):
+        in_range = f"model grams must be strictly increasing and in [0, {len(vocab)}**{order})"
+        try:  # copies first, since a caller may change its lists later; the checks read them
+            self._grams = grams = array("q", grams)
+        except OverflowError:
+            raise ValidationError(in_range) from None
+        try:
+            self._counts = counts = array("q", counts)
+        except OverflowError:
+            raise ValidationError("model counts must be below 2**63") from None
         if not 1 <= order <= 3:
             raise ValidationError(f"order must be in [1, 3], got {order}")
         if not 0 < discount < 1:
@@ -114,8 +120,7 @@ class NgramModel:
             raise ValidationError("model counts must be positive, one per gram")
         if grams and not (0 <= grams[0] and grams[-1] < size ** order
                           and all(map(operator.lt, grams, islice(grams, 1, None)))):
-            raise ValidationError(
-                f"model grams must be strictly increasing and in [0, {size}**{order})")
+            raise ValidationError(in_range)
         self.order, self.discount, self.words = order, discount, words
         self.ids = {w: i for i, w in enumerate(words)}
         excluded = {BOS} | ({EOS} if order == 1 else set())
@@ -137,10 +142,6 @@ class NgramModel:
             raise ValidationError(f"model grams must not follow {EOS}, or {BOS} after a word")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
-        try:  # copies, since a caller may change its lists later; each gram is below V ** order
-            self._grams, self._counts = array("q", grams), array("q", counts)
-        except OverflowError:
-            raise ValidationError("model counts must be below 2**63") from None
 
     @cached_property
     def _levels(self) -> list[tuple[array, array, array, array]]:
@@ -245,8 +246,7 @@ def _check_packable(size: int, order: int) -> None:
         raise ValidationError(f"{size} words are too many for order {order}: V ** {order} >= 2**63")
 
 
-def train_lm(corpus: Sequence[Document], order: int = DEFAULT_ORDER,
-             discount: float = DEFAULT_DISCOUNT) -> NgramModel:
+def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75) -> NgramModel:
     """Train an interpolated Kneser-Ney model on a corpus.
 
     Sentences are lowercased and, for order >= 2, padded with ``order - 1``
@@ -379,11 +379,8 @@ def model_from_dict(data: dict) -> NgramModel:
     if data.keys() != keys:
         raise ValidationError(f"a model file needs fields {sorted(keys)}, got {sorted(data)}")
     order, discount, vocab, gaps, counts = fields(data, _MODEL_FIELDS)
-    try:  # the running sums are the grams; the constructor checks their order and range
-        grams = array("q", accumulate(gaps))
-    except OverflowError:
-        raise ValidationError("model gaps must sum to grams below 2**63") from None
-    return NgramModel(order, discount, vocab, grams, counts)
+    # the running sums are the grams; the constructor checks their order and range
+    return NgramModel(order, discount, vocab, accumulate(gaps), counts)
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:

@@ -125,6 +125,31 @@ class TestPipeline:
                      "--surprisals", str(surp), "-o", str(out_imported)]) == 0
         assert out_lm.read_bytes() == out_imported.read_bytes()
 
+    def test_per_sentence_scoring_from_the_model(self, tmp_path):
+        corpus = write_corpus(tmp_path)
+        model, docs, sents = (tmp_path / name for name in ("m.json", "d.jsonl", "s.jsonl"))
+        assert main(["lm-train", "--corpus", corpus, "--order", "3", "-o", str(model)]) == 0
+        assert main(["surprisal", "--corpus", corpus, "--model", str(model), "-o", str(docs)]) == 0
+        assert main(["surprisal", "--corpus", corpus, "--model", str(model), "--per-sentence",
+                     "-o", str(sents)]) == 0
+        # the sentence lines, joined per id, are the document lines
+        joined = {}
+        for line in sents.read_text().splitlines():
+            row = json.loads(line)
+            joined.setdefault(row["id"], []).extend(row["surprisals"])
+        doc_rows = [json.loads(line) for line in docs.read_text().splitlines()]
+        assert len(sents.read_text().splitlines()) > len(doc_rows)
+        assert joined == {row["id"]: row["surprisals"] for row in doc_rows}
+        for criterion in ("uid_sl", "uid_var"):
+            def scores(*flags):
+                out = tmp_path / "scores.jsonl"
+                assert main(["score", "--corpus", corpus, "--criterion", criterion, *flags,
+                             "-o", str(out)]) == 0
+                return out.read_bytes()
+            from_model = scores("--model", str(model), "--per-sentence")
+            assert from_model == scores("--surprisals", str(sents), "--per-sentence")
+            assert from_model != scores("--model", str(model))
+
     def test_score_neural(self, tmp_path):
         corpus = write_corpus(tmp_path)
         neural = tmp_path / "neural.jsonl"
@@ -650,6 +675,7 @@ MALFORMED_MODELS = {
     "v1-vocab-not-list": (1, lambda d: d.update(vocab=5)),
     "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
     "v1-count-zero": (1, _set_item("counts", 0, 0)),
+    "order-4": (2, lambda d: d.update(order=4)),
 }
 
 
@@ -729,6 +755,31 @@ class TestMalformedModel:
         assert "Traceback" not in proc.stderr
 
 
+# Every documented config key: (argv without -o, with knob_inputs placeholders;
+# section; key; value; the flag argv that gives that value; another value)
+_SCORE_UID_SL = ["score", "--corpus", "CORPUS", "--criterion", "uid_sl", "--model", "MODEL"]
+KNOBS = [
+    (_SCORE_UID_SL, "score", "k", "2.0", ["--k", "2.0"], "3.0"),
+    (["score", "--corpus", "CORPUS", "--criterion", "uid_var", "--model", "MODEL"],
+     "score", "mu_lang", "5.0", ["--mu-lang", "5.0"], "1.0"),
+    (_SCORE_UID_SL, "score", "base", "e", ["--base", "e"], "2"),
+    (_SCORE_UID_SL, "score", "per_sentence", "yes", ["--per-sentence"], "no"),
+    (["surprisal", "--corpus", "CORPUS", "--model", "MODEL"],
+     "surprisal", "base", "e", ["--base", "e"], "2"),
+    (["surprisal", "--corpus", "CORPUS", "--model", "MODEL"],
+     "surprisal", "per_sentence", "yes", ["--per-sentence"], "no"),
+    (["lm-train", "--corpus", "CORPUS"], "lm-train", "order", "3", ["--order", "3"], "1"),
+    (["lm-train", "--corpus", "CORPUS"], "lm-train", "discount", "0.5", ["--discount", "0.5"],
+     "0.25"),
+    (["hlm"], "hlm", "std_ddof", "1", ["--std-ddof", "1"], "0"),
+    # without a seed, a random schedule is refused
+    (["schedule", "--split", "SPLIT", "--order", "random"], "schedule", "seed", "7",
+     ["--seed", "7"], "8"),
+    (["converge", "--log", "LOG", "--higher-is-better"], "converge", "epsilon_rel", "0.1",
+     ["--epsilon", "0.1"], "0.2"),
+]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -787,6 +838,49 @@ class TestConfigFile:
                      str(tmp_path / "nope.ini")])
         assert code == 3
 
+    @pytest.fixture(scope="class")
+    def knob_inputs(self, tmp_path_factory):
+        """A corpus, its order-2 model, a split of it and a training log."""
+        tmp = tmp_path_factory.mktemp("knobs")
+        paths = {"CORPUS": write_corpus(tmp), "MODEL": str(tmp / "model.json"),
+                 "SCORES": str(tmp / "scores.jsonl"), "SPLIT": str(tmp / "split.json"),
+                 "LOG": str(tmp / "log.csv")}
+        assert main(["lm-train", "--corpus", paths["CORPUS"], "-o", paths["MODEL"]]) == 0
+        assert main(["score", "--corpus", paths["CORPUS"], "--criterion", "flesch",
+                     "-o", paths["SCORES"]]) == 0
+        assert main(["split", "--scores", paths["SCORES"], "-o", paths["SPLIT"]]) == 0
+        Path(paths["LOG"]).write_text("step,value\n1,0.5\n2,0.8\n3,0.95\n4,1.0\n")
+        return paths
+
+    @pytest.mark.parametrize("argv, section, key, value, flag, other", KNOBS,
+                             ids=[f"{case[1]}-{case[2]}" for case in KNOBS])
+    def test_each_documented_key(self, knob_inputs, tmp_path, monkeypatch,
+                                 argv, section, key, value, flag, other):
+        """``[command] key`` gives the bytes of its flag, and differs from no
+        config; ``[command]`` beats ``[defaults]``, and the flag beats both."""
+        monkeypatch.delenv("HLMKIT_CONFIG", raising=False)
+        out = tmp_path / "out"
+
+        def output(config=None, flags=()):
+            args = [knob_inputs.get(a, a) for a in argv] + ["-o", str(out), *flags]
+            if config is not None:
+                path = tmp_path / "hlmkit.ini"
+                path.write_text(config)
+                args += ["--config", str(path)]
+            out.unlink(missing_ok=True)
+            code = main(args)
+            assert code in (0, 2)
+            return out.read_bytes() if code == 0 else None
+
+        via_command = output(f"[{section}]\n{key} = {value}\n")
+        assert via_command is not None
+        assert via_command == output(flags=flag)
+        assert via_command != output()
+        assert via_command != output(f"[defaults]\n{key} = {other}\n")
+        assert via_command == output(f"[defaults]\n{key} = {other}\n[{section}]\n{key} = {value}\n")
+        both = f"[defaults]\n{key} = {other}\n[{section}]\n{key} = {other}\n"
+        assert via_command == output(both, flags=flag)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
@@ -834,6 +928,12 @@ def _surprisal_model(bad, tmp):
     return ["surprisal", "--corpus", write_corpus(tmp), "--model", bad]
 
 
+def _hlm_cube(bad, tmp):
+    return ["hlm", "--cube", bad]
+
+
+CUBE_HEADER = ",".join(CUBE_COLUMNS) + "\n"
+
 # (content of the malformed input, argv of the subcommand that reads it)
 MALFORMED_INPUTS = {
     "deep-corpus": (DEEP, lambda bad, tmp: ["score", "--corpus", bad, "--criterion", "flesch"]),
@@ -873,6 +973,8 @@ MALFORMED_INPUTS = {
         '"std_ddof": 0, "cells": []}',
         _report),
     "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
+    "cube-value-nan": (CUBE_HEADER + "t,c,m,easy,full,accuracy,nan,true\n", _hlm_cube),
+    "cube-row-of-7-fields": (CUBE_HEADER + "t,c,m,easy,full,accuracy,0.9\n", _hlm_cube),
     "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",
                            lambda bad, tmp: ["converge", "--log", bad, "--higher-is-better"]),
     # an integer step the float axis of the curves plot cannot hold
@@ -956,9 +1058,23 @@ def _hlm_heatmap_of_task(tmp, task):
             "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")]
 
 
+def _file(tmp, name, text):
+    (tmp / name).write_text(text)
+    return str(tmp / name)
+
+
+def _split_of(tmp, rows):
+    """Argv of ``split`` on a score file of (id, criterion, value, higher_is_harder) rows."""
+    keys = ("id", "criterion", "value", "higher_is_harder")
+    scores = _file(tmp, "scores.jsonl", _lines(dict(zip(keys, r)) for r in rows))
+    return ["split", "--scores", scores, "-o", str(tmp / "out.json")]
+
+
 # argv of a command whose inputs are well formed but refused: a heatmap with far
 # more grid positions than cells, report cells the index dicts do not match, a
-# flag missing its partner, or a label that XML cannot hold
+# flag missing its partner, a label that XML cannot hold, or records that parse
+# but break a rule of their file (an empty cube, a repeated row or id, a mixed
+# direction, an unknown criterion, three boundaries, a non-finite log value)
 REFUSED_INPUTS = {
     "hlm-heatmap-of-diagonal-cube": lambda tmp: [
         "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
@@ -986,6 +1102,35 @@ REFUSED_INPUTS = {
         "report", "--curves", _log(tmp), "--labels", "a\x0bb", "--curves-out",
         str(tmp / "curves.svg"), "--validate"],
     "hlm-heatmap-svg-of-a-control-character": lambda tmp: _hlm_heatmap_of_task(tmp, "a\x01b"),
+    "hlm-header-only-cube": lambda tmp: [
+        "hlm", "--cube", _file(tmp, "cube.csv", CUBE_HEADER), "-o", str(tmp / "out.json")],
+    "transfer-repeated-eval-level-row": lambda tmp: [
+        "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
+                                    + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),
+        "-o", str(tmp / "out.json")],
+    "score-neural-id-twice": lambda tmp: [
+        "score", "--corpus", write_corpus(tmp), "--criterion", "neural", "--neural-scores",
+        _file(tmp, "neural.jsonl", _lines({"id": d["id"], "score": 1.0, "higher_is_harder": True}
+                                          for d in CORPUS_LINES + CORPUS_LINES[:1])),
+        "-o", str(tmp / "out.jsonl")],
+    "split-neural-scores-of-mixed-direction": lambda tmp: _split_of(
+        tmp, [("a", "neural", 1.0, True), ("b", "neural", 2.0, False), ("c", "neural", 3.0, True)]),
+    "split-criterion-foo": lambda tmp: _split_of(
+        tmp, [("a", "foo", 1.0, True), ("b", "foo", 2.0, True), ("c", "foo", 3.0, True)]),
+    "split-duplicate-ids": lambda tmp: _split_of(
+        tmp, [("a", "uid_sl", 1.0, True), ("b", "uid_sl", 2.0, True), ("a", "uid_sl", 3.0, True)]),
+    "schedule-split-of-3-boundaries": lambda tmp: [
+        "schedule", "--split", _file(tmp, "split.json", json.dumps(
+            dict(SPLIT, boundaries=[50.0, 60.0, 70.0]))),
+        "--order", "easy_to_hard", "-o", str(tmp / "out.json")],
+    "converge-log-value-nan": lambda tmp: [
+        "converge", "--log", _file(tmp, "log.csv", "step,value\n1,0.5\n2,nan\n"),
+        "--higher-is-better", "-o", str(tmp / "out.json")],
+    "report-hlm-report-without-heatmap-out": lambda tmp: _report_of(
+        tmp, [("t", "c", "m", 0.5)])[:3],
+    "report-labels-not-one-per-curves-file": lambda tmp: [
+        "report", "--curves", _log(tmp), _log(tmp), "--labels", "a", "--curves-out",
+        str(tmp / "c.svg")],
 }
 
 
@@ -1100,13 +1245,13 @@ def test_surprisal_streams_and_a_late_failure_keeps_the_previous_output(tmp_path
     out = tmp_path / "s.jsonl"
     out.write_bytes(b"previous output\n")
     scored = []
-    score = hlmkit.surprisal.token_surprisals
+    score = hlmkit.splitkit.token_surprisals
 
     def recording(model, doc, base):
         scored.append(doc.id)
         return score(model, doc, base)
 
-    monkeypatch.setattr(hlmkit.surprisal, "token_surprisals", recording)
+    monkeypatch.setattr(hlmkit.splitkit, "token_surprisals", recording)
     capsys.readouterr()
     assert main(["surprisal", "--corpus", corpus, "--model", str(model), "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ValidationError: cannot write ")

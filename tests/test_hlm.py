@@ -244,7 +244,7 @@ class TestComputeReport:
     @pytest.mark.parametrize("ddof", [2, -3])
     def test_ddof_other_than_0_or_1_rejected(self, reference_cube, ddof):
         with pytest.raises(ValidationError, match=f"^std_ddof must be 0 or 1, got {ddof}$"):
-            compute_report(reference_cube, ddof=ddof)
+            compute_report(reference_cube, std_ddof=ddof)
         with pytest.raises(ValidationError, match=f"^std_ddof must be 0 or 1, got {ddof}$"):
             triplet_std(PerformanceTriplet(0.9, 0.8, 0.7), ddof=ddof)
 

@@ -197,7 +197,7 @@ class TestModelChecks:
 
     def test_vocabulary_beyond_int64_packing_is_refused_first(self):
         # 2**21 + 3 words: V ** 3 >= 2**63. The size is checked before the vocabulary's
-        # order (this one repeats a word), and before any array is built
+        # order (this one repeats a word), and before anything per word is built
         words = [BOS, EOS, UNK] + ["w"] * 2 ** 21
         with pytest.raises(ValidationError, match=r"^2097155 words are too many for order 3"):
             NgramModel(3, 0.75, words, [], [])
