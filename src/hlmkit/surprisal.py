@@ -37,7 +37,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 _LOG = {"2": math.log2, "e": math.log}
 _GRAM_LIMIT = 2 ** 63  # V ** order stays below it, so every packed gram is an int64
@@ -159,7 +159,8 @@ class NgramModel:
             dict.update(tally, zip(grams, count()))  # now suffix -> index
             tables[-2].append(array("q", map(tally.__getitem__,
                                              map((size ** k).__rmod__, tables[-2][0]))))
-        levels, tally = [], None  # frees the last suffix index
+            tally = grams = None  # frees the suffix index before the next order counts
+        levels = []
         while tables:
             grams, counts, *index = tables.pop()
             lower = map(levels[-1][3].__getitem__, index[0]) if levels else repeat(self._uniform)
@@ -172,8 +173,11 @@ class NgramModel:
                 totals += [total] * (end - i)
                 backoffs.extend([discount * (end - i) / total] * (end - i))
                 i = end
-            probs = array("d", [(c - discount) / t + b * q
-                                for c, t, b, q in zip(counts, totals, backoffs, lower)])
+            # (c - discount) / total + backoff * lower p, streamed into the array with no list
+            discounted = map(operator.sub, counts, repeat(discount))
+            probs = array("d", map(operator.add, map(operator.truediv, discounted, totals),
+                                   map(operator.mul, backoffs, lower)))
+            totals = None
             step = size ** len(levels)
             starts = array("q", map(bisect_left, repeat(grams), range(0, size * step + 1, step)))
             levels.append((grams, starts, backoffs, probs))
@@ -351,24 +355,30 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> in
 
 
 def model_to_dict(model: NgramModel) -> dict:
-    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, counts."""
+    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, and
+    the counts above 1 with the gaps between their positions (every other count is 1)."""
+    grams, counts = model._grams, model._counts
+    repeated = list(compress(count(), map((1).__lt__, counts)))
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
         "vocab": list(model.words),
-        "gaps": list(map(operator.sub, model._grams, chain([0], model._grams))),
-        "counts": list(model._counts),
+        "gaps": list(map(operator.sub, grams, chain([0], grams))),
+        "count_gaps": list(map(operator.sub, repeated, chain([0], repeated))),
+        "counts": list(map(counts.__getitem__, repeated)),
     }
 
 
-# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams).
-_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS, "counts": INTS}
+# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams,
+# and the counts above 1 at the positions that count_gaps codes as gaps)
+_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS,
+                 "count_gaps": INTS, "counts": INTS}
 
 
 def model_from_dict(data: dict) -> NgramModel:
-    """Rebuild a model from a version-4 dump; any other version is refused."""
+    """Rebuild a model from a version-5 dump; any other version is refused."""
     fmt, version = fields(data, {"format": STRING, "version": INT})
     if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
@@ -378,7 +388,17 @@ def model_from_dict(data: dict) -> NgramModel:
     keys = {"format", "version", *_MODEL_FIELDS}
     if data.keys() != keys:
         raise ValidationError(f"a model file needs fields {sorted(keys)}, got {sorted(data)}")
-    order, discount, vocab, gaps, counts = fields(data, _MODEL_FIELDS)
+    order, discount, vocab, gaps, count_gaps, listed = fields(data, _MODEL_FIELDS)
+    if len(count_gaps) != len(listed) or listed and not 2 <= min(listed) <= max(listed) < 2 ** 63:
+        raise ValidationError("model counts must be listed in [2, 2**63), one per count gap")
+    # the positions are the running sums, so they increase and end below the gram count
+    if count_gaps and not (count_gaps[0] >= 0 and sum(count_gaps) < len(gaps)
+                           and all(map((0).__lt__, islice(count_gaps, 1, None)))):
+        raise ValidationError(
+            f"model count positions must be strictly increasing and in [0, {len(gaps)})")
+    counts = array("q", [1]) * len(gaps)
+    for i, c in zip(accumulate(count_gaps), listed):
+        counts[i] = c
     # the running sums are the grams; the constructor checks their order and range
     return NgramModel(order, discount, vocab, accumulate(gaps), counts)
 

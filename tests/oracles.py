@@ -18,8 +18,17 @@ BOS, EOS, UNK = "<s>", "</s>", "<unk>"
 
 
 def dump_grams(dump: dict) -> list[int]:
-    """The packed grams of a version-4 model dump: the running sums of its gaps."""
+    """The packed grams of a model dump: the running sums of its gaps."""
     return list(accumulate(dump["gaps"]))
+
+
+def dump_counts(dump: dict) -> list[int]:
+    """The count of each gram of a version-5 model dump: the listed counts at the running
+    sums of its count gaps, and 1 everywhere else."""
+    counts = [1] * len(dump["gaps"])
+    for position, c in zip(accumulate(dump["count_gaps"]), dump["counts"]):
+        counts[position] = c
+    return counts
 
 
 def kn_event_vocab(sentences: list[list[str]], order: int) -> list[str]:

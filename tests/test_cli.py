@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from hlmkit.cli import main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
-from oracles import dump_grams
+from oracles import dump_counts, dump_grams
 
 CORPUS_LINES = [
     {"id": "d1", "text": "The cat sat on the mat. It was warm."},
@@ -609,18 +610,40 @@ def _swap_first_two(key):
     return mutate
 
 
+def _gaps(values):
+    """``values`` gap-coded: the first one, then each one's distance from the one before."""
+    return [b - a for a, b in zip([0] + values, values)]
+
+
 def _add_gram(*gram):
-    """Insert ``gram`` with count 5, keeping the grams sorted."""
+    """Insert ``gram`` with count 5, keeping the grams sorted and the counts above 1 listed."""
     def mutate(data):
         index = {w: i for i, w in enumerate(data["vocab"])}
         packed = 0
         for w in gram:
             packed = packed * len(index) + index[w]
-        grams = dump_grams(data)
+        grams, counts = dump_grams(data), dump_counts(data)
         i = bisect.bisect(grams, packed)
         grams.insert(i, packed)
-        data["gaps"] = [b - a for a, b in zip([0] + grams, grams)]
-        data["counts"].insert(i, 5)
+        counts.insert(i, 5)
+        positions = [j for j, c in enumerate(counts) if c > 1]
+        data.update(gaps=_gaps(grams), count_gaps=_gaps(positions),
+                    counts=[counts[j] for j in positions])
+    return mutate
+
+
+def _set_count(index, value):
+    """List ``value`` as the count of the gram at ``index``, in place of its count."""
+    def mutate(data):
+        position = range(len(data["gaps"]))[index]
+        positions = list(accumulate(data["count_gaps"]))
+        i = bisect.bisect_left(positions, position)
+        if position in positions:
+            data["counts"][i] = value
+        else:
+            positions.insert(i, position)
+            data["counts"].insert(i, value)
+        data["count_gaps"] = _gaps(positions)
     return mutate
 
 
@@ -639,30 +662,30 @@ MALFORMED_MODELS = {
     "unknown-field": (2, lambda d: d.update(extra=5)),
     "counts-not-list": (2, lambda d: d.update(counts={"the": 1})),
     # the last count, where the v3-count-* cases change the first
-    "count-negative": (2, _set_item("counts", -1, -5)),
-    "count-zero": (2, _set_item("counts", -1, 0)),
-    "count-bool": (2, _set_item("counts", -1, True)),
-    "count-float": (2, _set_item("counts", -1, 2.7)),
-    "count-string": (2, _set_item("counts", -1, "3")),
+    "count-negative": (2, _set_count(-1, -5)),
+    "count-zero": (2, _set_count(-1, 0)),
+    "count-bool": (2, _set_count(-1, True)),
+    "count-float": (2, _set_count(-1, 2.7)),
+    "count-string": (2, _set_count(-1, "3")),
     "v4-missing-gaps": (2, lambda d: d.pop("gaps")),
     "v4-gaps-sum-to-the-range-end": (2, _last_gram_at_the_range_end),
     # values the int64 arrays cannot hold: a gap, or a sum of gaps that each fit
     "v4-gap-beyond-int64": (2, _set_item("gaps", -1, 2 ** 63)),
     "v4-gaps-sum-past-int64": (2, lambda d: d["gaps"].__setitem__(slice(0, 2), [2 ** 62] * 2)),
-    "v3-count-beyond-int64": (2, _set_item("counts", -1, 2 ** 63)),
+    "v3-count-beyond-int64": (2, _set_count(-1, 2 ** 63)),
     "v4-first-gap-negative": (2, _set_item("gaps", 0, -1)),
     "v4-gap-float": (2, _set_item("gaps", 0, 0.0)),
     # a later gram below the one before it, or equal to it
     "v4-gap-negative": (2, _set_item("gaps", 1, -1)),
     "v4-gap-zero": (2, _set_item("gaps", 1, 0)),
-    "v3-count-zero": (2, _set_item("counts", 0, 0)),
-    "v3-count-negative": (2, _set_item("counts", 0, -2)),
-    "v3-count-bool": (2, _set_item("counts", 0, True)),
+    "v3-count-zero": (2, _set_count(0, 0)),
+    "v3-count-negative": (2, _set_count(0, -2)),
+    "v3-count-bool": (2, _set_count(0, True)),
     "v3-vocab-unsorted": (2, _swap_first_two("vocab")),
     "v3-vocab-duplicate": (2, lambda d: d["vocab"].__setitem__(1, d["vocab"][0])),
     "v3-vocab-not-strings": (2, _set_item("vocab", -1, 7)),
     "v3-missing-pad": (2, lambda d: d["vocab"].remove("<unk>")),
-    "v3-length-mismatch": (2, lambda d: d["counts"].pop()),
+    "v3-length-mismatch": (2, lambda d: d["counts"].append(2)),
     "v3-gram-predicts-bos": (2, _add_gram("the", "<s>")),
     # the start pad predicted after the start-pad history itself
     "v2-gram-predicts-bos": (2, _add_gram("<s>", "<s>")),
@@ -674,8 +697,25 @@ MALFORMED_MODELS = {
     # the order-1 file, whose grams are single words
     "v1-vocab-not-list": (1, lambda d: d.update(vocab=5)),
     "v1-missing-vocab": (1, lambda d: d.pop("vocab")),
-    "v1-count-zero": (1, _set_item("counts", 0, 0)),
+    "v1-count-zero": (1, _set_count(0, 0)),
     "order-4": (2, lambda d: d.update(order=4)),
+    # the counts above 1 and their gap-coded positions
+    "v5-missing-count-gaps": (2, lambda d: d.pop("count_gaps")),
+    "v5-count-gaps-not-list": (2, lambda d: d.update(count_gaps=3)),
+    "v5-count-gap-float": (2, lambda d: d.update(count_gaps=[0.0], counts=[2])),
+    "v5-count-one": (2, _set_count(-1, 1)),
+    "v5-count-gap-beyond-int64": (2, lambda d: d.update(count_gaps=[2 ** 63], counts=[2])),
+    "v5-first-count-gap-negative": (2, lambda d: d.update(count_gaps=[-1], counts=[2])),
+    # a later position equal to the one before it, or below it
+    "v5-count-gap-zero": (2, lambda d: d.update(count_gaps=[1, 0], counts=[2, 2])),
+    "v5-count-gap-negative": (2, lambda d: d.update(count_gaps=[2, -1], counts=[2, 2])),
+    # a position at the number of grams, one past the last gram
+    "v5-count-position-at-the-gram-count": (
+        2, lambda d: d.update(count_gaps=[len(d["gaps"])], counts=[2])),
+    "v5-count-gaps-sum-to-the-gram-count": (
+        2, lambda d: d.update(count_gaps=[1, len(d["gaps"]) - 1], counts=[2, 2])),
+    "v5-more-count-gaps-than-counts": (2, lambda d: d["count_gaps"].append(1)),
+    "v5-counts-without-count-gaps": (2, lambda d: d.update(count_gaps=[], counts=[2])),
 }
 
 
@@ -721,11 +761,11 @@ class TestMalformedModel:
         with pytest.raises((hlmkit.ValidationError, hlmkit.ParseError)):
             hlmkit.load_model(bad)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_version_exit_2(self, tmp_path, version):
         """Versions 1 and 2 stored nested ``[history, [[word, count], ...]]``
-        tables, and version 3 the packed grams themselves; they are no longer
-        read, and have to be retrained."""
+        tables, version 3 the packed grams themselves, and version 4 their gaps
+        with one count per gram; they are no longer read, and have to be retrained."""
         table = [[[], [["cat", 1], ["the", 2]]]]
         dump = {"format": "hlmkit-ngram", "version": version, "order": 1, "discount": 0.75,
                 "counts": table}
@@ -733,6 +773,9 @@ class TestMalformedModel:
             dump.update(counts=[[1, table]], vocab=["</s>", "<s>", "<unk>", "cat", "the"])
         if version == 3:  # the sorted vocabulary, and the grams "cat" and "the"
             dump.update(vocab=["</s>", "<s>", "<unk>", "cat", "the"], grams=[3, 4],
+                        counts=[1, 2])
+        if version == 4:  # the same grams as gaps
+            dump.update(vocab=["</s>", "<s>", "<unk>", "cat", "the"], gaps=[3, 1],
                         counts=[1, 2])
         path = tmp_path / "old.json"
         path.write_text(json.dumps(dump))

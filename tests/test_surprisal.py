@@ -32,7 +32,7 @@ from hlmkit.surprisal import (
     train_lm,
 )
 from hlmkit.textstat import Document
-from oracles import CountTableKN, dump_grams, kn_prob, train_counts
+from oracles import CountTableKN, dump_counts, dump_grams, kn_prob, train_counts
 
 ALPHABET = list("abcdefghij")
 
@@ -116,9 +116,9 @@ class TestTrainLm:
 
     def test_peak_and_held_memory_per_gram(self):
         """Training counts by sorting the packed windows, with no window -> count dict, and
-        the model keeps its grams and counts as int64 arrays: 86-88 traced bytes per
-        stored gram at the peak and 27-29 held (Python 3.10-3.13), where counting with a
-        Counter into tuples read 167-170 and 66-68."""
+        the model keeps its grams and counts as int64 arrays: 98 traced bytes per stored
+        gram at the peak, the generated corpus included (91 without it), and 28 held
+        (Python 3.11), where counting with a Counter into tuples read 167-170 and 66-68."""
         model, peak, held = traced_bytes(lambda: train_lm(zipf_docs(), order=3))
         stored = len(model_to_dict(model)["gaps"])
         assert stored >= 20_000
@@ -213,7 +213,7 @@ class TestModelChecks:
                                                 ("counts", r"counts must be below 2\*\*63")])
     def test_values_beyond_int64_are_refused(self, field, message):
         dump = model_to_dict(train_lm(docs_from_sentences([["a", "b"]]), order=2))
-        columns = {"grams": dump_grams(dump), "counts": dump["counts"]}
+        columns = {"grams": dump_grams(dump), "counts": dump_counts(dump)}
         columns[field][-1] = 2 ** 63
         with pytest.raises(ValidationError, match=message):
             NgramModel(2, 0.75, dump["vocab"], columns["grams"], columns["counts"])
@@ -241,7 +241,7 @@ class TestTrainOracle:
         docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
         dump = model_to_dict(train_lm(docs, order=order))
         sentences = [s for d in docs for s in _tokenize_sentences(d.text)]
-        assert (dump["vocab"], dump_grams(dump), dump["counts"]) == train_counts(sentences, order)
+        assert (dump["vocab"], dump_grams(dump), dump_counts(dump)) == train_counts(sentences, order)
 
     def test_oov_and_one_token_sentences(self):
         docs = [Document(id="d", text="Zed. Ωmega <unk> ß. Go!")]
@@ -249,7 +249,7 @@ class TestTrainOracle:
         sentences = [["zed"], ["ωmega", "unk", "ß"], ["go"]]
         assert _tokenize_sentences(docs[0].text) == sentences
         dump = model_to_dict(model)
-        assert (dump["vocab"], dump_grams(dump), dump["counts"]) == train_counts(sentences, 3)
+        assert (dump["vocab"], dump_grams(dump), dump_counts(dump)) == train_counts(sentences, 3)
         assert model.prob("never-seen", ("ß",)) == model.prob(UNK, ("ß",)) > 0
 
 
@@ -267,7 +267,7 @@ class TestTableOracle:
         model = train_lm(docs_from_sentences(train), order=order, discount=discount)
         dump = model_to_dict(model)
         words = dump["vocab"]
-        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump["counts"])))
+        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump_counts(dump))))
         size, index = len(words), {w: i for i, w in enumerate(words)}
 
         def pack(tokens):
@@ -315,7 +315,7 @@ class TestMissPath:
         model = train_lm(docs_from_sentences(train), order=order, discount=discount)
         dump = model_to_dict(model)
         words, size = dump["vocab"], len(dump["vocab"])
-        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump["counts"])))
+        oracle = CountTableKN(order, discount, words, dict(zip(dump_grams(dump), dump_counts(dump))))
         index = {w: i for i, w in enumerate(words)}
         sentences = [s + ["never-seen"] for s in held_out]
         doc = Document(id="q", text=" ".join(" ".join(s).capitalize() + "." for s in sentences))
@@ -616,21 +616,22 @@ class TestPersistence:
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n") and ": " not in text
         data = json.loads(text)
-        assert sorted(data) == ["counts", "discount", "format", "gaps", "order", "version",
-                                "vocab"]
-        assert data["version"] == 4
+        assert sorted(data) == ["count_gaps", "counts", "discount", "format", "gaps", "order",
+                                "version", "vocab"]
+        assert data["version"] == 5
+        assert data["count_gaps"] == data["counts"] == []  # every count is 1
         words = data["vocab"]
         assert words == sorted({"a", "b", BOS, EOS, UNK})
         size = len(words)
         assert data["gaps"][0] >= 0 and min(data["gaps"][1:]) > 0
         unpacked = {(words[g // size ** 2], words[g // size % size], words[g % size]): c
-                    for g, c in zip(dump_grams(data), data["counts"])}
+                    for g, c in zip(dump_grams(data), dump_counts(data))}
         assert unpacked == {(BOS, BOS, "a"): 1, (BOS, "a", "b"): 1, ("a", "b", "a"): 1,
                             ("b", "a", EOS): 1, (BOS, BOS, "b"): 1, (BOS, "b", EOS): 1}
 
     def test_model_keeps_its_own_grams(self):
         dump = model_to_dict(train_lm(docs_from_sentences([["a", "b", "a"], ["b"]]), order=2))
-        vocab, grams, counts = dump["vocab"], dump_grams(dump), dump["counts"]
+        vocab, grams, counts = dump["vocab"], dump_grams(dump), dump_counts(dump)
         model = NgramModel(2, 0.75, vocab, grams, counts)
         before = model_to_dict(model)
         vocab.append("zz")
@@ -642,11 +643,13 @@ class TestPersistence:
 
     def test_load_peak_memory_per_stored_gram(self, tmp_path):
         """Loading a model and deriving its tables keep one copy of the grams, and
-        every order in arrays: the traced peak is 121-124 bytes per stored gram on
-        Python 3.10-3.13, and the model holds 65-67 after its first query. They were
-        191-193 and 165-168 while the top order was a gram -> p dict, 285-289 at the
-        peak while every order's tables were dicts, and 411-414 while the model also
-        kept a gram -> count dict beside per-history total and type dicts."""
+        every order in arrays: the traced peak is 117.9 bytes per stored gram on
+        Python 3.11, and the model holds 66 after its first query. The peak was 121-124
+        (Python 3.10-3.13) while each order's suffix index lived on while the next
+        order was counted; 191-193 and 165-168 while the top order was a gram -> p
+        dict, 285-289 at the peak while every order's tables were dicts, and 411-414
+        while the model also kept a gram -> count dict beside per-history total and
+        type dicts."""
         path = tmp_path / "m.json"
         save_model(train_lm(zipf_docs(), order=3), path)
         stored = len(json.loads(path.read_text())["gaps"])
@@ -657,17 +660,30 @@ class TestPersistence:
             model.prob("w1", ("w2",))
             return model
         _, peak, held = traced_bytes(load_and_query)
-        assert peak / stored < 160 and held / stored < 100
+        assert peak / stored < 121 and held / stored < 100
 
     def test_file_bytes_per_stored_gram(self, tmp_path):
         """The file stores each gram as its distance from the one before, a few digits
-        where a packed order-3 gram has up to 13: 8.50 bytes per stored gram here,
-        where the packed grams themselves took 13.79."""
+        where a packed order-3 gram has up to 13, and lists only the counts above 1:
+        6.62 bytes per stored gram here, where one count per gram took 8.50 and the
+        packed grams themselves 13.79."""
         path = tmp_path / "m.json"
         save_model(train_lm(zipf_docs(), order=3), path)
         stored = len(json.loads(path.read_text())["gaps"])
         assert stored >= 20_000
-        assert path.stat().st_size / stored < 10
+        assert path.stat().st_size / stored < 7
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_model_of_single_counts_round_trips(self, tmp_path, order):
+        """No gram is counted twice, so both count lists are empty."""
+        path = tmp_path / "m.json"
+        save_model(train_lm(docs_from_sentences([["a", "b"], ["c", "d"]]), order=order), path)
+        data = json.loads(path.read_text())
+        assert data["count_gaps"] == data["counts"] == [] and len(data["gaps"]) >= 4
+        loaded = load_model(path)
+        assert list(loaded._counts) == [1] * len(data["gaps"])
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_dump_round_trips_the_arrays(self):
         model = train_lm(zipf_docs(docs=40), order=3)
