@@ -146,12 +146,6 @@ def convergent_step(log: TrainingLog, epsilon_rel: float = DEFAULT_EPSILON_REL) 
     raise AssertionError("unreachable: the best entry always qualifies")
 
 
-def convergence_ratio(log: TrainingLog, epsilon_rel: float = DEFAULT_EPSILON_REL) -> float:
-    """Convergent step (see :func:`convergent_step`) divided by total steps,
-    in (0, 1]. Lower is better."""
-    return convergent_step(log, epsilon_rel) / log.steps[-1][0]
-
-
 def load_training_log(path: str | Path, higher_is_better: bool) -> TrainingLog:
     """Training log CSV with header ``step,value``."""
     entries = []

@@ -128,15 +128,6 @@ def _cell_terms(t: PerformanceTriplet, ddof: int) -> tuple[float, float, float, 
     return s, std, sig, 0.0 if s == 0.0 else s + 0.25 * math.copysign(1.0, s) * sig
 
 
-def cell_value(t: PerformanceTriplet, ddof: int = 0) -> float:
-    """Logical score plus the sign-gated dispersion bonus.
-
-    Returns s + 0.25 * sgn(s) * sigmoid(STD). Exactly 0 whenever the logical
-    score is 0: with no ordering evidence the dispersion term is silenced.
-    """
-    return _cell_terms(t, ddof)[3]
-
-
 class PerformanceCube:
     """Benchmark metric values indexed by (task, criterion, model).
 
@@ -201,10 +192,12 @@ def compute_report(cube: PerformanceCube, std_ddof: int = 0) -> HlmReport:
 
     Cells absent from the full task x criterion x model cross product are
     skipped with a warning that gives their count and the first few of them,
-    and the per-key divisor shrinks accordingly, so partial cubes still
-    produce a report.
+    and the per-key divisor shrinks accordingly; a cube with no cell at all
+    is a ValidationError.
     """
     _check_ddof(std_ddof)
+    if not cube.cells:
+        raise ValidationError("no complete (easy, medium, hard) triplet of full rows in cube")
     breakdown = []
     for key, t in sorted(cube.cells.items()):
         try:

@@ -232,10 +232,6 @@ class NgramModel:
             return q
         return miss
 
-    def distribution(self, context: Sequence[str] = ()) -> dict[str, float]:
-        """Full conditional distribution over the predictable vocabulary."""
-        return {w: self.prob(w, context) for w in self.event_vocab}
-
 
 def _pack(ids: Mapping[str, int], tokens: Iterable[str]) -> int:
     """The mixed-radix key of ``tokens`` in base ``len(ids)``; unknown ones are <unk>."""

@@ -19,11 +19,10 @@ import pytest
 
 from hlmkit.cli import _build_parser
 from hlmkit.data import reference_performance_path, reference_transfer_path
-from hlmkit.experiment import TrainingLog, convergence_ratio, transfer_scores
+from hlmkit.experiment import TrainingLog, converge_result_to_dict, transfer_scores
 from hlmkit.hlm import (
     PerformanceCube,
     PerformanceTriplet,
-    cell_value,
     compute_report,
     load_cube_csv,
     logical_score,
@@ -71,12 +70,13 @@ def test_c01_reference_ordering_reproduction():
 def test_c02_extreme_cells_of_reference_heatmap():
     with criterion(2, "heatmap extremes on the reference fixture"):
         start = time.perf_counter()
-        cube = load_cube_csv(reference_performance_path())
+        report = compute_report(load_cube_csv(reference_performance_path()))
+        values = {(c.task, c.criterion, c.model): c.value for c in report.cells}
         for crit in ("uid_sl", "uid_var", "neural"):
             for model in ("BERT", "LSTM"):
-                v = cell_value(cube.cells[("WT2", crit, model)])
+                v = values[("WT2", crit, model)]
                 assert v >= 0.99, (crit, model, v)
-        assert cell_value(cube.cells[("WT2", "flesch", "BERT")]) <= -0.99
+        assert values[("WT2", "flesch", "BERT")] <= -0.99
         assert time.perf_counter() - start < 1.0
 
 
@@ -86,14 +86,18 @@ def test_c03_cell_value_bounds_and_sign_gating():
         # mixed directions and scales; ranges kept below the float saturation
         # point of the sigmoid so the strict mathematical bound is testable
         scales = [(0.0, 1.0), (0.0, 50.0), (50.0, 100.0), (-1.0, 1.0)]
+        cells = {}
         for i in range(10_000):
             lo, hi = scales[i % len(scales)]
             vals = [rng.uniform(lo, hi) for _ in range(3)]
             if i % 7 == 0:
                 vals[i % 3] = vals[(i + 1) % 3]  # inject ties
-            t = PerformanceTriplet(*vals, higher_is_better=bool(i % 2))
-            s = logical_score(t)
-            v = cell_value(t)
+            cells[(f"t{i:05d}", "c", "m")] = PerformanceTriplet(*vals, higher_is_better=bool(i % 2))
+        # one report over all of them, as `hlm` computes it
+        report = compute_report(PerformanceCube(cells))
+        assert len(report.cells) == len(cells)
+        for c in report.cells:
+            s, v = logical_score(cells[(c.task, c.criterion, c.model)]), c.value
             assert -1.0 < v < 1.0
             if s == 0.0:
                 assert v == 0.0
@@ -151,7 +155,7 @@ def test_c06_ngram_model_against_naive_oracle():
             for hist in model.counts[order]:
                 contexts.update(hist[i:] for i in range(order))
             for ctx in contexts:
-                dist = model.distribution(ctx)
+                dist = {w: model.prob(w, ctx) for w in model.event_vocab}
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
             for ctx in list(model.counts[order]) + [(), ("oov",) * max(1, order - 1)]:
                 for w in model.event_vocab + ("never-seen",):
@@ -269,13 +273,13 @@ def test_c08_reference_transfer_anchor():
 def test_c09_convergence_metric():
     with criterion(9, "convergence ratio cases and monotonicity"):
         log = TrainingLog(steps=((1, 0.5), (2, 0.9), (3, 0.9), (4, 0.9)))
-        assert convergence_ratio(log, 0.001) == pytest.approx(0.5)
+        assert converge_result_to_dict(log, 0.001)["ratio"] == pytest.approx(0.5)
         log = TrainingLog(steps=((1, 0.8), (2, 0.8)))
-        assert convergence_ratio(log, 0.001) == pytest.approx(0.5)
+        assert converge_result_to_dict(log, 0.001)["ratio"] == pytest.approx(0.5)
         ppl = TrainingLog(steps=((1, 300.0), (2, 200.0), (3, 199.9)), higher_is_better=False)
         # 200 lies within 199.9 * 1.001, so the threshold is met at step 2
-        assert convergence_ratio(ppl, 0.001) == pytest.approx(2.0 / 3.0)
-        assert convergence_ratio(ppl, 0.0001) == pytest.approx(1.0)
+        assert converge_result_to_dict(ppl, 0.001)["ratio"] == pytest.approx(2.0 / 3.0)
+        assert converge_result_to_dict(ppl, 0.0001)["ratio"] == pytest.approx(1.0)
 
         rng = random.Random(909)
         for _ in range(1000):
@@ -284,14 +288,14 @@ def test_c09_convergence_metric():
             steps = tuple((i + 1, rng.uniform(1, 100)) for i in range(n))
             log = TrainingLog(steps=steps, higher_is_better=hib)
             eps = rng.uniform(1e-6, 0.2)
-            ratio = convergence_ratio(log, eps)
+            ratio = converge_result_to_dict(log, eps)["ratio"]
             assert 0 < ratio <= 1
             values = [v for _, v in steps]
             best = max(values) if hib else min(values)
             cut = values.index(best) + 1
             if cut >= 2:
                 truncated = TrainingLog(steps=steps[:cut], higher_is_better=hib)
-                assert convergence_ratio(truncated, eps) >= ratio
+                assert converge_result_to_dict(truncated, eps)["ratio"] >= ratio
 
 
 def test_c10_no_model_training_disclosure():

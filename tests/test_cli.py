@@ -1092,18 +1092,22 @@ def _report_and_curves_without_curves_out(tmp):
     return _heatmap_of(report) + ["--curves", _log(tmp)]
 
 
-def _hlm_heatmap_of_task(tmp, task):
-    cube = tmp / "cube.csv"
-    cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
-        f"{task},c,m,{tr},full,accuracy,{v},true\n"
-        for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
-    return ["hlm", "--cube", str(cube), "-o", str(tmp / "out.json"), "--validate",
-            "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")]
-
-
 def _file(tmp, name, text):
     (tmp / name).write_text(text)
     return str(tmp / name)
+
+
+def _hlm_of_rows(tmp, rows):
+    """Argv of ``hlm --validate`` on a cube of ``rows``, asking for the report and both
+    heatmaps."""
+    cube = _file(tmp, "cube.csv", CUBE_HEADER + rows)
+    return ["hlm", "--cube", cube, "-o", str(tmp / "out.json"), "--validate",
+            "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")]
+
+
+def _hlm_heatmap_of_task(tmp, task):
+    return _hlm_of_rows(tmp, "".join(f"{task},c,m,{tr},full,accuracy,{v},true\n" for tr, v in
+                                     zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
 
 
 def _split_of(tmp, rows):
@@ -1116,8 +1120,9 @@ def _split_of(tmp, rows):
 # argv of a command whose inputs are well formed but refused: a heatmap with far
 # more grid positions than cells, report cells the index dicts do not match, a
 # flag missing its partner, a label that XML cannot hold, or records that parse
-# but break a rule of their file (an empty cube, a repeated row or id, a mixed
-# direction, an unknown criterion, three boundaries, a non-finite log value)
+# but break a rule of their file (an empty cube, a cube with no complete full-row
+# triplet, a repeated row or id, a mixed direction, an unknown criterion, three
+# boundaries, a non-finite log value)
 REFUSED_INPUTS = {
     "hlm-heatmap-of-diagonal-cube": lambda tmp: [
         "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
@@ -1147,6 +1152,12 @@ REFUSED_INPUTS = {
     "hlm-heatmap-svg-of-a-control-character": lambda tmp: _hlm_heatmap_of_task(tmp, "a\x01b"),
     "hlm-header-only-cube": lambda tmp: [
         "hlm", "--cube", _file(tmp, "cube.csv", CUBE_HEADER), "-o", str(tmp / "out.json")],
+    "hlm-eval-only-cube": lambda tmp: _hlm_of_rows(
+        tmp, "t,c,m,easy,easy,accuracy,0.9,true\nt,c,m,medium,easy,accuracy,0.8,true\n"),
+    # the eval row keeps the group in the cube, so only the missing hard row refuses it
+    "hlm-two-of-three-full-rows": lambda tmp: _hlm_of_rows(
+        tmp, "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0.8,true\n"
+             "t,c,m,easy,easy,accuracy,0.9,true\n"),
     "transfer-repeated-eval-level-row": lambda tmp: [
         "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
                                     + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),

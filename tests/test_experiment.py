@@ -14,7 +14,6 @@ from hlmkit.experiment import (
     _rank_scores,
     _splitmix64,
     converge_result_to_dict,
-    convergence_ratio,
     convergent_step,
     load_training_log,
     make_schedule,
@@ -121,21 +120,21 @@ class TestMakeSchedule:
 class TestConvergenceRatio:
     def test_plateau_reached_at_step_two(self):
         log = TrainingLog(steps=((1, 0.5), (2, 0.9), (3, 0.9), (4, 0.9)))
-        assert convergence_ratio(log, 0.001) == pytest.approx(0.5)
+        assert converge_result_to_dict(log, 0.001)["ratio"] == pytest.approx(0.5)
 
     def test_constant_log_converges_immediately(self):
         log = TrainingLog(steps=((1, 0.8), (2, 0.8)))
-        assert convergence_ratio(log, 0.001) == pytest.approx(0.5)
+        assert converge_result_to_dict(log, 0.001)["ratio"] == pytest.approx(0.5)
 
     def test_perplexity_threshold_arithmetic(self):
         # lower-is-better: threshold is best * (1 + eps); 200 <= 199.9 * 1.001,
         # so the run converges at step 2 of 3
         log = TrainingLog(steps=((1, 300.0), (2, 200.0), (3, 199.9)), higher_is_better=False)
-        assert convergence_ratio(log, 0.001) == pytest.approx(2.0 / 3.0)
+        assert converge_result_to_dict(log, 0.001)["ratio"] == pytest.approx(2.0 / 3.0)
 
     def test_perplexity_tight_epsilon_needs_final_step(self):
         log = TrainingLog(steps=((1, 300.0), (2, 200.0), (3, 199.9)), higher_is_better=False)
-        assert convergence_ratio(log, 0.0001) == pytest.approx(1.0)
+        assert converge_result_to_dict(log, 0.0001)["ratio"] == pytest.approx(1.0)
 
     def test_ratio_in_unit_interval(self):
         rng = random.Random(37)
@@ -143,7 +142,7 @@ class TestConvergenceRatio:
             n = rng.randint(2, 40)
             steps = tuple((i + 1, rng.uniform(-5, 5)) for i in range(n))
             log = TrainingLog(steps=steps, higher_is_better=rng.random() < 0.5)
-            ratio = convergence_ratio(log, rng.uniform(1e-6, 0.5))
+            ratio = converge_result_to_dict(log, rng.uniform(1e-6, 0.5))["ratio"]
             assert 0 < ratio <= 1
 
     def test_truncation_after_first_best_never_lowers_ratio(self):
@@ -159,7 +158,8 @@ class TestConvergenceRatio:
             if cut < 2:
                 continue
             truncated = TrainingLog(steps=steps[:cut], higher_is_better=hib)
-            assert convergence_ratio(truncated, 0.01) >= convergence_ratio(log, 0.01)
+            full = converge_result_to_dict(log, 0.01)["ratio"]
+            assert converge_result_to_dict(truncated, 0.01)["ratio"] >= full
 
     def test_one_search_behind_ratio_and_report(self):
         rng = random.Random(43)
@@ -177,13 +177,13 @@ class TestConvergenceRatio:
             result = converge_result_to_dict(log, eps)
             assert result["convergent_step"] == step
             assert result["best_metric"] == best
-            assert result["ratio"] == convergence_ratio(log, eps) == step / n
+            assert result["ratio"] == step / n
 
     def test_epsilon_bounds(self):
         log = TrainingLog(steps=((1, 1.0), (2, 2.0)))
         for eps in (0.0, 1.0, -0.1):
-            with pytest.raises(ValidationError):
-                convergence_ratio(log, eps)
+            with pytest.raises(ValidationError, match="^epsilon_rel must be in"):
+                converge_result_to_dict(log, eps)
 
     def test_log_validation(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,6 @@ from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.hlm import (
     PerformanceCube,
     PerformanceTriplet,
-    cell_value,
     compute_report,
     load_cube_csv,
     logical_score,
@@ -24,6 +23,7 @@ from oracles import axis_index, cell_formula, exact_std, ordering_score
 
 # frozen from the population-std oracle: 0.75 + 0.25 * sigmoid(sqrt(0.02 / 3))
 DESCENDING_CELL = 0.8801002704619898
+KEY = ("t", "c", "m")  # the key of a one-cell cube
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +108,16 @@ class TestLogicalScore:
 
 class TestCellValue:
     def test_descending_accuracy_triplet(self):
-        got = cell_value(PerformanceTriplet(0.9, 0.8, 0.7))
-        assert got == pytest.approx(DESCENDING_CELL, abs=1e-12)
+        report = compute_report(PerformanceCube({KEY: PerformanceTriplet(0.9, 0.8, 0.7)}))
+        assert report.cells[0].value == pytest.approx(DESCENDING_CELL, abs=1e-12)
 
     def test_tie_is_exactly_zero(self):
-        assert cell_value(PerformanceTriplet(3.3, 3.3, 3.3)) == 0.0
+        tie = PerformanceCube({KEY: PerformanceTriplet(3.3, 3.3, 3.3)})
+        assert compute_report(tie).cells[0].value == 0.0
 
     def test_perplexity_cell_saturates_near_one(self, reference_cube):
-        got = cell_value(reference_cube.cells[("WT2", "uid_sl", "BERT")])
+        got = next(c.value for c in compute_report(reference_cube).cells
+                   if (c.task, c.criterion, c.model) == ("WT2", "uid_sl", "BERT"))
         assert got == pytest.approx(1.0, abs=1e-3)
         assert logical_score(reference_cube.cells[("WT2", "uid_sl", "BERT")]) == 0.75
 
@@ -124,7 +126,7 @@ class TestCellValue:
         for _ in range(500):
             t = PerformanceTriplet(*[rng.uniform(0, 100) for _ in range(3)],
                                    higher_is_better=rng.random() < 0.5)
-            s, c = logical_score(t), cell_value(t)
+            s, c = logical_score(t), compute_report(PerformanceCube({KEY: t})).cells[0].value
             assert math.copysign(1, c) == math.copysign(1, s) or (s == 0 and c == 0)
             assert abs(c) <= abs(s) + 0.25
 
@@ -134,7 +136,8 @@ class TestCellValue:
             vals = [rng.uniform(0, 10) for _ in range(3)]
             hib = rng.random() < 0.5
             for ddof in (0, 1):
-                got = cell_value(PerformanceTriplet(*vals, higher_is_better=hib), ddof=ddof)
+                cube = PerformanceCube({KEY: PerformanceTriplet(*vals, higher_is_better=hib)})
+                got = compute_report(cube, ddof).cells[0].value
                 assert got == pytest.approx(cell_formula(*vals, hib, ddof=ddof), abs=1e-12)
 
     def test_std_uses_raw_values_not_normalized(self):
@@ -146,7 +149,9 @@ class TestCellValue:
     def test_sample_std_option(self):
         t = PerformanceTriplet(0.9, 0.8, 0.7)
         assert triplet_std(t, ddof=1) == pytest.approx(0.1)
-        assert cell_value(t, ddof=1) > cell_value(t, ddof=0)
+        population, sample = (compute_report(PerformanceCube({KEY: t}), ddof).cells[0].value
+                              for ddof in (0, 1))
+        assert sample > population
 
     @settings(max_examples=400, deadline=None)
     @given(values=st.lists(_STD_VALUES, min_size=3, max_size=3),
@@ -261,7 +266,8 @@ _CELLS = st.lists(
 
 
 class TestReportMatchesIndex:
-    """The one-pass report agrees exactly with the axis_index oracle and cell_value()."""
+    """The one-pass report agrees with the cell_formula and axis_index oracles, and a
+    cell's value does not depend on the rest of the cube."""
 
     @settings(max_examples=150, deadline=None)
     @given(cells=_CELLS, ddof=st.sampled_from([0, 1]))
@@ -271,14 +277,16 @@ class TestReportMatchesIndex:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = compute_report(cube, ddof)
-        values = {key: cell_value(t, ddof) for key, t in cube.cells.items()}
+        values = {(c.task, c.criterion, c.model): c.value for c in report.cells}
+        for key, t in cube.cells.items():
+            assert values[key] == compute_report(PerformanceCube({key: t}), ddof).cells[0].value
+            assert values[key] == pytest.approx(cell_formula(
+                t.easy, t.medium, t.hard, t.higher_is_better, ddof=ddof), abs=1e-12)
         for pos, got in enumerate((report.i_task, report.i_criteria, report.i_model)):
             assert list(got) == sorted({key[pos] for key, _ in cells})
             for key, value in got.items():
                 assert value == axis_index(values, pos, key)
         assert [(c.task, c.criterion, c.model) for c in report.cells] == sorted(cube.cells)
-        for c in report.cells:
-            assert c.value == values[(c.task, c.criterion, c.model)]
 
         missing = sorted(
             set(itertools.product(report.i_task, report.i_criteria, report.i_model))

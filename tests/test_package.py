@@ -70,16 +70,17 @@ def test_every_public_name_is_its_modules_object():
         "ns = {}\n"
         "exec('from hlmkit import *', ns)\n"
         "print(json.dumps([first, sorted(set(hlmkit.__all__) - set(ns))]))") == [[], []]
-    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 48
+    assert len(hlmkit.__all__) == len(set(hlmkit.__all__)) == 46
 
 
 @pytest.mark.parametrize("module, name", [
     ("uid", "UidSlConfig"), ("uid", "UidVarConfig"), ("uid", "sentence_averaged"),
     ("splitkit", "NeuralScore"), ("hlm", "CubeCell"), ("hlm", "index"), ("hlm", "AXES"),
-    ("errors", "MissingKey")])
+    ("errors", "MissingKey"), ("hlm", "cell_value"), ("experiment", "convergence_ratio")])
 def test_plain_values_replace_the_deleted_records(module, name):
     # k and mu_lang are floats, a neural row is a DifficultyScore, a cube a mapping,
-    # and an index is read from compute_report(cube).i_model, .i_task or .i_criteria
+    # an index is read from compute_report(cube).i_model, .i_task or .i_criteria, a cell
+    # value from compute_report(cube).cells, and a ratio from converge_result_to_dict
     assert not hasattr(hlmkit, name)
     assert not hasattr(importlib.import_module(f"hlmkit.{module}"), name)
 
@@ -87,6 +88,8 @@ def test_plain_values_replace_the_deleted_records(module, name):
 def test_cube_cells_replace_triplet():
     # a cell is read as cube.cells[(task, criterion, model)]
     assert not hasattr(hlmkit.PerformanceCube, "triplet")
+    # and a distribution as {w: model.prob(w, context) for w in model.event_vocab}
+    assert not hasattr(hlmkit.NgramModel, "distribution")
 
 
 def test_unknown_name_raises_attribute_error():

@@ -93,7 +93,8 @@ class TestTrainLm:
 
     def test_order_three_trains_on_two_token_corpus(self):
         model = train_lm(docs_from_sentences([["a", "b"]]), order=3)
-        assert sum(model.distribution((BOS, BOS)).values()) == pytest.approx(1.0, abs=1e-12)
+        total = sum(model.prob(w, (BOS, BOS)) for w in model.event_vocab)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_hapax_tokens_are_retained(self):
         model = train_lm(docs_from_sentences([["a", "b", "a"]]), order=2)
@@ -145,7 +146,7 @@ class TestDistributions:
             for hist in list(model.counts[order])[:8]:
                 contexts.add(hist)
             for ctx in contexts:
-                total = sum(model.distribution(ctx).values())
+                total = sum(model.prob(w, ctx) for w in model.event_vocab)
                 assert total == pytest.approx(1.0, abs=1e-9), (sentences, order, ctx)
 
     def test_matches_naive_oracle(self):
@@ -281,7 +282,7 @@ class TestTableOracle:
         for n in range(order):
             for ctx in itertools.product(["a", "b", "zz", BOS], repeat=n):
                 want = {w: oracle.p(pack(ctx), n, index[w]) for w in model.event_vocab}
-                assert model.distribution(ctx) == want
+                assert {w: model.prob(w, ctx) for w in model.event_vocab} == want
                 assert model.prob("never-seen", ctx) == oracle.p(pack(ctx), n, index[UNK])
 
         text = " ".join(" ".join(s).capitalize() + "." for s in query)
