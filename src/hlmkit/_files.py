@@ -21,7 +21,6 @@ from .errors import EmptyDocument, ParseError, ValidationError
 STRING = ("a string", (str,), None)
 BOOL = ("a boolean", (bool,), None)
 INT = ("an integer", (int,), None)
-INT_OR_NULL = ("an integer or null", (int, type(None)), None)
 NUMBER = ("a number", (int, float), None)
 OBJECT = ("an object", (dict,), None)
 LIST = ("a list", (list,), None)

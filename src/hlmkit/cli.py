@@ -18,11 +18,12 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 # eager on purpose: perfbench/tracing.py looks up all seven layers in sys.modules
 from . import experiment, hlm, splitkit, surprisal, svg, uid
-from ._files import BOOL, NUMBER, atomic_write, fields, open_input, read_json
+from ._files import BOOL, atomic_write, fields, open_input, read_json
 from .data import reference_performance_path
 from .errors import HlmkitError, ParseError, ValidationError
 from .textstat import FleschConfig
@@ -67,13 +68,19 @@ class _Config:
         })
 
 
-def _dump_json(data: dict, path: str) -> None:
+def _dump_json(data: dict, path: str, validate: bool) -> None:
+    """Write ``data`` to ``path``; with ``validate``, it must be a file that reads back
+    equal to ``data`` (a pipe such as /dev/stdout would hand back the output itself)."""
     with atomic_write(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
+    if validate and not (os.path.isfile(path) and read_json(path) == data):
+        raise ValidationError(f"{path} is not a file that reads back as written")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_svg(path: str, text: str, validate: bool) -> None:
+    if validate and not text.startswith("<svg"):
+        raise ValidationError(f"{path} is not an SVG document")
     with atomic_write(path) as fh:
         fh.write(text)
 
@@ -81,12 +88,6 @@ def _write_text(path: str, text: str) -> None:
 def _write_csv(path: str, rows) -> None:
     with atomic_write(path) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
-def _check_svg(path: str) -> None:
-    with open(path, encoding="utf-8") as fh:
-        if not fh.read(5).startswith("<svg"):
-            raise ValidationError(f"{path} is not an SVG document")
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +116,10 @@ def cmd_score(args, cfg: _Config) -> int:
 def cmd_split(args, cfg: _Config) -> int:
     scores = splitkit.scores_from_jsonl(args.scores)
     split = splitkit.tertile_split(scores)
-    _dump_json(splitkit.split_to_dict(split), args.output)
-    if args.validate:
-        loaded = splitkit.split_from_dict(read_json(args.output))
-        ids = set(loaded.easy) | set(loaded.medium) | set(loaded.hard)
-        if ids != {s.doc_id for s in scores}:
-            raise ValidationError("split output does not partition the scored corpus")
+    if args.validate and (sorted(split.easy + split.medium + split.hard)
+                          != sorted(s.doc_id for s in scores)):
+        raise ValidationError("split does not partition the scored corpus")
+    _dump_json(splitkit.split_to_dict(split), args.output, args.validate)
     sizes = (len(split.easy), len(split.medium), len(split.hard))
     print(f"wrote {args.output} (sizes {sizes})")
     return 0
@@ -178,18 +177,13 @@ def cmd_hlm(args, cfg: _Config) -> int:
             report.i_model, report.i_task, report.i_criteria,
             [(c.task, c.criterion, c.model, c.value) for c in report.cells])
     heatmap = svg.heatmap_svg(rows, cols, grid, title="HLM index") if args.heatmap_svg else None
-    _dump_json(hlm.report_to_dict(report), args.output)
+    _dump_json(hlm.report_to_dict(report), args.output, args.validate)
     if args.heatmap_csv:
         _write_csv(args.heatmap_csv, [["model", "criterion"] + cols[:-1]] + [
             [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
         ])
     if args.heatmap_svg:
-        _write_text(args.heatmap_svg, heatmap)
-    if args.validate:
-        if read_json(args.output) != hlm.report_to_dict(report):
-            raise ValidationError("report did not round-trip")
-        if args.heatmap_svg:
-            _check_svg(args.heatmap_svg)
+        _write_svg(args.heatmap_svg, heatmap, args.validate)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
     return 0
 
@@ -197,11 +191,10 @@ def cmd_hlm(args, cfg: _Config) -> int:
 def cmd_schedule(args, cfg: _Config) -> int:
     split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, **args.knobs)
-    _dump_json(experiment.schedule_to_dict(schedule), args.output)
-    if args.validate:
-        loaded = experiment.schedule_from_dict(read_json(args.output))
-        if sorted(loaded.sequence) != sorted(split.easy + split.medium + split.hard):
-            raise ValidationError("schedule is not a permutation of the split corpus")
+    if args.validate and sorted(schedule.sequence) != sorted(
+            split.easy + split.medium + split.hard):
+        raise ValidationError("schedule is not a permutation of the split corpus")
+    _dump_json(experiment.schedule_to_dict(schedule), args.output, args.validate)
     print(f"wrote {args.output} ({len(schedule.sequence)} documents, order {args.order})")
     return 0
 
@@ -218,11 +211,9 @@ def cmd_converge(args, cfg: _Config) -> int:
         )
     log = experiment.load_training_log(args.log, higher_is_better=direction)
     result = experiment.converge_result_to_dict(log, **args.knobs)
-    _dump_json(result, args.output)
-    if args.validate:
-        (ratio,) = fields(read_json(args.output), {"ratio": NUMBER})
-        if not 0 < ratio <= 1:
-            raise ValidationError("convergence ratio out of range")
+    if args.validate and not 0 < result["ratio"] <= 1:
+        raise ValidationError("convergence ratio out of range")
+    _dump_json(result, args.output, args.validate)
     print(f"wrote {args.output} (ratio {result['ratio']:.4f})")
     return 0
 
@@ -230,15 +221,15 @@ def cmd_converge(args, cfg: _Config) -> int:
 def cmd_transfer(args, cfg: _Config) -> int:
     cube = hlm.load_cube_csv(args.cube)
     matrix = experiment.transfer_scores(cube)
-    _dump_json(experiment.transfer_to_dict(matrix), args.output)
-    if args.csv:
-        _write_csv(args.csv, [["train_level", *hlm.LEVELS]] + [
-            [tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS] for tr in hlm.LEVELS
-        ])
     if args.validate:
         for ev in hlm.LEVELS:
             if abs(matrix.column_sum(ev) - 6.0) > 1e-9:
                 raise ValidationError(f"transfer column {ev} does not sum to 6")
+    _dump_json(experiment.transfer_to_dict(matrix), args.output, args.validate)
+    if args.csv:
+        _write_csv(args.csv, [["train_level", *hlm.LEVELS]] + [
+            [tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS] for tr in hlm.LEVELS
+        ])
     print(f"wrote {args.output} ({len(matrix.groups)} groups)")
     return 0
 
@@ -271,10 +262,7 @@ def cmd_report(args, cfg: _Config) -> int:
         outputs.append((args.curves_out, svg.curves_svg(
             series, title="Learning curves", x_label="step", y_label="dev metric")))
     for path, text in outputs:
-        _write_text(path, text)
-    if args.validate:
-        for path, _ in outputs:
-            _check_svg(path)
+        _write_svg(path, text, args.validate)
     print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0
 
@@ -282,10 +270,17 @@ def cmd_report(args, cfg: _Config) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, help: str,
+             output: str | None = "output path") -> argparse.ArgumentParser:
+    """Subcommand ``name``, run by ``func``, with --config, --validate and, unless
+    ``output`` is None, a required -o/--output described by ``output``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="INI config file (default: $HLMKIT_CONFIG)")
-    p.add_argument("--validate", action="store_true",
-                   help="re-read and schema-check outputs after writing")
+    p.add_argument("--validate", action="store_true", help="check each output as it is written")
+    if output:
+        p.add_argument("-o", "--output", required=True, help=output)
+    return p
 
 
 def _knob(p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
@@ -302,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("score", help="score a corpus under a difficulty criterion")
+    p = _command(sub, "score", cmd_score, "score a corpus under a difficulty criterion")
     p.add_argument("--corpus", required=True, help="corpus JSONL ({id, text} per line)")
     p.add_argument("--criterion", required=True, choices=splitkit.CRITERIA)
     p.add_argument("--model", help="n-gram model JSON (for uid criteria)")
@@ -314,53 +309,36 @@ def _build_parser() -> argparse.ArgumentParser:
           help=f"language-level mean surprisal (default {uid.DEFAULT_MU_LANG})")
     _knob(p, "--per-sentence", action=argparse.BooleanOptionalAction,
           help="average UID scores over sentences")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("split", help="partition scored documents into tertiles")
+    p = _command(sub, "split", cmd_split, "partition scored documents into tertiles")
     p.add_argument("--scores", required=True, help="difficulty score JSONL")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("lm-train", help="train the built-in Kneser-Ney n-gram model")
+    p = _command(sub, "lm-train", cmd_lm_train, "train the built-in Kneser-Ney n-gram model")
     p.add_argument("--corpus", required=True)
     _knob(p, "--order", type=int, choices=(1, 2, 3))
     _knob(p, "--discount", type=float)
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lm_train)
 
-    p = sub.add_parser("surprisal", help="score per-token surprisals with a trained model")
+    p = _command(sub, "surprisal", cmd_surprisal, "score per-token surprisals with a trained model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     _knob(p, "--base", choices=("2", "e"))
     _knob(p, "--per-sentence", action=argparse.BooleanOptionalAction,
           help="emit one sequence per sentence instead of per document")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_surprisal)
 
-    p = sub.add_parser("hlm", help="compute the HLM index report from a performance cube")
+    p = _command(sub, "hlm", cmd_hlm, "compute the HLM index report from a performance cube",
+                 output="report JSON path")
     p.add_argument("--cube", help="performance cube CSV (default: bundled reference results)")
     _knob(p, "--std-ddof", type=int, choices=(0, 1),
           help="0 = population STD (default), 1 = sample STD")
     p.add_argument("--heatmap-csv", help="also write the cell-value matrix as CSV")
     p.add_argument("--heatmap-svg", help="also render the heatmap as SVG")
-    p.add_argument("-o", "--output", required=True, help="report JSON path")
-    _add_common(p)
-    p.set_defaults(func=cmd_hlm)
 
-    p = sub.add_parser("schedule", help="emit a curriculum schedule from a split")
+    p = _command(sub, "schedule", cmd_schedule, "emit a curriculum schedule from a split")
     p.add_argument("--split", required=True, help="split JSON from the split subcommand")
     p.add_argument("--order", required=True, choices=experiment.ORDERS)
     _knob(p, "--seed", type=int, help="PRNG seed (random order only)")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("converge", help="convergence ratio of a training log")
+    p = _command(sub, "converge", cmd_converge, "convergence ratio of a training log")
     p.add_argument("--log", required=True, help="training log CSV (step,value)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--higher-is-better", dest="higher_is_better", action="store_true")
@@ -369,25 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="run manifest JSON with a higher_is_better flag")
     _knob(p, "--epsilon", dest="epsilon_rel", type=float,
           help=f"relative convergence tolerance (default {experiment.DEFAULT_EPSILON_REL})")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("transfer", help="train/eval difficulty transfer matrix")
+    p = _command(sub, "transfer", cmd_transfer, "train/eval difficulty transfer matrix")
     p.add_argument("--cube", required=True, help="performance cube CSV with eval-level rows")
     p.add_argument("--csv", help="also write the 3x3 matrix as CSV")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("report", help="render heatmap / learning-curve SVGs")
+    p = _command(sub, "report", cmd_report, "render heatmap / learning-curve SVGs", output=None)
     p.add_argument("--hlm-report", help="report JSON from the hlm subcommand")
     p.add_argument("--heatmap-out", help="output SVG for the index heatmap")
     p.add_argument("--curves", nargs="+", help="training log CSVs to plot")
     p.add_argument("--labels", nargs="+", help="legend labels (default: file stems)")
     p.add_argument("--curves-out", help="output SVG for the learning curves")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -398,6 +368,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    # a warning prints as one line, without the line of hlmkit's source that raised it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda msg, category, *_: f"warning: {category.__name__}: {msg}\n"
     try:
         cfg = _Config(args.config or os.environ.get("HLMKIT_CONFIG"))
         args.knobs = cfg.knobs(args)
@@ -408,6 +381,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

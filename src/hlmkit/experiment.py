@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ._files import INT_OR_NULL, INTS, STRING, STRINGS, csv_rows, fields
+from ._files import csv_rows
 from .errors import ParseError, ValidationError
 from .hlm import LEVELS, PerformanceCube, warn_skipped
 
@@ -100,14 +100,6 @@ def schedule_to_dict(s: Schedule) -> dict:
         "sequence": list(s.sequence),
         "phase_boundaries": list(s.phase_boundaries),
     }
-
-
-def schedule_from_dict(data: dict) -> Schedule:
-    order, seed, sequence, bounds = fields(data, {
-        "order": STRING, "seed": INT_OR_NULL, "sequence": STRINGS, "phase_boundaries": INTS})
-    if len(bounds) != 2:
-        raise ValidationError("schedule must have exactly two phase boundaries")
-    return Schedule(order, seed, tuple(sequence), tuple(bounds))
 
 
 @dataclass(frozen=True)

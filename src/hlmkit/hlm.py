@@ -142,8 +142,6 @@ class PerformanceCube:
         self.cells = dict(cells)
         # (task, criterion, model) -> (higher_is_better, {(train_level, eval_level): value})
         self.eval_groups = dict(eval_groups or {})
-        if not self.cells and not self.eval_groups:
-            raise ValidationError("performance cube is empty")
 
 
 def warn_skipped(message: str, keys: Iterable) -> None:

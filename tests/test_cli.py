@@ -1,3 +1,4 @@
+import argparse
 import bisect
 import csv
 import hashlib
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import hlmkit
 from hlmkit import svg
-from hlmkit.cli import main
+from hlmkit.cli import _build_parser, main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
@@ -1117,6 +1119,8 @@ def _split_of(tmp, rows):
     return ["split", "--scores", scores, "-o", str(tmp / "out.json")]
 
 
+TWO_FULL_ROWS = "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0.8,true\n"
+
 # argv of a command whose inputs are well formed but refused: a heatmap with far
 # more grid positions than cells, report cells the index dicts do not match, a
 # flag missing its partner, a label that XML cannot hold, or records that parse
@@ -1156,8 +1160,12 @@ REFUSED_INPUTS = {
         tmp, "t,c,m,easy,easy,accuracy,0.9,true\nt,c,m,medium,easy,accuracy,0.8,true\n"),
     # the eval row keeps the group in the cube, so only the missing hard row refuses it
     "hlm-two-of-three-full-rows": lambda tmp: _hlm_of_rows(
-        tmp, "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0.8,true\n"
-             "t,c,m,easy,easy,accuracy,0.9,true\n"),
+        tmp, TWO_FULL_ROWS + "t,c,m,easy,easy,accuracy,0.9,true\n"),
+    # two full rows and no eval row: each command names what the cube lacks for it
+    "hlm-two-full-rows-only": lambda tmp: _hlm_of_rows(tmp, TWO_FULL_ROWS),
+    "transfer-two-full-rows-only": lambda tmp: [
+        "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER + TWO_FULL_ROWS),
+        "-o", str(tmp / "out.json")],
     "transfer-repeated-eval-level-row": lambda tmp: [
         "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
                                     + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),
@@ -1186,6 +1194,11 @@ REFUSED_INPUTS = {
         "report", "--curves", _log(tmp), _log(tmp), "--labels", "a", "--curves-out",
         str(tmp / "c.svg")],
 }
+# the message of a refused input that another command's message could stand in for
+REFUSED_MESSAGES = {
+    "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
+    "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
+}
 
 
 @pytest.mark.filterwarnings("ignore::hlmkit.errors.IncompleteDataWarning")
@@ -1199,7 +1212,32 @@ def test_refused_input_exit_2_and_writes_nothing(tmp_path, capsys, case):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError: ") and "Traceback" not in err
+    assert err.endswith(REFUSED_MESSAGES.get(case, ""))
     assert sorted(os.listdir(tmp_path)) == inputs
+
+
+# a cube with one complete triplet and one incomplete group
+SPARSE_CUBE = (CUBE_HEADER + TWO_FULL_ROWS + "t,c,m,hard,full,accuracy,0.7,true\n"
+               "u,c,m,easy,full,accuracy,0.9,true\n")
+SPARSE_WARNING = ("warning: IncompleteDataWarning: skipping 1 incomplete triplet groups, "
+                  "the first 1 in sorted order: [('u', 'c', 'm')]\n")
+
+
+def test_a_warning_prints_as_one_line(tmp_path):
+    # in a subprocess: pytest records in-process warnings instead of printing them
+    proc = _run_cli("hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
+                    "-o", str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == SPARSE_WARNING
+
+
+def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path):
+    argv = ["hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
+            "-o", str(tmp_path / "report.json")]
+    with pytest.warns(IncompleteDataWarning, match="skipping 1 incomplete triplet groups"):
+        state = warnings.formatwarning, warnings.showwarning, warnings.filters[:]
+        assert main(argv) == 0
+        assert (warnings.formatwarning, warnings.showwarning, warnings.filters) == state
 
 
 @pytest.fixture(scope="module")
@@ -1259,6 +1297,55 @@ def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
     # so that a missing-input case below fails for its missing file alone
     assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 0
     assert os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["converge", "hlm", "schedule", "split", "transfer"])
+def test_validate_refuses_a_json_output_to_dev_null(valid_inputs, tmp_path, capsys, command):
+    # /dev/null is written through in place, and reading it back gives nothing
+    argv = _full_argv(command, valid_inputs, tmp_path, ["--validate"])
+    argv[argv.index("-o") + 1] = os.devnull
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: ValidationError: {os.devnull} is not a file that reads back as written\n")
+
+
+def test_validate_does_not_read_back_from_a_pipe(tmp_path):
+    # reading /dev/stdout on a pipe would take the output back from it, then block
+    proc = subprocess.run([sys.executable, "-m", "hlmkit", "converge", "--log", _log(tmp_path),
+                           "--higher-is-better", "-o", "/dev/stdout", "--validate"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["convergent_step"] == 2
+    assert proc.stderr == (
+        "error: ValidationError: /dev/stdout is not a file that reads back as written\n")
+
+
+# Each subcommand's options as its parser declares them: the strings of one
+# option joined by "/", and "!" after a required one.
+PARSER_OPTIONS = {
+    "score": "--base --config --corpus! --criterion! --k --model --mu-lang --neural-scores "
+             "--per-sentence/--no-per-sentence --surprisals --validate -h/--help -o/--output!",
+    "split": "--config --scores! --validate -h/--help -o/--output!",
+    "lm-train": "--config --corpus! --discount --order --validate -h/--help -o/--output!",
+    "surprisal": "--base --config --corpus! --model! --per-sentence/--no-per-sentence "
+                 "--validate -h/--help -o/--output!",
+    "hlm": "--config --cube --heatmap-csv --heatmap-svg --std-ddof --validate -h/--help "
+           "-o/--output!",
+    "schedule": "--config --order! --seed --split! --validate -h/--help -o/--output!",
+    "converge": "--config --epsilon --higher-is-better --log! --lower-is-better --manifest "
+                "--validate -h/--help -o/--output!",
+    "transfer": "--config --csv --cube! --validate -h/--help -o/--output!",
+    "report": "--config --curves --curves-out --heatmap-out --hlm-report --labels --validate "
+              "-h/--help",
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: " ".join(sorted("/".join(a.option_strings) + "!" * a.required
+                                  for a in p._actions))
+            for name, p in sub.choices.items()} == PARSER_OPTIONS
 
 
 @pytest.mark.parametrize("command, flag", MISSING_INPUTS)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import tempfile
 import warnings
@@ -17,8 +16,6 @@ from hlmkit.experiment import (
     convergent_step,
     load_training_log,
     make_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     seeded_shuffle,
     transfer_scores,
     transfer_to_dict,
@@ -96,25 +93,6 @@ class TestMakeSchedule:
             assert sorted(schedule.sequence) == sorted(by_id)
             for earlier, later in zip(phases, phases[1:]):
                 assert max(by_id[d] for d in earlier) <= min(by_id[d] for d in later)
-
-    def test_schedule_dict_round_trip(self):
-        s = make_schedule(split_of(["a"], ["b"], ["c"]), "random", seed=11)
-        data = json.loads(json.dumps(schedule_to_dict(s)))
-        assert schedule_from_dict(data) == s
-
-    @pytest.mark.parametrize("field,value,error", [
-        ("seed", "x", ParseError),
-        ("seed", 1.5, ParseError),
-        ("sequence", "abc", ParseError),
-        ("sequence", ["a", 2], ParseError),
-        ("phase_boundaries", [1, "2"], ParseError),
-        ("phase_boundaries", [1], ValidationError),
-    ])
-    def test_schedule_dict_types_are_exact(self, field, value, error):
-        data = schedule_to_dict(make_schedule(split_of(["a"], ["b"], ["c"]), "random", seed=11))
-        data[field] = value
-        with pytest.raises(error):
-            schedule_from_dict(data)
 
 
 class TestConvergenceRatio:

@@ -76,7 +76,8 @@ def test_every_public_name_is_its_modules_object():
 @pytest.mark.parametrize("module, name", [
     ("uid", "UidSlConfig"), ("uid", "UidVarConfig"), ("uid", "sentence_averaged"),
     ("splitkit", "NeuralScore"), ("hlm", "CubeCell"), ("hlm", "index"), ("hlm", "AXES"),
-    ("errors", "MissingKey"), ("hlm", "cell_value"), ("experiment", "convergence_ratio")])
+    ("errors", "MissingKey"), ("hlm", "cell_value"), ("experiment", "convergence_ratio"),
+    ("experiment", "schedule_from_dict")])
 def test_plain_values_replace_the_deleted_records(module, name):
     # k and mu_lang are floats, a neural row is a DifficultyScore, a cube a mapping,
     # an index is read from compute_report(cube).i_model, .i_task or .i_criteria, a cell

@@ -722,7 +722,7 @@ class TestPersistence:
                                 fail)
         with pytest.raises(OSError, match="simulated"):
             if failure == "json":
-                cli._dump_json({"a": 1, "b": FailingSection(c=2)}, path)
+                cli._dump_json({"a": 1, "b": FailingSection(c=2)}, path, False)
             elif failure == "jsonl":
                 export_surprisals(first_then_fail(SurprisalSequence("d1", (1.0,))), path)
             elif failure == "csv":
