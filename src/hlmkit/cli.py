@@ -68,19 +68,22 @@ class _Config:
         })
 
 
-def _dump_json(data: dict, path: str, validate: bool) -> None:
-    """Write ``data`` to ``path``; with ``validate``, it must be a file that reads back
-    equal to ``data`` (a pipe such as /dev/stdout would hand back the output itself)."""
-    with atomic_write(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-    if validate and not (os.path.isfile(path) and read_json(path) == data):
+def _read_back(path: str, read, written) -> None:
+    """The --validate check: ``path`` is a regular file that ``read`` turns back into ``written``
+    (/dev/null reads back nothing; a pipe such as /dev/stdout would block or echo the output)."""
+    if not (os.path.isfile(path) and read(path) == written):
         raise ValidationError(f"{path} is not a file that reads back as written")
 
 
-def _write_svg(path: str, text: str, validate: bool) -> None:
-    if validate and not text.startswith("<svg"):
-        raise ValidationError(f"{path} is not an SVG document")
+def _dump_json(data: dict, path: str, validate: bool) -> None:
+    with atomic_write(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+    if validate:
+        _read_back(path, read_json, data)
+
+
+def _write_svg(path: str, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text)
 
@@ -108,7 +111,7 @@ def cmd_score(args, cfg: _Config) -> int:
     scores = splitkit.score_corpus(corpus, args.criterion, providers)
     splitkit.scores_to_jsonl(scores, args.output)
     if args.validate:
-        splitkit.scores_from_jsonl(args.output)
+        _read_back(args.output, splitkit.scores_from_jsonl, scores)
     print(f"wrote {args.output} ({len(scores)} scores)")
     return 0
 
@@ -116,9 +119,6 @@ def cmd_score(args, cfg: _Config) -> int:
 def cmd_split(args, cfg: _Config) -> int:
     scores = splitkit.scores_from_jsonl(args.scores)
     split = splitkit.tertile_split(scores)
-    if args.validate and (sorted(split.easy + split.medium + split.hard)
-                          != sorted(s.doc_id for s in scores)):
-        raise ValidationError("split does not partition the scored corpus")
     _dump_json(splitkit.split_to_dict(split), args.output, args.validate)
     sizes = (len(split.easy), len(split.medium), len(split.hard))
     print(f"wrote {args.output} (sizes {sizes})")
@@ -130,9 +130,8 @@ def cmd_lm_train(args, cfg: _Config) -> int:
     model = surprisal.train_lm(corpus, **args.knobs)
     surprisal.save_model(model, args.output)
     if args.validate:
-        reloaded = surprisal.load_model(args.output)
-        if surprisal.model_to_dict(reloaded) != surprisal.model_to_dict(model):
-            raise ValidationError("model dump did not round-trip")
+        _read_back(args.output, lambda p: surprisal.model_to_dict(surprisal.load_model(p)),
+                   surprisal.model_to_dict(model))
     print(f"wrote {args.output} (order {model.order}, vocab {len(model.words)})")
     return 0
 
@@ -142,8 +141,8 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     providers = splitkit.Providers(lm=surprisal.load_model(args.model), **args.knobs)
     seqs = (s for doc in corpus for s in splitkit.doc_sequences(doc, providers))
     n = surprisal.export_surprisals(seqs, args.output)
-    if args.validate:
-        surprisal.import_surprisals(args.output)
+    if args.validate:  # a count, as the sequences were written without being kept
+        _read_back(args.output, lambda p: len(surprisal.import_surprisals(p)), n)
     print(f"wrote {args.output} ({n} sequences)")
     return 0
 
@@ -183,7 +182,7 @@ def cmd_hlm(args, cfg: _Config) -> int:
             [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
         ])
     if args.heatmap_svg:
-        _write_svg(args.heatmap_svg, heatmap, args.validate)
+        _write_svg(args.heatmap_svg, heatmap)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
     return 0
 
@@ -191,9 +190,6 @@ def cmd_hlm(args, cfg: _Config) -> int:
 def cmd_schedule(args, cfg: _Config) -> int:
     split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, **args.knobs)
-    if args.validate and sorted(schedule.sequence) != sorted(
-            split.easy + split.medium + split.hard):
-        raise ValidationError("schedule is not a permutation of the split corpus")
     _dump_json(experiment.schedule_to_dict(schedule), args.output, args.validate)
     print(f"wrote {args.output} ({len(schedule.sequence)} documents, order {args.order})")
     return 0
@@ -211,8 +207,6 @@ def cmd_converge(args, cfg: _Config) -> int:
         )
     log = experiment.load_training_log(args.log, higher_is_better=direction)
     result = experiment.converge_result_to_dict(log, **args.knobs)
-    if args.validate and not 0 < result["ratio"] <= 1:
-        raise ValidationError("convergence ratio out of range")
     _dump_json(result, args.output, args.validate)
     print(f"wrote {args.output} (ratio {result['ratio']:.4f})")
     return 0
@@ -221,10 +215,6 @@ def cmd_converge(args, cfg: _Config) -> int:
 def cmd_transfer(args, cfg: _Config) -> int:
     cube = hlm.load_cube_csv(args.cube)
     matrix = experiment.transfer_scores(cube)
-    if args.validate:
-        for ev in hlm.LEVELS:
-            if abs(matrix.column_sum(ev) - 6.0) > 1e-9:
-                raise ValidationError(f"transfer column {ev} does not sum to 6")
     _dump_json(experiment.transfer_to_dict(matrix), args.output, args.validate)
     if args.csv:
         _write_csv(args.csv, [["train_level", *hlm.LEVELS]] + [
@@ -262,7 +252,7 @@ def cmd_report(args, cfg: _Config) -> int:
         outputs.append((args.curves_out, svg.curves_svg(
             series, title="Learning curves", x_label="step", y_label="dev metric")))
     for path, text in outputs:
-        _write_svg(path, text, args.validate)
+        _write_svg(path, text)
     print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0
 
@@ -277,7 +267,8 @@ def _command(sub, name: str, func, help: str,
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
     p.add_argument("--config", help="INI config file (default: $HLMKIT_CONFIG)")
-    p.add_argument("--validate", action="store_true", help="check each output as it is written")
+    p.add_argument("--validate", action="store_true",
+                   help="fail unless each JSON, JSON-lines or model output reads back as written")
     if output:
         p.add_argument("-o", "--output", required=True, help=output)
     return p

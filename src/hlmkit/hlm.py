@@ -241,6 +241,8 @@ def report_values(data: dict):
     spec = {"task": STRING, "criterion": STRING, "model": STRING, "value": NUMBER}
     i_model, i_task, i_criteria = (dict(zip(a, fields(a, dict.fromkeys(a, NUMBER)))) for a in axes)
     cells = [fields(c, spec) for c in cells]
+    if not cells:  # compute_report refuses a cube that would give one
+        raise ValidationError("report has no cells")
     if len({(t, c, m) for t, c, m, _ in cells}) < len(cells):
         raise ValidationError("a cell key repeats")
     # exact ==: fsum makes each mean independent of the order of the cells

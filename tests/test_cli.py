@@ -1125,13 +1125,14 @@ TWO_FULL_ROWS = "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0
 # more grid positions than cells, report cells the index dicts do not match, a
 # flag missing its partner, a label that XML cannot hold, or records that parse
 # but break a rule of their file (an empty cube, a cube with no complete full-row
-# triplet, a repeated row or id, a mixed direction, an unknown criterion, three
-# boundaries, a non-finite log value)
+# triplet, a report with no cells, a repeated row or id, a mixed direction, an
+# unknown criterion, three boundaries, a non-finite log value)
 REFUSED_INPUTS = {
     "hlm-heatmap-of-diagonal-cube": lambda tmp: [
         "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
         "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")],
     "report-heatmap-of-diagonal-cube": _report_of_diagonal_cube,
+    "report-no-cells": lambda tmp: _report_of(tmp, []),
     "report-repeated-cell-key": lambda tmp: _report_of(
         tmp, [("t", "c", "m", 0.9), ("t", "c", "m", -0.9)]),
     "report-cell-outside-the-index": lambda tmp: _report_of(
@@ -1198,6 +1199,7 @@ REFUSED_INPUTS = {
 REFUSED_MESSAGES = {
     "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
     "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
+    "report-no-cells": "report has no cells\n",
 }
 
 
@@ -1299,26 +1301,51 @@ def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
     assert os.listdir(tmp_path)
 
 
-@pytest.mark.parametrize("command", ["converge", "hlm", "schedule", "split", "transfer"])
-def test_validate_refuses_a_json_output_to_dev_null(valid_inputs, tmp_path, capsys, command):
+# every command whose output --validate reads back: all but report
+READ_BACK_COMMANDS = ["converge", "hlm", "lm-train", "schedule", "score", "split", "surprisal",
+                      "transfer"]
+
+
+def _not_read_back(path):
+    return f"error: ValidationError: {path} is not a file that reads back as written\n"
+
+
+@pytest.mark.parametrize("command", READ_BACK_COMMANDS)
+def test_validate_refuses_an_output_to_dev_null(valid_inputs, tmp_path, capsys, command):
     # /dev/null is written through in place, and reading it back gives nothing
     argv = _full_argv(command, valid_inputs, tmp_path, ["--validate"])
     argv[argv.index("-o") + 1] = os.devnull
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: ValidationError: {os.devnull} is not a file that reads back as written\n")
+    assert capsys.readouterr().err == _not_read_back(os.devnull)
 
 
-def test_validate_does_not_read_back_from_a_pipe(tmp_path):
-    # reading /dev/stdout on a pipe would take the output back from it, then block
-    proc = subprocess.run([sys.executable, "-m", "hlmkit", "converge", "--log", _log(tmp_path),
-                           "--higher-is-better", "-o", "/dev/stdout", "--validate"],
-                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+@pytest.mark.parametrize("command", READ_BACK_COMMANDS)
+def test_validate_does_not_read_back_from_a_pipe(valid_inputs, tmp_path, command):
+    # reading /dev/stdout on a pipe would take the output back from it, or block
+    argv = _full_argv(command, valid_inputs, tmp_path, ["--validate"])
+    assert main(argv) == 0
+    argv[argv.index("-o") + 1] = "/dev/stdout"
+    proc = subprocess.run([sys.executable, "-m", "hlmkit", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=30)
     assert proc.returncode == 2
-    assert json.loads(proc.stdout)["convergent_step"] == 2
-    assert proc.stderr == (
-        "error: ValidationError: /dev/stdout is not a file that reads back as written\n")
+    assert proc.stdout == (tmp_path / "out").read_text()
+    assert proc.stderr == _not_read_back("/dev/stdout")
+
+
+@pytest.mark.parametrize("command, module, writer, fault", [
+    ("score", hlmkit.splitkit, "scores_to_jsonl",
+     lambda write: lambda scores, path: write(scores[:-1], path)),
+    ("surprisal", hlmkit.surprisal, "export_surprisals",
+     lambda export: lambda seqs, path: export(list(seqs)[:-1], path) + 1),
+], ids=["score", "surprisal"])
+def test_validate_refuses_an_output_that_reads_back_otherwise(
+        valid_inputs, tmp_path, capsys, monkeypatch, command, module, writer, fault):
+    # the writer leaves out the last record it was given, or counts one it did not write
+    monkeypatch.setattr(module, writer, fault(getattr(module, writer)))
+    capsys.readouterr()
+    assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 2
+    assert capsys.readouterr().err == _not_read_back(tmp_path / "out")
 
 
 # Each subcommand's options as its parser declares them: the strings of one
