@@ -141,8 +141,8 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     providers = splitkit.Providers(lm=surprisal.load_model(args.model), **args.knobs)
     seqs = (s for doc in corpus for s in splitkit.doc_sequences(doc, providers))
     n = surprisal.export_surprisals(seqs, args.output)
-    if args.validate:  # a count, as the sequences were written without being kept
-        _read_back(args.output, lambda p: len(surprisal.import_surprisals(p)), n)
+    if args.validate:  # a count, each record checked and dropped as it is read
+        _read_back(args.output, lambda p: sum(1 for _ in surprisal.iter_surprisals(p)), n)
     print(f"wrote {args.output} ({n} sequences)")
     return 0
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from ._files import csv_rows
 from .errors import ParseError, ValidationError
-from .hlm import LEVELS, PerformanceCube, warn_skipped
+from .hlm import EVAL_PAIRS, LEVELS, PerformanceCube, warn_skipped
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
 DEFAULT_EPSILON_REL = 0.001
@@ -181,28 +181,25 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
     groups = cube.eval_groups
     complete = []
     skipped = []
-    needed = {(tr, ev) for tr in LEVELS for ev in LEVELS}
     for key in sorted(groups):
-        if groups[key][1].keys() >= needed:
-            complete.append(key)
-        else:
+        if any(map(math.isnan, groups[key][1])):
             skipped.append(key)
+        else:
+            complete.append(key)
     if skipped:
         warn_skipped(f"skipping {len(skipped)} incomplete transfer groups", skipped)
     if not complete:
         raise ValidationError("no complete (train x eval) groups in cube")
 
-    columns = [[(tr, ev) for tr in LEVELS] for ev in LEVELS]
-    sums = {(tr, ev): 0.0 for tr in LEVELS for ev in LEVELS}
+    sums = [0.0] * len(EVAL_PAIRS)
     for key in complete:
         direction, values = groups[key]
-        for column in columns:
-            ranks = _rank_scores(*(values[k] for k in column), direction)
-            for k, rank in zip(column, ranks):
-                sums[k] += rank
+        for ev in range(3):  # the column of eval level ev: slots ev, ev + 3 and ev + 6
+            for slot, rank in zip(range(ev, 9, 3), _rank_scores(*values[ev::3], direction)):
+                sums[slot] += rank
     n = len(complete)
     return TransferMatrix(
-        values={k: v / n for k, v in sums.items()},
+        values={pair: s / n for pair, s in zip(EVAL_PAIRS, sums)},
         groups=tuple(complete),
     )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -38,8 +39,11 @@ from .errors import IncompleteDataWarning, ParseError, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
 _EVAL_LEVELS = LEVELS + ("full",)
-# one shared (train_level, eval_level) key per valid pair, so no cube row keeps its own copy
-_LEVEL_PAIRS = {pair: pair for pair in itertools.product(LEVELS, _EVAL_LEVELS)}
+# the (train_level, eval_level) of each value of an eval group, slot 3 * train + eval
+EVAL_PAIRS = tuple(itertools.product(LEVELS, LEVELS))
+# a loading group's slot of each (train_level, eval_level): the full rows, then EVAL_PAIRS
+_SLOTS = {pair: i for i, pair in enumerate([(tr, "full") for tr in LEVELS] + list(EVAL_PAIRS))}
+_UNFILLED = array("d", [math.nan]) * len(_SLOTS)  # NaN: no row, as values must be finite
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 CUBE_COLUMNS = (
@@ -133,14 +137,16 @@ class PerformanceCube:
 
     Each index key owns one triplet of full-test-set performances (one per
     train level). Rows evaluated on individual difficulty slices of the test
-    set (eval level easy/medium/hard) are kept separately, grouped by run, for
-    transfer analysis; see :mod:`hlmkit.experiment`.
+    set (eval level easy/medium/hard) are kept separately for transfer
+    analysis (see :mod:`hlmkit.experiment`): ``eval_groups`` maps each
+    (task, criterion, model) with at least one such row to (higher_is_better,
+    ``array("d")`` of its nine values in :data:`EVAL_PAIRS` order, NaN where
+    the group has no row).
     """
 
     def __init__(self, cells: Mapping[tuple[str, str, str], PerformanceTriplet],
-                 eval_groups: Mapping[tuple, tuple[bool, dict]] | None = None):
+                 eval_groups: Mapping[tuple, tuple[bool, array]] | None = None):
         self.cells = dict(cells)
-        # (task, criterion, model) -> (higher_is_better, {(train_level, eval_level): value})
         self.eval_groups = dict(eval_groups or {})
 
 
@@ -264,8 +270,8 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     a (task, criterion, model) group. Rows are checked in file order and the
     first faulty row raises.
     """
-    # (task, criterion, model) -> (higher_is_better, full rows, other rows)
-    groups: dict[tuple, tuple[bool, dict[str, float], dict[tuple[str, str], float]]] = {}
+    # (task, criterion, model) -> (higher_is_better, its _SLOTS values)
+    groups: dict[tuple, tuple[bool, array]] = {}
     names: dict[str, str] = {}  # one string object per task, criterion and model name
     for lineno, row in csv_rows(path, CUBE_COLUMNS):
         task, criterion, model, train_level, eval_level, metric, value, hib = row
@@ -283,32 +289,31 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
         if direction is None:
             raise ParseError(f"invalid boolean {hib!r}", line=lineno)
 
-        level = _LEVEL_PAIRS[train_level, eval_level]
+        slot = _SLOTS[train_level, eval_level]
         key = (task, criterion, model)
         group = groups.get(key)
         if group is None:
             key = tuple(names.setdefault(name, name) for name in key)
-            group = groups[key] = (direction, {}, {})
+            group = groups[key] = (direction, _UNFILLED[:])
         elif group[0] != direction:
             raise ValidationError(
                 f"line {lineno}: inconsistent higher_is_better within group {key}"
             )
-        if eval_level == "full":
-            if train_level in group[1]:
-                raise ValidationError(f"line {lineno}: duplicate row for {key} train={train_level}")
-            group[1][level[0]] = val
-        else:
-            if level in group[2]:
-                raise ValidationError(f"line {lineno}: duplicate row for {key + level}")
-            group[2][level] = val
+        values = group[1]
+        if not math.isnan(values[slot]):
+            shown = f"{key} train={train_level}" if slot < 3 else key + (train_level, eval_level)
+            raise ValidationError(f"line {lineno}: duplicate row for {shown}")
+        values[slot] = val
 
-    cells = {}
-    incomplete = []
-    for key, (direction, full, _) in sorted(groups.items()):
-        if len(full) == 3:
-            cells[key] = PerformanceTriplet(full["easy"], full["medium"], full["hard"], direction)
-        elif full:
+    cells, eval_groups, incomplete = {}, {}, []
+    for key, (direction, values) in sorted(groups.items()):
+        full, runs = values[:3], values[3:]
+        if not any(map(math.isnan, full)):
+            cells[key] = PerformanceTriplet(*full, direction)
+        elif not all(map(math.isnan, full)):
             incomplete.append(key)
+        if not all(map(math.isnan, runs)):
+            eval_groups[key] = (direction, runs)
     if incomplete:
         warn_skipped(f"skipping {len(incomplete)} incomplete triplet groups", incomplete)
-    return PerformanceCube(cells, {key: (d, runs) for key, (d, _, runs) in groups.items() if runs})
+    return PerformanceCube(cells, eval_groups)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._files import (INT, INTS, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_json, read_jsonl, record)
@@ -328,16 +328,21 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
     return out
 
 
-def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
-    """Read surprisal sequences from JSONL.
+def iter_surprisals(path: str | Path) -> Iterator[SurprisalSequence]:
+    """Yield the surprisal sequences of a JSONL file one at a time, each checked as it is read.
 
     One object per line: {"id": str, "surprisals": [number, ...], "base": "2"|"e"}.
     Several lines may share an id (e.g. one line per sentence); consumers
     decide whether to concatenate or average them.
     """
     spec = {"id": STRING, "surprisals": NUMBERS, "base": STRING}
-    return [record(line, SurprisalSequence, *fields(obj, spec, line))
-            for line, obj in read_jsonl(path)]
+    for line, obj in read_jsonl(path):
+        yield record(line, SurprisalSequence, *fields(obj, spec, line))
+
+
+def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
+    """Every surprisal sequence of a JSONL file; see :func:`iter_surprisals`."""
+    return list(iter_surprisals(path))
 
 
 def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> int:

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hlmkit.cli import _build_parser
 from hlmkit.data import reference_performance_path, reference_transfer_path
 from hlmkit.experiment import TrainingLog, converge_result_to_dict, transfer_scores
 from hlmkit.hlm import (
+    EVAL_PAIRS,
     PerformanceCube,
     PerformanceTriplet,
     compute_report,
@@ -192,7 +194,8 @@ def test_c07_tertile_split_properties():
 def _transfer_cube(groups):
     eval_groups, cells = {}, {}
     for (task, hib), entries in groups.items():
-        eval_groups[(task, "c1", "m1")] = (hib, dict(entries))
+        values = array("d", (entries.get(pair, math.nan) for pair in EVAL_PAIRS))
+        eval_groups[(task, "c1", "m1")] = (hib, values)
         cells[(task, "c1", "m1")] = PerformanceTriplet(1, 1, 1, hib)
     return PerformanceCube(cells, eval_groups)
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from itertools import accumulate
 from pathlib import Path
@@ -1167,6 +1169,10 @@ REFUSED_INPUTS = {
     "transfer-two-full-rows-only": lambda tmp: [
         "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER + TWO_FULL_ROWS),
         "-o", str(tmp / "out.json")],
+    "hlm-repeated-full-row": lambda tmp: _hlm_of_rows(
+        tmp, TWO_FULL_ROWS + "t,c,m,easy,full,accuracy,0.7,true\n"),
+    "hlm-direction-changes-within-group": lambda tmp: _hlm_of_rows(
+        tmp, TWO_FULL_ROWS + "t,c,m,hard,easy,perplexity,30.0,false\n"),
     "transfer-repeated-eval-level-row": lambda tmp: [
         "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
                                     + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),
@@ -1200,6 +1206,12 @@ REFUSED_MESSAGES = {
     "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
     "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
     "report-no-cells": "report has no cells\n",
+    # the messages that name a cube's faulty row by its line and key
+    "hlm-repeated-full-row": "line 4: duplicate row for ('t', 'c', 'm') train=easy\n",
+    "hlm-direction-changes-within-group":
+        "line 4: inconsistent higher_is_better within group ('t', 'c', 'm')\n",
+    "transfer-repeated-eval-level-row":
+        "line 3: duplicate row for ('t', 'c', 'm', 'easy', 'hard')\n",
 }
 
 
@@ -1346,6 +1358,28 @@ def test_validate_refuses_an_output_that_reads_back_otherwise(
     capsys.readouterr()
     assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 2
     assert capsys.readouterr().err == _not_read_back(tmp_path / "out")
+
+
+def test_surprisal_validate_checks_one_record_at_a_time(tmp_path):
+    """--validate counts the records as it reads and checks each one, so it lifts the
+    command's traced peak by at most 0.3 MB. On these 300 documents of 88 words it
+    lifted it by about 0.5 MB while it built every sequence again."""
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(300)]
+    text = lambda: " ".join(" ".join(rng.choices(words, k=11)) + "." for _ in range(8))
+    corpus = write_corpus(tmp_path, lines=[{"id": f"d{i}", "text": text()} for i in range(300)])
+    model = str(tmp_path / "model.json")
+    assert main(["lm-train", "--corpus", corpus, "-o", model]) == 0
+    peaks = []
+    for validate in ([], ["--validate"]):
+        tracemalloc.start()
+        try:
+            assert main(["surprisal", "--corpus", corpus, "--model", model,
+                         "-o", str(tmp_path / "s.jsonl"), *validate]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 0.3e6
 
 
 # Each subcommand's options as its parser declares them: the strings of one

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import tempfile
 import warnings
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,8 @@ from hlmkit.experiment import (
     transfer_scores,
     transfer_to_dict,
 )
-from hlmkit.hlm import CUBE_COLUMNS, PerformanceCube, PerformanceTriplet, load_cube_csv
+from hlmkit.hlm import (CUBE_COLUMNS, EVAL_PAIRS, PerformanceCube, PerformanceTriplet,
+                        load_cube_csv)
 from hlmkit.splitkit import DifficultyScore, DifficultySplit, tertile_split
 import oracles
 
@@ -195,7 +198,8 @@ def eval_cube(groups):
     eval_groups = {}
     cells = {}
     for (task, criterion, model, hib), entries in groups.items():
-        eval_groups[(task, criterion, model)] = (hib, dict(entries))
+        values = array("d", (entries.get(pair, math.nan) for pair in EVAL_PAIRS))
+        eval_groups[(task, criterion, model)] = (hib, values)
         cells[(task, criterion, model)] = PerformanceTriplet(1.0, 1.0, 1.0, hib)
     return PerformanceCube(cells, eval_groups)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ParseError, ValidationError
 from hlmkit.hlm import (
+    EVAL_PAIRS,
     PerformanceCube,
     PerformanceTriplet,
     compute_report,
@@ -340,10 +341,11 @@ class TestCubeCsv:
         with pytest.raises(ParseError, match="line 2: invalid train_level 'extreme'"):
             load_cube_csv(path)
 
-    def test_each_level_pair_and_name_is_stored_once(self, tmp_path):
-        """Every row's level pair is one of the shared valid pairs and every
-        name one string object, so the loaded cube holds 83-90 traced bytes
-        per CSV row on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0. It held
+    def test_each_group_is_one_array_and_each_name_one_string(self, tmp_path):
+        """Each group keeps one float array and every name is one string
+        object, so the loaded cube holds 52-57 traced bytes per CSV row on
+        Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0. It held 83-90 while each
+        group kept a dict of its full rows and a dict of its eval rows, and
         205-226 while each row kept its own level strings and
         (train_level, eval_level) tuple."""
         rng = random.Random(14)
@@ -360,11 +362,8 @@ class TestCubeCsv:
         finally:
             tracemalloc.stop()
         assert len(rows) == 7200 and len(cube.cells) == len(cube.eval_groups) == 600
-        assert len({id(pair) for _, runs in cube.eval_groups.values() for pair in runs}) == 9
-        assert len({id(level) for _, runs in cube.eval_groups.values()
-                    for pair in runs for level in pair}) == 3
         assert len({id(name) for key in [*cube.cells, *cube.eval_groups] for name in key}) == 26
-        assert held / len(rows) < 120
+        assert held / len(rows) < 60
 
     def test_bad_value(self, tmp_path):
         path = self.write(tmp_path, "t1,c1,m1,easy,full,accuracy,abc,true\n")
@@ -450,11 +449,17 @@ class TestCubeCsv:
             load_cube_csv(path)
 
     def test_eval_rows_are_kept_separately(self, tmp_path):
+        # each eval value sits in its EVAL_PAIRS slot, and NaN marks the missing (hard, hard)
+        levels = ("easy", "medium", "hard")
         body = "".join(
-            f"t1,c1,m1,{tr},{ev},accuracy,0.5,true\n"
-            for tr in ("easy", "medium", "hard")
-            for ev in ("easy", "medium", "hard", "full")
+            f"t1,c1,m1,{tr},{ev},accuracy,0.{i}{j},true\n"
+            for i, tr in enumerate(levels, 1)
+            for j, ev in enumerate(("easy", "medium", "hard", "full"), 1)
+            if (tr, ev) != ("hard", "hard")
         )
         cube = load_cube_csv(self.write(tmp_path, body))
-        assert len(cube.eval_groups[("t1", "c1", "m1")][1]) == 9
-        assert ("t1", "c1", "m1") in cube.cells
+        direction, values = cube.eval_groups[("t1", "c1", "m1")]
+        assert direction is True and len(values) == 9 and math.isnan(values[8])
+        assert list(values[:8]) == [0.11, 0.12, 0.13, 0.21, 0.22, 0.23, 0.31, 0.32]
+        assert EVAL_PAIRS[8] == ("hard", "hard")
+        assert cube.cells[("t1", "c1", "m1")] == PerformanceTriplet(0.14, 0.24, 0.34)
