@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .errors import EmptyDocument, ParseError, ValidationError
@@ -137,23 +137,27 @@ def record(line: int, make, *args):
 
 
 @contextmanager
-def atomic_write(path: str | Path):
-    """A new UTF-8 text file (``\\n`` line ends), randomly named beside ``path``,
-    that replaces it once the block has finished; on any failure it is removed
-    and a previous file at ``path`` stays. A symlink, device or pipe, such as
-    ``/dev/stdout``, is written through in place. Text UTF-8 cannot encode (a
-    lone surrogate, which JSON can spell as an escape) is a ValidationError."""
-    path = Path(path)
-    in_place = path.is_symlink() or (path.exists() and not path.is_file())
-    tmp = path if in_place else path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+def atomic_write(*paths: str | Path):
+    """New UTF-8 text files (``\\n`` line ends), one randomly named beside each of ``paths``
+    and all made before the block runs, that replace their paths once it has finished; on
+    any failure they are removed and previous files stay. A symlink, device or pipe, such as
+    ``/dev/stdout``, is written through in place, as the block writes it. Text UTF-8 cannot
+    encode (a lone surrogate, which JSON can spell as an escape) is a ValidationError."""
+    paths = [Path(p) for p in paths]
+    tmps = [p if p.is_symlink() or (p.exists() and not p.is_file())  # written in place
+            else p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p in paths]
+    renames = [(tmp, p) for tmp, p in zip(tmps, paths) if tmp is not p]
+    utf8 = {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "w" if in_place else "x", encoding="utf-8", newline="") as fh:
-            yield fh
-        if not in_place:
+        with ExitStack() as files:  # in-place outputs last: opening one truncates it
+            made = {tmp: files.enter_context(open(tmp, "x", **utf8)) for tmp, _ in renames}
+            yield [made.get(tmp) or files.enter_context(open(tmp, "w", **utf8)) for tmp in tmps]
+        for tmp, path in renames:
             os.replace(tmp, path)
     except BaseException as e:
-        if not in_place:
+        for tmp, _ in renames:
             tmp.unlink(missing_ok=True)
         if isinstance(e, UnicodeEncodeError):
-            raise ValidationError(f"cannot write {path}: {e.reason} in the input text") from e
+            raise ValidationError(f"cannot write {', '.join(map(str, paths))}: {e.reason} "
+                                  "in the input text") from e
         raise

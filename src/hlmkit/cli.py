@@ -75,22 +75,35 @@ def _read_back(path: str, read, written) -> None:
         raise ValidationError(f"{path} is not a file that reads back as written")
 
 
-def _dump_json(data: dict, path: str, validate: bool) -> None:
-    with atomic_write(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+_SLICE = 1 << 16  # characters per SVG write: each write encodes its whole text, a copy
+
+
+def _write_json(fh, data: dict) -> None:
+    json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    fh.write("\n")
+
+
+def _write_svg(fh, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        fh.write(text[start:start + _SLICE])
+
+
+def _write_csv(fh, rows) -> None:
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write(*outputs) -> None:
+    """Write each ``(path, write, value)`` output as ``write(fh, value)`` through one
+    atomic_write: every file exists before the first is written."""
+    with atomic_write(*[path for path, _, _ in outputs]) as handles:
+        for fh, (_, write, value) in zip(handles, outputs):
+            write(fh, value)
+
+
+def _dump_json(data: dict, path: str, validate: bool, *more) -> None:
+    _write((path, _write_json, data), *more)
     if validate:
         _read_back(path, read_json, data)
-
-
-def _write_svg(path: str, text: str) -> None:
-    with atomic_write(path) as fh:
-        fh.write(text)
-
-
-def _write_csv(path: str, rows) -> None:
-    with atomic_write(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +188,12 @@ def cmd_hlm(args, cfg: _Config) -> int:
         rows, cols, grid, pairs = _report_heatmap_data(
             report.i_model, report.i_task, report.i_criteria,
             [(c.task, c.criterion, c.model, c.value) for c in report.cells])
-    heatmap = svg.heatmap_svg(rows, cols, grid, title="HLM index") if args.heatmap_svg else None
-    _dump_json(hlm.report_to_dict(report), args.output, args.validate)
-    if args.heatmap_csv:
-        _write_csv(args.heatmap_csv, [["model", "criterion"] + cols[:-1]] + [
-            [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
-        ])
+    more = [(args.heatmap_csv, _write_csv, [["model", "criterion"] + cols[:-1]] + [
+        [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
+    ])] if args.heatmap_csv else []
     if args.heatmap_svg:
-        _write_svg(args.heatmap_svg, heatmap)
+        more.append((args.heatmap_svg, _write_svg, svg.heatmap_svg(rows, cols, grid, "HLM index")))
+    _dump_json(hlm.report_to_dict(report), args.output, args.validate, *more)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
     return 0
 
@@ -215,11 +226,10 @@ def cmd_converge(args, cfg: _Config) -> int:
 def cmd_transfer(args, cfg: _Config) -> int:
     cube = hlm.load_cube_csv(args.cube)
     matrix = experiment.transfer_scores(cube)
-    _dump_json(experiment.transfer_to_dict(matrix), args.output, args.validate)
-    if args.csv:
-        _write_csv(args.csv, [["train_level", *hlm.LEVELS]] + [
-            [tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS] for tr in hlm.LEVELS
-        ])
+    more = [(args.csv, _write_csv, [["train_level", *hlm.LEVELS]] + [
+        [tr] + [matrix.values[(tr, ev)] for ev in hlm.LEVELS] for tr in hlm.LEVELS
+    ])] if args.csv else []
+    _dump_json(experiment.transfer_to_dict(matrix), args.output, args.validate, *more)
     print(f"wrote {args.output} ({len(matrix.groups)} groups)")
     return 0
 
@@ -251,8 +261,7 @@ def cmd_report(args, cfg: _Config) -> int:
             series.append((label, [(float(s), v) for s, v in log.steps]))
         outputs.append((args.curves_out, svg.curves_svg(
             series, title="Learning curves", x_label="step", y_label="dev metric")))
-    for path, text in outputs:
-        _write_svg(path, text)
+    _write(*[(path, _write_svg, text) for path, text in outputs])
     print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0
 

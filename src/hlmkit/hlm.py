@@ -306,7 +306,8 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
         values[slot] = val
 
     cells, eval_groups, incomplete = {}, {}, []
-    for key, (direction, values) in sorted(groups.items()):
+    for key in sorted(groups):  # each loading array is freed once it is split
+        direction, values = groups.pop(key)
         full, runs = values[:3], values[3:]
         if not any(map(math.isnan, full)):
             cells[key] = PerformanceTriplet(*full, direction)

@@ -230,7 +230,7 @@ def load_neural_scores(path: str | Path) -> dict[str, DifficultyScore]:
 
 
 def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None:
-    with atomic_write(path) as fh:
+    with atomic_write(path) as (fh,):
         for s in scores:
             fh.write(json.dumps(
                 {"id": s.doc_id, "criterion": s.criterion, "value": s.value,

@@ -348,7 +348,7 @@ def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
 def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> int:
     """Write sequences as JSONL, one object per line, as they come; return how many."""
     n = 0
-    with atomic_write(path) as fh:
+    with atomic_write(path) as (fh,):
         for n, s in enumerate(seqs, 1):
             fh.write(json.dumps({"id": s.doc_id, "surprisals": list(s.values), "base": s.base},
                                 ensure_ascii=False) + "\n")
@@ -406,7 +406,7 @@ def model_from_dict(data: dict) -> NgramModel:
 
 def save_model(model: NgramModel, path: str | Path) -> None:
     """Serialize a model to compact JSON. Round-trips bit-exactly (counts are ints)."""
-    with atomic_write(path) as fh:
+    with atomic_write(path) as (fh,):
         fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlmkit
-from hlmkit import svg
+from hlmkit import cli, svg
 from hlmkit.cli import _build_parser, main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
@@ -1425,6 +1425,36 @@ def test_missing_input_exit_3_and_writes_nothing(valid_inputs, tmp_path, capsys,
     assert sorted(os.listdir(Path(valid_inputs["CORPUS"]).parent)) == inputs
 
 
+@pytest.mark.parametrize("command", ["hlm", "report", "transfer"])
+def test_an_output_that_cannot_be_created_leaves_every_output_as_it_was(
+        valid_inputs, tmp_path, capsys, command):
+    """A command with several outputs writes all of them or none: when its last
+    output's directory is missing, it exits 3, the previous files at its other
+    outputs stay, and no temporary file is left."""
+    argv = _full_argv(command, valid_inputs, tmp_path)
+    last = max(arg for arg in argv if arg.startswith(str(tmp_path / "out")))
+    argv[argv.index(last)] = str(tmp_path / "missing" / "out")
+    previous = {Path(arg).name: f"previous {arg}\n" for arg in argv
+                if arg.startswith(str(tmp_path / "out"))}
+    for name, text in previous.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "missing" in capsys.readouterr().err
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == previous
+
+
+def test_an_output_through_a_link_is_opened_after_every_temporary_file(tmp_path):
+    # a link is written through in place, and opening its target truncates it
+    target = tmp_path / "target"
+    target.write_text("previous\n")
+    (tmp_path / "link").symlink_to(target)
+    assert main(["hlm", "-o", str(tmp_path / "link"),
+                 "--heatmap-svg", str(tmp_path / "missing" / "h.svg")]) == 3
+    assert target.read_text() == "previous\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+
 def test_lone_surrogate_in_input_exit_2(tmp_path, capsys):
     # valid JSON and valid UTF-8, but "\ud800" decodes to text UTF-8 cannot encode
     corpus = write_corpus(tmp_path, lines=[dict(CORPUS_LINES[0], id="\ud800")] + CORPUS_LINES[1:])
@@ -1476,6 +1506,32 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert received[0].count(b"\n") == len(CORPUS_LINES)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.parametrize("text", [
+    "a" * 65536,  # exactly one slice
+    "a" * 65535 + "\u00e9\u20ac" + "b" * 65536,  # three slices; the first two split "\u00e9\u20ac"
+    "<",
+], ids=["one-slice", "three-slices", "one-character"])
+def test_svg_text_is_written_in_slices_byte_for_byte(tmp_path, text):
+    path = tmp_path / "out.svg"
+    cli._write((path, cli._write_svg, text))
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_svg_write_holds_no_second_copy_of_its_text(tmp_path):
+    """The text is written in 65,536-character slices, so the write's traced
+    peak is at most 0.25 MB above the 1 MB text it writes; one write of the
+    whole text encoded a second copy, about 1 MB."""
+    text = "<rect/>\n" * 125_000
+    tracemalloc.start()
+    try:
+        cli._write((tmp_path / "out.svg", cli._write_svg, text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out.svg").stat().st_size == len(text) == 1_000_000
+    assert peak < 0.25e6
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

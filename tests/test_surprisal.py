@@ -726,7 +726,7 @@ class TestPersistence:
             elif failure == "jsonl":
                 export_surprisals(first_then_fail(SurprisalSequence("d1", (1.0,))), path)
             elif failure == "csv":
-                cli._write_csv(path, first_then_fail(["a", "b"]))
+                cli._write((path, cli._write_csv, first_then_fail(["a", "b"])))
             else:
                 save_model(model, path)
         assert path.read_text() == "previous model\n"
