@@ -156,28 +156,30 @@ class NgramModel:
             tally = Counter(map((size ** k).__rmod__, tables[-1][0]))
             grams = sorted(tally)
             tables.append([array("q", grams), array("q", map(tally.__getitem__, grams))])
-            dict.update(tally, zip(grams, count()))  # now suffix -> index
-            tables[-2].append(array("q", map(tally.__getitem__,
+            tally = None  # freed before the suffix index is built, by bisection in the list
+            tables[-2].append(array("q", map(bisect_left, repeat(grams),
                                              map((size ** k).__rmod__, tables[-2][0]))))
-            tally = grams = None  # frees the suffix index before the next order counts
+            grams = None  # the suffix list, freed before the next order is counted
         levels = []
         while tables:
             grams, counts, *index = tables.pop()
             lower = map(levels[-1][3].__getitem__, index[0]) if levels else repeat(self._uniform)
-            totals, backoffs, i, n = [], array("d"), 0, len(grams)
-            while i < n:  # one sorted run of grams per history
+            totals, lengths, i, n = [], array("q"), 0, len(grams)
+            while i < n:  # one sorted run of grams per history, kept as its total and length
                 h, end, total = grams[i] // size, i + 1, counts[i]
                 while end < n and grams[end] // size == h:
                     total += counts[end]
                     end += 1
-                totals += [total] * (end - i)
-                backoffs.extend([discount * (end - i) / total] * (end - i))
+                totals.append(total)  # an int: a loaded file's history total may pass 2**63
+                lengths.append(end - i)
                 i = end
+            backoffs = array("d", chain.from_iterable(map(repeat, map(
+                operator.truediv, map(operator.mul, repeat(discount), lengths), totals), lengths)))
             # (c - discount) / total + backoff * lower p, streamed into the array with no list
             discounted = map(operator.sub, counts, repeat(discount))
-            probs = array("d", map(operator.add, map(operator.truediv, discounted, totals),
+            per_gram = chain.from_iterable(map(repeat, totals, lengths))
+            probs = array("d", map(operator.add, map(operator.truediv, discounted, per_gram),
                                    map(operator.mul, backoffs, lower)))
-            totals = None
             step = size ** len(levels)
             starts = array("q", map(bisect_left, repeat(grams), range(0, size * step + 1, step)))
             levels.append((grams, starts, backoffs, probs))
@@ -274,13 +276,18 @@ def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75)
     for k in range(1, order):
         windows = map(operator.add, map(size.__mul__, windows), islice(stream, k, None))
     # a window that ends at a start pad spans two sentences
-    windows = sorted(compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
-    # each run of equal windows is one gram, counted by where the runs end
-    ends = array("q", compress(count(1), map(operator.ne, windows,
-                                             chain(islice(windows, 1, None), [-1]))))
-    grams = array("q", map(windows.__getitem__, map((-1).__add__, ends)))
-    stream = windows = None  # freed before the model copies the grams
-    counts = array("q", map(operator.sub, ends, chain([0], ends)))
+    windows = array("q", compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
+    stream, grams, counts, half = None, array("q"), array("q"), size ** order // 2
+    # the windows below half of V ** order, then the rest, each sorted as a list of ints
+    for in_part in half.__gt__, half.__le__:
+        part = sorted(filter(in_part, windows))
+        # each run of equal windows is one gram, counted by where the runs end
+        ends = array("q", compress(count(1), map(operator.ne, part,
+                                                 chain(islice(part, 1, None), [-1]))))
+        grams.extend(map(part.__getitem__, map((-1).__add__, ends)))
+        counts.extend(map(operator.sub, ends, chain([0], ends)))
+        part = ends = None  # freed before the next half is sorted
+    windows = None  # freed before the model copies the grams
     return NgramModel(order, discount, words, grams, counts)
 
 
@@ -290,7 +297,7 @@ def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> Surpr
     Start/end pads condition and absorb probability mass but are never scored
     themselves, so the output has exactly one value per word token.
     """
-    values = tuple(v for s in _sentence_values(model, doc, base) for v in s)
+    values = tuple(chain.from_iterable(_sentence_values(model, doc, base)))
     return SurprisalSequence(doc_id=doc.id, values=values, base=base)
 
 
@@ -355,27 +362,33 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> in
     return n
 
 
-def model_to_dict(model: NgramModel) -> dict:
-    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, and
-    the counts above 1 with the gaps between their positions (every other count is 1)."""
+# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams,
+# and the counts above 1 at the positions that count_gaps codes as gaps)
+_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS,
+                 "count_gaps": INTS, "counts": INTS}
+_WRITE_BLOCK = 1024  # ints per save_model write: a few KB of text, below the 8 KiB text chunk
+
+
+def _dump_fields(model: NgramModel, ints: Callable) -> dict:
+    """The dump's fields, each int list an iterator passed through ``ints``."""
     grams, counts = model._grams, model._counts
-    repeated = list(compress(count(), map((1).__lt__, counts)))
+    repeated = array("q", compress(count(), map((1).__lt__, counts)))
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
         "vocab": list(model.words),
-        "gaps": list(map(operator.sub, grams, chain([0], grams))),
-        "count_gaps": list(map(operator.sub, repeated, chain([0], repeated))),
-        "counts": list(map(counts.__getitem__, repeated)),
+        "gaps": ints(map(operator.sub, grams, chain([0], grams))),
+        "count_gaps": ints(map(operator.sub, repeated, chain([0], repeated))),
+        "counts": ints(map(counts.__getitem__, repeated)),
     }
 
 
-# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams,
-# and the counts above 1 at the positions that count_gaps codes as gaps)
-_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS,
-                 "count_gaps": INTS, "counts": INTS}
+def model_to_dict(model: NgramModel) -> dict:
+    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, and
+    the counts above 1 with the gaps between their positions (every other count is 1)."""
+    return _dump_fields(model, list)
 
 
 def model_from_dict(data: dict) -> NgramModel:
@@ -405,10 +418,18 @@ def model_from_dict(data: dict) -> NgramModel:
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:
-    """Serialize a model to compact JSON. Round-trips bit-exactly (counts are ints)."""
-    with atomic_write(path) as (fh,):
-        fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    """Serialize a model to compact JSON, the bytes of ``json.dumps(model_to_dict(model),
+    sort_keys=True, separators=(",", ":"))`` and a newline. Round-trips bit-exactly."""
+    with atomic_write(path) as (fh,):  # field by field: no list of gaps, no whole text
+        dump = sorted(_dump_fields(model, iter).items())
+        for sep, (key, value) in zip(chain("{", repeat(",")), dump):
+            fh.write(f'{sep}"{key}":')  # each key is a plain name
+            if _MODEL_FIELDS.get(key) is INTS:
+                blocks = iter(lambda: ",".join(map(str, islice(value, _WRITE_BLOCK))), "")
+                fh.writelines(chain("[", islice(blocks, 1), map(",".__add__, blocks), "]"))
+            else:
+                fh.write(json.dumps(value, separators=(",", ":")))
+        fh.write("}\n")
 
 
 def load_model(path: str | Path) -> NgramModel:

@@ -1350,10 +1350,13 @@ def test_validate_does_not_read_back_from_a_pipe(valid_inputs, tmp_path, command
      lambda write: lambda scores, path: write(scores[:-1], path)),
     ("surprisal", hlmkit.surprisal, "export_surprisals",
      lambda export: lambda seqs, path: export(list(seqs)[:-1], path) + 1),
-], ids=["score", "surprisal"])
+    ("lm-train", hlmkit.surprisal, "save_model",
+     lambda save: lambda model, path: save(hlmkit.surprisal.NgramModel(
+         model.order, model.discount, model.words, model._grams[:-1], model._counts[:-1]), path)),
+], ids=["score", "surprisal", "lm-train"])
 def test_validate_refuses_an_output_that_reads_back_otherwise(
         valid_inputs, tmp_path, capsys, monkeypatch, command, module, writer, fault):
-    # the writer leaves out the last record it was given, or counts one it did not write
+    # the writer leaves out the last record or gram it was given, or counts one it did not write
     monkeypatch.setattr(module, writer, fault(getattr(module, writer)))
     capsys.readouterr()
     assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 2

@@ -117,13 +117,15 @@ class TestTrainLm:
 
     def test_peak_and_held_memory_per_gram(self):
         """Training counts by sorting the packed windows, with no window -> count dict, and
-        the model keeps its grams and counts as int64 arrays: 98 traced bytes per stored
-        gram at the peak, the generated corpus included (91 without it), and 28 held
-        (Python 3.11), where counting with a Counter into tuples read 167-170 and 66-68."""
+        the model keeps its grams and counts as int64 arrays: 89-93 traced bytes per stored
+        gram at the peak on Python 3.10-3.13, the generated corpus included (83 without it on
+        3.11), and 27-29 held. The windows are one int64 array, sorted as ints one half of the
+        gram range at a time; sorted as one list of ints the peak was 97-101 (91 without the
+        corpus), and counting with a Counter into tuples read 167-170 and 66-68."""
         model, peak, held = traced_bytes(lambda: train_lm(zipf_docs(), order=3))
         stored = len(model_to_dict(model)["gaps"])
         assert stored >= 20_000
-        assert peak / stored < 145 and held / stored < 45
+        assert peak / stored < 105 and held / stored < 45
 
     def test_vocabulary_beyond_int64_packing_is_refused_before_packing(self, monkeypatch):
         # the real bound needs 2**21 distinct words; a lower one shows where train_lm checks
@@ -219,6 +221,15 @@ class TestModelChecks:
         with pytest.raises(ValidationError, match=message):
             NgramModel(2, 0.75, dump["vocab"], columns["grams"], columns["counts"])
 
+    def test_history_total_beyond_int64_is_derived(self):
+        """Each count is below 2**63, but a history's total may pass it: such a model
+        (a file can hold one) still derives its tables and scores."""
+        words = [EOS, BOS, UNK, "a", "b"]
+        model = NgramModel(2, 0.75, words, [3 * 5 + 0, 3 * 5 + 4], [2 ** 62, 2 ** 62])
+        lower = model.prob("b")  # the unigram: the history "a" backs off with 0.75 * 2 / 2**63
+        assert model.prob("b", ("a",)) == (2 ** 62 - 0.75) / 2 ** 63 + 0.75 * 2 / 2 ** 63 * lower
+        assert sum(model.prob(w, ("a",)) for w in model.event_vocab) == pytest.approx(1.0)
+
     def test_history_check_builds_nothing_per_word(self):
         """An order-3 model of 200k words and no grams: the history check makes one pass
         over the stored grams, so the build holds only the vocabulary's tuple and index
@@ -242,6 +253,28 @@ class TestTrainOracle:
         docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
         dump = model_to_dict(train_lm(docs, order=order))
         sentences = [s for d in docs for s in _tokenize_sentences(d.text)]
+        assert (dump["vocab"], dump_grams(dump), dump_counts(dump)) == train_counts(sentences, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3)
+                          .map(" ".join).map("{}.".format), min_size=1, max_size=4),
+           order=st.integers(1, 3))
+    def test_ranged_sort_matches_one_sort(self, texts, order):
+        """train_lm sorts the windows below half of V ** order and then the rest; over two
+        words, many corpora put every window in one half (e.g. one-word sentences at order 3,
+        whose windows all start with <s>)."""
+        docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+        dump = model_to_dict(train_lm(docs, order=order))
+        sentences = [s for d in docs for s in _tokenize_sentences(d.text)]
+        assert (dump["vocab"], dump_grams(dump), dump_counts(dump)) == train_counts(sentences, order)
+
+    @pytest.mark.parametrize("text, order, lower", [("A. A. B.", 3, True), ("a b b a", 1, False)])
+    def test_every_window_in_one_half(self, text, order, lower):
+        docs = [Document(id="d", text=text)]
+        dump = model_to_dict(train_lm(docs, order=order))
+        half = len(dump["vocab"]) ** order // 2
+        assert {g < half for g in dump_grams(dump)} == {lower}
+        sentences = _tokenize_sentences(text)
         assert (dump["vocab"], dump_grams(dump), dump_counts(dump)) == train_counts(sentences, order)
 
     def test_oov_and_one_token_sentences(self):
@@ -644,13 +677,15 @@ class TestPersistence:
 
     def test_load_peak_memory_per_stored_gram(self, tmp_path):
         """Loading a model and deriving its tables keep one copy of the grams, and
-        every order in arrays: the traced peak is 117.9 bytes per stored gram on
-        Python 3.11, and the model holds 66 after its first query. The peak was 121-124
-        (Python 3.10-3.13) while each order's suffix index lived on while the next
-        order was counted; 191-193 and 165-168 while the top order was a gram -> p
-        dict, 285-289 at the peak while every order's tables were dicts, and 411-414
-        while the model also kept a gram -> count dict beside per-history total and
-        type dicts."""
+        every order in arrays: the traced peak is 96.6-97.7 bytes per stored gram on
+        Python 3.10-3.13, and the model holds 65-67 after its first query. The suffix
+        counts are freed before each gram's suffix is found by bisection, and each history
+        keeps one total: the peak was 116-118 while the counts became a suffix -> index
+        dict and every gram had its history's total in a list, 121-124 while each order's
+        suffix index lived on while the next order was counted; 191-193 and 165-168 while
+        the top order was a gram -> p dict, 285-289 at the peak while every order's tables
+        were dicts, and 411-414 while the model also kept a gram -> count dict beside
+        per-history total and type dicts."""
         path = tmp_path / "m.json"
         save_model(train_lm(zipf_docs(), order=3), path)
         stored = len(json.loads(path.read_text())["gaps"])
@@ -661,7 +696,38 @@ class TestPersistence:
             model.prob("w1", ("w2",))
             return model
         _, peak, held = traced_bytes(load_and_query)
-        assert peak / stored < 121 and held / stored < 100
+        assert peak / stored < 105 and held / stored < 100
+
+    def test_save_peak_memory_per_stored_gram(self, tmp_path):
+        """save_model writes the int lists a block at a time: 5-10 traced bytes per stored
+        gram at the peak on Python 3.10-3.13, where json.dumps of model_to_dict read 41-121."""
+        model = train_lm(zipf_docs(), order=3)
+        stored = len(model._grams)
+        assert stored >= 20_000
+        _, peak, _ = traced_bytes(lambda: save_model(model, tmp_path / "m.json"))
+        assert peak / stored < 40
+
+    @pytest.mark.parametrize("build, shape", [
+        (lambda k=k: train_lm(docs_from_sentences([["a", "b", "a"], ["a", "b", "a", "b"]]), k),
+         lambda dump: dump["counts"])  # some counts above 1
+        for k in (1, 2, 3)
+    ] + [
+        (lambda: train_lm(docs_from_sentences([["a", "b"], ["c", "d"]]), order=2),
+         lambda dump: dump["count_gaps"] == dump["counts"] == []),
+        (lambda: NgramModel(1, 0.5, sorted([BOS, EOS, UNK, "café", 'say"', "back\\slash", "中"]),
+                            [3, 4, 6], [1, 7, 2]),
+         lambda dump: {"café", 'say"', "back\\slash", "中"} <= set(dump["vocab"])),
+        (lambda: train_lm(zipf_docs(docs=40), order=3),
+         lambda dump: len(dump["gaps"]) > 2 * surprisal._WRITE_BLOCK),
+    ], ids=["order-1", "order-2", "order-3", "all-ones", "escaped-vocab", "many-blocks"])
+    def test_saved_bytes_are_the_dict_dump(self, tmp_path, build, shape):
+        """save_model writes, field by field, the bytes of json.dumps of model_to_dict."""
+        model = build()
+        save_model(model, tmp_path / "m.json")
+        dump = model_to_dict(model)
+        assert shape(dump)
+        assert (tmp_path / "m.json").read_bytes() == (
+            json.dumps(dump, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
     def test_file_bytes_per_stored_gram(self, tmp_path):
         """The file stores each gram as its distance from the one before, a few digits
