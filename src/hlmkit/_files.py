@@ -142,11 +142,19 @@ def atomic_write(*paths: str | Path):
     and all made before the block runs, that replace their paths once it has finished; on
     any failure they are removed and previous files stay. A symlink, device or pipe, such as
     ``/dev/stdout``, is written through in place, as the block writes it. Text UTF-8 cannot
-    encode (a lone surrogate, which JSON can spell as an escape) is a ValidationError."""
+    encode (a lone surrogate, which JSON can spell as an escape) is a ValidationError, and
+    so are two paths that name one regular file, directly or through a link: only the
+    output written last would be kept."""
     paths = [Path(p) for p in paths]
     tmps = [p if p.is_symlink() or (p.exists() and not p.is_file())  # written in place
             else p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p in paths]
     renames = [(tmp, p) for tmp, p in zip(tmps, paths) if tmp is not p]
+    seen = {}
+    for p in paths:
+        if p.is_file() or not p.exists():  # a device or pipe may take several outputs
+            other = seen.setdefault(os.path.realpath(p), p)
+            if other is not p:
+                raise ValidationError(f"{other} and {p} name one output file")
     utf8 = {"encoding": "utf-8", "newline": ""}
     try:
         with ExitStack() as files:  # in-place outputs last: opening one truncates it

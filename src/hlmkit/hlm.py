@@ -266,13 +266,13 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
     Required header: task,criterion,model,train_level,eval_level,metric,
     value,higher_is_better. Rows with eval_level "full" form the per-key
     triplets used by the indices; rows with eval_level easy/medium/hard are
-    kept for transfer analysis. Metric direction must be consistent within
-    a (task, criterion, model) group. Rows are checked in file order and the
-    first faulty row raises.
+    kept for transfer analysis. The metric and its direction must be the same
+    on every row of a (task, criterion, model) group. Rows are checked in file
+    order and the first faulty row raises.
     """
-    # (task, criterion, model) -> (higher_is_better, its _SLOTS values)
-    groups: dict[tuple, tuple[bool, array]] = {}
-    names: dict[str, str] = {}  # one string object per task, criterion and model name
+    # (task, criterion, model) -> (higher_is_better, its _SLOTS values, metric)
+    groups: dict[tuple, tuple[bool, array, str]] = {}
+    names: dict[str, str] = {}  # one string object per task, criterion, model and metric name
     for lineno, row in csv_rows(path, CUBE_COLUMNS):
         task, criterion, model, train_level, eval_level, metric, value, hib = row
         if train_level not in LEVELS:
@@ -294,11 +294,13 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
         group = groups.get(key)
         if group is None:
             key = tuple(names.setdefault(name, name) for name in key)
-            group = groups[key] = (direction, _UNFILLED[:])
+            group = groups[key] = (direction, _UNFILLED[:], names.setdefault(metric, metric))
         elif group[0] != direction:
             raise ValidationError(
                 f"line {lineno}: inconsistent higher_is_better within group {key}"
             )
+        elif group[2] != metric:
+            raise ValidationError(f"line {lineno}: inconsistent metric within group {key}")
         values = group[1]
         if not math.isnan(values[slot]):
             shown = f"{key} train={train_level}" if slot < 3 else key + (train_level, eval_level)
@@ -307,7 +309,7 @@ def load_cube_csv(path: str | Path) -> PerformanceCube:
 
     cells, eval_groups, incomplete = {}, {}, []
     for key in sorted(groups):  # each loading array is freed once it is split
-        direction, values = groups.pop(key)
+        direction, values, _ = groups.pop(key)
         full, runs = values[:3], values[3:]
         if not any(map(math.isnan, full)):
             cells[key] = PerformanceTriplet(*full, direction)

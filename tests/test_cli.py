@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from itertools import accumulate
 from pathlib import Path
 
@@ -269,6 +270,29 @@ class TestHlmCommand:
         out = tmp_path / "again.svg"
         assert main(["report", "--hlm-report", str(report), "--heatmap-out", str(out)]) == 0
         assert out.read_text() == svg_text
+
+    def test_heatmap_past_one_write_slice_is_the_same_from_hlm_and_report(self, tmp_path):
+        """A heatmap longer than one 65,536-character write slice, with a non-ASCII task
+        name and one holding "&", is the same bytes from ``hlm --heatmap-svg`` and from
+        ``report --heatmap-out``, and each file is well-formed XML."""
+        tasks = ["café", "R&D"] + [f"t{i}" for i in range(1, 19)]
+        cube = tmp_path / "cube.csv"
+        cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
+            f"{task},c{c},m{m},{tr},full,accuracy,{v},true\n"
+            for i, task in enumerate(tasks) for c in range(3) for m in range(10)
+            for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.5 + i / 100, 0.1 + m / 20))),
+            encoding="utf-8")
+        report, from_hlm, from_report = (tmp_path / name for name in ("r.json", "h.svg", "r.svg"))
+        assert main(["hlm", "--cube", str(cube), "-o", str(report),
+                     "--heatmap-svg", str(from_hlm), "--validate"]) == 0
+        assert main(["report", "--hlm-report", str(report),
+                     "--heatmap-out", str(from_report), "--validate"]) == 0
+        assert from_report.read_bytes() == from_hlm.read_bytes()
+        for path in (from_hlm, from_report):
+            ET.parse(path)
+        text = from_hlm.read_text(encoding="utf-8")
+        assert len(text) > 65536
+        assert ">café<" in text and ">R&amp;D<" in text
 
     def test_config_std_ddof_other_than_0_or_1_exit_2(self, tmp_path, capsys):
         config = tmp_path / "hlmkit.ini"
@@ -1173,6 +1197,10 @@ REFUSED_INPUTS = {
         tmp, TWO_FULL_ROWS + "t,c,m,easy,full,accuracy,0.7,true\n"),
     "hlm-direction-changes-within-group": lambda tmp: _hlm_of_rows(
         tmp, TWO_FULL_ROWS + "t,c,m,hard,easy,perplexity,30.0,false\n"),
+    # three metrics of one direction would score as one triplet, "hard best"
+    "hlm-metric-changes-within-group": lambda tmp: _hlm_of_rows(
+        tmp, "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,f1,0.8,true\n"
+             "t,c,m,hard,full,bleu,30.5,true\n"),
     "transfer-repeated-eval-level-row": lambda tmp: [
         "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
                                     + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),
@@ -1203,6 +1231,7 @@ REFUSED_INPUTS = {
 }
 # the message of a refused input that another command's message could stand in for
 REFUSED_MESSAGES = {
+    "hlm-eval-only-cube": "no complete (easy, medium, hard) triplet of full rows in cube\n",
     "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
     "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
     "report-no-cells": "report has no cells\n",
@@ -1210,6 +1239,7 @@ REFUSED_MESSAGES = {
     "hlm-repeated-full-row": "line 4: duplicate row for ('t', 'c', 'm') train=easy\n",
     "hlm-direction-changes-within-group":
         "line 4: inconsistent higher_is_better within group ('t', 'c', 'm')\n",
+    "hlm-metric-changes-within-group": "line 3: inconsistent metric within group ('t', 'c', 'm')\n",
     "transfer-repeated-eval-level-row":
         "line 3: duplicate row for ('t', 'c', 'm', 'easy', 'hard')\n",
 }
@@ -1445,6 +1475,29 @@ def test_an_output_that_cannot_be_created_leaves_every_output_as_it_was(
     assert main(argv) == 3
     assert "missing" in capsys.readouterr().err
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == previous
+
+
+@pytest.mark.parametrize("command", ["hlm", "report", "transfer"])
+def test_two_outputs_that_name_one_file_exit_2_and_leave_it(valid_inputs, tmp_path, capsys,
+                                                            command):
+    """Two outputs that name one file, through a link to their directory or through a link
+    to the file, which is written in place, would keep only the output written last: the
+    command exits 2 before it makes any temporary file, and the previous file stays.
+    Outputs to a device, such as /dev/null, may share a path."""
+    argv = _full_argv(command, valid_inputs, tmp_path)
+    (tmp_path / "dir").symlink_to(tmp_path)
+    (tmp_path / "file").symlink_to(tmp_path / "out")
+    (tmp_path / "out").write_text("previous\n")
+    second = argv.index(str(tmp_path / "out2"))
+    for again in (tmp_path / "dir" / "out", tmp_path / "file"):
+        argv[second] = str(again)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: {tmp_path / 'out'} and {again} name one output file\n")
+        assert (tmp_path / "out").read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "file", "out"]
+    assert main([os.devnull if arg.startswith(str(tmp_path)) else arg for arg in argv]) == 0
 
 
 def test_an_output_through_a_link_is_opened_after_every_temporary_file(tmp_path):

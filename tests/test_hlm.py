@@ -403,6 +403,18 @@ class TestCubeCsv:
         with pytest.raises(ValidationError, match="higher_is_better"):
             load_cube_csv(path)
 
+    def test_inconsistent_metric(self, tmp_path):
+        # an eval row of another metric is refused as a full row is
+        path = self.write(
+            tmp_path,
+            "t1,c1,m1,easy,full,accuracy,0.9,true\n"
+            "t1,c1,m1,medium,full,accuracy,0.8,true\n"
+            "t1,c1,m1,hard,full,accuracy,0.7,true\n"
+            "t1,c1,m1,easy,hard,f1,0.6,true\n",
+        )
+        with pytest.raises(ValidationError, match="line 5: inconsistent metric within group"):
+            load_cube_csv(path)
+
     def test_incomplete_triplet_warns(self, tmp_path):
         path = self.write(
             tmp_path,
