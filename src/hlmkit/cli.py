@@ -193,7 +193,7 @@ def cmd_hlm(args, cfg: _Config) -> int:
         [m, c] + ["" if v is None else v for v in row[:-1]] for (m, c), row in zip(pairs, grid)
     ])] if args.heatmap_csv else []
     if args.heatmap_svg:
-        more.append((args.heatmap_svg, _write_svg, svg.heatmap_svg(rows, cols, grid, "HLM index")))
+        more.append((args.heatmap_svg, _write_svg, svg.heatmap_svg(rows, cols, grid)))
     _dump_json(hlm.report_to_dict(report), args.output, args.validate, *more)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
     return 0
@@ -253,15 +253,14 @@ def cmd_report(args, cfg: _Config) -> int:
     if args.hlm_report:
         rows, cols, grid, _ = _report_heatmap_data(
             *hlm.report_values(read_json(args.hlm_report)))
-        outputs.append((args.heatmap_out, svg.heatmap_svg(rows, cols, grid, title="HLM index")))
+        outputs.append((args.heatmap_out, svg.heatmap_svg(rows, cols, grid)))
     if args.curves:
         series = []
         for label, path in zip(labels, args.curves):
             # direction does not matter for plotting; use the default
             log = experiment.load_training_log(path, higher_is_better=True)
             series.append((label, [(float(s), v) for s, v in log.steps]))
-        outputs.append((args.curves_out, svg.curves_svg(
-            series, title="Learning curves", x_label="step", y_label="dev metric")))
+        outputs.append((args.curves_out, svg.curves_svg(series)))
     _write(*[(path, _write_svg, text) for path, text in outputs])
     print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0

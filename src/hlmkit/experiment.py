@@ -157,9 +157,6 @@ class TransferMatrix:
     values: dict[tuple[str, str], float]  # (train_level, eval_level) -> mean rank
     groups: tuple[tuple[str, str, str], ...]  # contributing (task, criterion, model)
 
-    def column_sum(self, eval_level: str) -> float:
-        return sum(self.values[(tr, eval_level)] for tr in LEVELS)
-
 
 def _rank_scores(a: float, b: float, c: float, higher_is_better: bool) -> tuple[float, ...]:
     """1 + (values strictly worse) + half the others tied with it, for each value:

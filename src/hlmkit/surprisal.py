@@ -267,8 +267,6 @@ def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75)
     for doc in corpus:
         for s in _tokenize_sentences(doc.text):
             stream += pad + [index.setdefault(t, len(index)) for t in s] + end
-    if not stream:
-        raise EmptyCorpus("corpus contains no tokens")
     words = sorted(index)
     _check_packable(size := len(words), order)
     ids = {w: i for i, w in enumerate(words)}
@@ -313,8 +311,6 @@ def _sentence_values(model: NgramModel, doc: Document, base: str) -> list[list[f
         raise ValidationError(f"base must be '2' or 'e', got {base!r}")
     log = _LOG[base]
     sents = _tokenize_sentences(doc.text)
-    if not sents:
-        raise EmptyDocument(f"document {doc.id!r} has no tokens")
     ids, unk, size, n = model.ids, model.ids[UNK], len(model.words), model.order - 1
     (grams, starts, _, probs), miss = model._levels[-1], model._miss
     # the packed start history, and the radix that keeps its last n ids (g // keep: g's first)

@@ -50,10 +50,9 @@ def heatmap_svg(
     row_labels: Sequence[str],
     col_labels: Sequence[str],
     values: Sequence[Sequence[float | None]],
-    title: str = "",
 ) -> str:
-    """Grid of colored cells with numeric labels, rows x columns; ``values[i][j]``
-    is the cell of row ``i`` and column ``j``, None for an empty cell."""
+    """Grid of colored cells with numeric labels, rows x columns, titled "HLM index";
+    ``values[i][j]`` is the cell of row ``i`` and column ``j``, None for an empty cell."""
     if not row_labels or not col_labels:
         raise ValidationError("heatmap needs at least one row and one column")
     width = _MARGIN_L + _CELL * len(col_labels) + 20
@@ -62,9 +61,8 @@ def heatmap_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{_MARGIN_L}" y="18" font-size="14">HLM index</text>',
     ]
-    if title:
-        parts.append(f'<text x="{_MARGIN_L}" y="18" font-size="14">{_esc(title)}</text>')
     for j, col in enumerate(col_labels):
         x = _MARGIN_L + j * _CELL + _CELL / 2
         parts.append(
@@ -96,13 +94,9 @@ def heatmap_svg(
     return "\n".join(parts)
 
 
-def curves_svg(
-    series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
-    title: str = "",
-    x_label: str = "step",
-    y_label: str = "metric",
-) -> str:
-    """Polyline chart of one or more (x, y) series with a legend."""
+def curves_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]]) -> str:
+    """Polyline chart of one or more (x, y) series with a legend, titled "Learning
+    curves", of "dev metric" against "step"."""
     if not series or any(len(points) < 2 for _, points in series):
         raise ValidationError("each curve needs at least two points")
     width, height = 560, 360
@@ -132,9 +126,8 @@ def curves_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
+        f'<text x="{left}" y="24" font-size="14">Learning curves</text>',
     ]
-    if title:
-        parts.append(f'<text x="{left}" y="24" font-size="14">{_esc(title)}</text>')
     for frac in (0.0, 0.5, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
@@ -147,11 +140,11 @@ def curves_svg(
         )
     parts.append(
         f'<text x="{_f(left + plot_w / 2)}" y="{height - 10}" '
-        f'text-anchor="middle">{_esc(x_label)}</text>'
+        f'text-anchor="middle">step</text>'
     )
     parts.append(
         f'<text x="16" y="{_f(top + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_f(top + plot_h / 2)})">{_esc(y_label)}</text>'
+        f'transform="rotate(-90 16 {_f(top + plot_h / 2)})">dev metric</text>'
     )
     for idx, (label, points) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]

@@ -16,7 +16,7 @@ import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import pytest
@@ -543,31 +543,6 @@ def test_runs_on_the_standard_library_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# argv of each subcommand with the non-UTF-8 file as its (first) input
-NON_UTF8_ARGV = {
-    "score": lambda bad, out: ["score", "--corpus", bad, "--criterion", "flesch", "-o", out],
-    "split": lambda bad, out: ["split", "--scores", bad, "-o", out],
-    "lm-train": lambda bad, out: ["lm-train", "--corpus", bad, "-o", out],
-    "surprisal": lambda bad, out: ["surprisal", "--corpus", bad, "--model", bad, "-o", out],
-    "hlm": lambda bad, out: ["hlm", "--cube", bad, "-o", out],
-    "schedule": lambda bad, out: ["schedule", "--split", bad, "--order", "easy_to_hard",
-                                  "-o", out],
-    "converge": lambda bad, out: ["converge", "--log", bad, "--higher-is-better", "-o", out],
-    "transfer": lambda bad, out: ["transfer", "--cube", bad, "-o", out],
-    "report": lambda bad, out: ["report", "--curves", bad, "--curves-out", out],
-}
-
-
-@pytest.mark.parametrize("command", sorted(NON_UTF8_ARGV))
-def test_non_utf8_input_exit_2(tmp_path, command):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"step,value\n1,0.5\xff\n")
-    proc = _run_cli(*NON_UTF8_ARGV[command](str(bad), str(tmp_path / "out")))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ParseError: ")
-
-
 GOOD_SCORE = {"criterion": "uid_sl", "higher_is_harder": True}
 
 # one malformed field of the second line of a score file
@@ -588,42 +563,29 @@ BAD_SCORE_FIELDS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCORE_FIELDS))
-def test_split_rejects_mistyped_score_fields(tmp_path, capsys, case):
+def test_split_rejects_mistyped_score_fields(valid_inputs, tmp_path, capsys, case):
     field, value = BAD_SCORE_FIELDS[case]
     rows = [dict(GOOD_SCORE, id=f"d{i}", value=float(i)) for i in (1, 2, 3)]
     rows[1][field] = value
-    scores = tmp_path / "scores.jsonl"
-    scores.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    out = tmp_path / "split.json"
-    assert main(["split", "--scores", str(scores), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ParseError: line 2: ")
-    assert not out.exists()
+    _one_bad_input(valid_inputs, tmp_path, capsys, _lines(rows), "split", "--scores", 2,
+                   "error: ParseError: line 2: ")
 
 
-def test_neural_score_out_of_float_range_exit_2(tmp_path, capsys):
-    corpus = write_corpus(tmp_path)
-    neural = tmp_path / "neural.jsonl"
-    neural.write_text(
-        "".join(json.dumps({"id": d["id"], "score": 1.0, "higher_is_harder": True}) + "\n"
-                for d in CORPUS_LINES[:-1])
-        + json.dumps({"id": CORPUS_LINES[-1]["id"], "score": 10 ** 400,
-                      "higher_is_harder": True}) + "\n"
-    )
-    assert main(["score", "--corpus", corpus, "--criterion", "neural",
-                 "--neural-scores", str(neural), "-o", str(tmp_path / "s.jsonl")]) == 2
-    assert f"line {len(CORPUS_LINES)}: 'score' is out of the float range" in capsys.readouterr().err
+NEURAL_ROWS = [{"id": d["id"], "score": 1.0, "higher_is_harder": True} for d in CORPUS_LINES]
+OUT_OF_RANGE = f"error: ParseError: line {len(CORPUS_LINES)}: 'score' is out of the float range\n"
 
 
-def test_neural_score_literal_beyond_the_float_range_exit_2(tmp_path, capsys):
+def test_neural_score_out_of_float_range_exit_2(valid_inputs, tmp_path, capsys):
+    neural = _lines(NEURAL_ROWS[:-1] + [dict(NEURAL_ROWS[-1], score=10 ** 400)])
+    assert _one_bad_input(valid_inputs, tmp_path, capsys, neural, "score", "--neural-scores", 2,
+                          OUT_OF_RANGE) == OUT_OF_RANGE
+
+
+def test_neural_score_literal_beyond_the_float_range_exit_2(valid_inputs, tmp_path, capsys):
     # a float literal such as 1e400 decodes to inf, not to an error
-    rows = [{"id": d["id"], "score": 1.0, "higher_is_harder": True} for d in CORPUS_LINES]
-    neural = tmp_path / "neural.jsonl"
-    neural.write_text(_lines(rows[:-1]) + _lines(rows[-1:]).replace("1.0", "1e400"))
-    assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "neural",
-                 "--neural-scores", str(neural), "-o", str(tmp_path / "s.jsonl")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: ParseError: line {len(CORPUS_LINES)}: 'score' is out of the float range\n")
+    neural = _lines(NEURAL_ROWS[:-1]) + _lines(NEURAL_ROWS[-1:]).replace("1.0", "1e400")
+    assert _one_bad_input(valid_inputs, tmp_path, capsys, neural, "score", "--neural-scores", 2,
+                          OUT_OF_RANGE) == OUT_OF_RANGE
 
 
 def _set_item(key, index, value):
@@ -966,146 +928,8 @@ class TestModuleEntryPoint:
         assert out.exists()
 
 
-# A JSON value nested deeper than the decoder can follow.
-DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
-SPLIT = {"criterion": "flesch", "boundaries": [50.0, 70.0],
-         "easy": ["d1", "d2"], "medium": ["d3", "d4"], "hard": ["d5", "d6"]}
-
-
 def _lines(objs):
     return "".join(json.dumps(obj) + "\n" for obj in objs)
-
-
-def _score_with(flag, criterion):
-    return lambda bad, tmp: ["score", "--corpus", write_corpus(tmp), "--criterion", criterion,
-                             flag, bad]
-
-
-def _converge_manifest(bad, tmp):
-    log = tmp / "log.csv"
-    log.write_text("step,value\n1,300\n2,200\n3,199.9\n")
-    return ["converge", "--log", str(log), "--manifest", bad]
-
-
-def _schedule(bad, tmp):
-    return ["schedule", "--split", bad, "--order", "easy_to_hard"]
-
-
-def _report(bad, tmp):
-    return ["report", "--hlm-report", bad]
-
-
-def _surprisal_model(bad, tmp):
-    return ["surprisal", "--corpus", write_corpus(tmp), "--model", bad]
-
-
-def _hlm_cube(bad, tmp):
-    return ["hlm", "--cube", bad]
-
-
-CUBE_HEADER = ",".join(CUBE_COLUMNS) + "\n"
-
-# (content of the malformed input, argv of the subcommand that reads it)
-MALFORMED_INPUTS = {
-    "deep-corpus": (DEEP, lambda bad, tmp: ["score", "--corpus", bad, "--criterion", "flesch"]),
-    "deep-neural": (DEEP, _score_with("--neural-scores", "neural")),
-    "deep-scores": (DEEP, lambda bad, tmp: ["split", "--scores", bad]),
-    "deep-surprisals": (DEEP, _score_with("--surprisals", "uid_sl")),
-    "deep-split": (DEEP, _schedule),
-    "deep-manifest": (DEEP, _converge_manifest),
-    "deep-report": (DEEP, _report),
-    "deep-model": (DEEP, _surprisal_model),
-    "boundaries-number": (json.dumps(dict(SPLIT, boundaries=3)), _schedule),
-    "boundaries-string": (json.dumps(dict(SPLIT, boundaries=["x", 2])), _schedule),
-    "boundaries-nan": (json.dumps(dict(SPLIT, boundaries=[float("nan"), float("inf")])),
-                       _schedule),
-    "boundaries-1e400": (json.dumps(dict(SPLIT, boundaries=[1.0, -1.0])).replace("1.0", "1e400"),
-                         _schedule),
-    "easy-string": (json.dumps(dict(SPLIT, easy="abc")), _schedule),
-    "easy-number": (json.dumps(dict(SPLIT, easy=[1])), _schedule),
-    "surprisal-base-number": (
-        _lines({"id": d["id"], "surprisals": [1.0, 2.0], "base": 2 if i == 2 else "2"}
-               for i, d in enumerate(CORPUS_LINES)),
-        _score_with("--surprisals", "uid_sl")),
-    "neural-id-number": (
-        _lines([{"id": d["id"], "score": 1.0, "higher_is_harder": True} for d in CORPUS_LINES]
-               + [{"id": 5, "score": 1.0, "higher_is_harder": True}]),
-        _score_with("--neural-scores", "neural")),
-    "report-cell-number": (
-        json.dumps({"i_model": {"m": 0.5}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5},
-                    "std_ddof": 0, "cells": [1]}),
-        _report),
-    "report-index-nan": (
-        json.dumps({"i_model": {"m": float("nan")}, "i_task": {"t": 0.5},
-                    "i_criteria": {"c": 0.5}, "std_ddof": 0, "cells": []}),
-        _report),
-    "report-index-1e400": (
-        '{"i_model": {"m": 1e400}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5}, '
-        '"std_ddof": 0, "cells": []}',
-        _report),
-    "manifest-bool-string": ('{"higher_is_better": "false"}', _converge_manifest),
-    "cube-value-nan": (CUBE_HEADER + "t,c,m,easy,full,accuracy,nan,true\n", _hlm_cube),
-    "cube-row-of-7-fields": (CUBE_HEADER + "t,c,m,easy,full,accuracy,0.9\n", _hlm_cube),
-    "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n",
-                           lambda bad, tmp: ["converge", "--log", bad, "--higher-is-better"]),
-    # an integer step the float axis of the curves plot cannot hold
-    "log-step-too-big": ("step,value\n1,0.5\n1" + "0" * 400 + ",0.9\n",
-                         lambda bad, tmp: ["report", "--curves", bad]),
-}
-
-
-def _output_flag(args):
-    """The option that names the command's output: report's names its input's SVG."""
-    if args[0] == "report":
-        return "--curves-out" if "--curves" in args else "--heatmap-out"
-    return "-o"
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exit_2(tmp_path, capsys, case):
-    content, argv = MALFORMED_INPUTS[case]
-    bad = tmp_path / "bad"
-    bad.write_text(content)
-    out = tmp_path / "out"
-    args = argv(str(bad), tmp_path)
-    assert main(args + [_output_flag(args), str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ParseError: ")
-    assert not out.exists()
-
-
-def _diagonal_cube(tmp, n=50):
-    """A cube whose cell i is (t_i, c_i, m_i): n cells on an n x n x n grid."""
-    cube = tmp / "cube.csv"
-    cube.write_text(",".join(CUBE_COLUMNS) + "\n" + "".join(
-        f"t{i:02d},c{i:02d},m{i:02d},{tr},full,accuracy,{v},true\n"
-        for i in range(n) for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
-    return str(cube)
-
-
-def _heatmap_of(report):
-    return ["report", "--hlm-report", str(report),
-            "--heatmap-out", str(report.with_name("heatmap.svg"))]
-
-
-def _report_of(tmp, cells, models=None, **index_dicts):
-    """Argv of ``report`` on a report file of (task, criterion, model, value)
-    cells, whose index dicts name the cells' tasks, criteria and ``models``
-    at 0.5, unless ``index_dicts`` gives one of them."""
-    def index(names):
-        return dict.fromkeys(sorted(set(names)), 0.5)
-    report = tmp / "report.json"
-    report.write_text(json.dumps({
-        "i_task": index(c[0] for c in cells), "i_criteria": index(c[1] for c in cells),
-        "i_model": index(models or [c[2] for c in cells]), "std_ddof": 0,
-        "cells": [dict(zip(("task", "criterion", "model", "value"), c)) for c in cells],
-        **index_dicts}))
-    return _heatmap_of(report)
-
-
-def _report_of_diagonal_cube(tmp):
-    report = tmp / "report.json"
-    assert main(["hlm", "--cube", _diagonal_cube(tmp), "-o", str(report)]) == 0
-    return _heatmap_of(report)
 
 
 def _log(tmp):
@@ -1114,174 +938,13 @@ def _log(tmp):
     return str(log)
 
 
-def _report_and_curves_without_curves_out(tmp):
-    report = tmp / "report.json"
-    assert main(["hlm", "-o", str(report)]) == 0
-    return _heatmap_of(report) + ["--curves", _log(tmp)]
-
-
 def _file(tmp, name, text):
     (tmp / name).write_text(text)
     return str(tmp / name)
 
 
-def _hlm_of_rows(tmp, rows):
-    """Argv of ``hlm --validate`` on a cube of ``rows``, asking for the report and both
-    heatmaps."""
-    cube = _file(tmp, "cube.csv", CUBE_HEADER + rows)
-    return ["hlm", "--cube", cube, "-o", str(tmp / "out.json"), "--validate",
-            "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")]
-
-
-def _hlm_heatmap_of_task(tmp, task):
-    return _hlm_of_rows(tmp, "".join(f"{task},c,m,{tr},full,accuracy,{v},true\n" for tr, v in
-                                     zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7))))
-
-
-def _split_of(tmp, rows):
-    """Argv of ``split`` on a score file of (id, criterion, value, higher_is_harder) rows."""
-    keys = ("id", "criterion", "value", "higher_is_harder")
-    scores = _file(tmp, "scores.jsonl", _lines(dict(zip(keys, r)) for r in rows))
-    return ["split", "--scores", scores, "-o", str(tmp / "out.json")]
-
-
-TWO_FULL_ROWS = "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0.8,true\n"
-
-# argv of a command whose inputs are well formed but refused: a heatmap with far
-# more grid positions than cells, report cells the index dicts do not match, a
-# flag missing its partner, a label that XML cannot hold, or records that parse
-# but break a rule of their file (an empty cube, a cube with no complete full-row
-# triplet, a report with no cells, a repeated row or id, a mixed direction, an
-# unknown criterion, three boundaries, a non-finite log value)
-REFUSED_INPUTS = {
-    "hlm-heatmap-of-diagonal-cube": lambda tmp: [
-        "hlm", "--cube", _diagonal_cube(tmp), "-o", str(tmp / "out.json"),
-        "--heatmap-csv", str(tmp / "heatmap.csv"), "--heatmap-svg", str(tmp / "heatmap.svg")],
-    "report-heatmap-of-diagonal-cube": _report_of_diagonal_cube,
-    "report-no-cells": lambda tmp: _report_of(tmp, []),
-    "report-repeated-cell-key": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.9), ("t", "c", "m", -0.9)]),
-    "report-cell-outside-the-index": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.9), ("t", "c", "ghost", 0.5)], models=["m"]),
-    "report-index-without-a-cell": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.5)], i_model={"m": 0.5, "ghost": -0.7}),
-    "report-index-not-the-mean": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.9)], i_model={"m": -0.9}, i_task={"t": 0.9},
-        i_criteria={"c": 0.9}),
-    "report-curves-without-curves-out": _report_and_curves_without_curves_out,
-    # an output flag whose input is not given
-    "report-heatmap-out-without-hlm-report": lambda tmp: [
-        "report", "--curves", _log(tmp), "--curves-out", str(tmp / "c.svg"),
-        "--heatmap-out", str(tmp / "h.svg")],
-    "report-labels-without-curves": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.5)]) + ["--labels", "x", "y"],
-    "report-curves-out-without-curves": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.5)]) + ["--curves-out", str(tmp / "c.svg")],
-    "report-label-with-a-control-character": lambda tmp: [
-        "report", "--curves", _log(tmp), "--labels", "a\x0bb", "--curves-out",
-        str(tmp / "curves.svg"), "--validate"],
-    "hlm-heatmap-svg-of-a-control-character": lambda tmp: _hlm_heatmap_of_task(tmp, "a\x01b"),
-    "hlm-header-only-cube": lambda tmp: [
-        "hlm", "--cube", _file(tmp, "cube.csv", CUBE_HEADER), "-o", str(tmp / "out.json")],
-    "hlm-eval-only-cube": lambda tmp: _hlm_of_rows(
-        tmp, "t,c,m,easy,easy,accuracy,0.9,true\nt,c,m,medium,easy,accuracy,0.8,true\n"),
-    # the eval row keeps the group in the cube, so only the missing hard row refuses it
-    "hlm-two-of-three-full-rows": lambda tmp: _hlm_of_rows(
-        tmp, TWO_FULL_ROWS + "t,c,m,easy,easy,accuracy,0.9,true\n"),
-    # two full rows and no eval row: each command names what the cube lacks for it
-    "hlm-two-full-rows-only": lambda tmp: _hlm_of_rows(tmp, TWO_FULL_ROWS),
-    "transfer-two-full-rows-only": lambda tmp: [
-        "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER + TWO_FULL_ROWS),
-        "-o", str(tmp / "out.json")],
-    "hlm-repeated-full-row": lambda tmp: _hlm_of_rows(
-        tmp, TWO_FULL_ROWS + "t,c,m,easy,full,accuracy,0.7,true\n"),
-    "hlm-direction-changes-within-group": lambda tmp: _hlm_of_rows(
-        tmp, TWO_FULL_ROWS + "t,c,m,hard,easy,perplexity,30.0,false\n"),
-    # three metrics of one direction would score as one triplet, "hard best"
-    "hlm-metric-changes-within-group": lambda tmp: _hlm_of_rows(
-        tmp, "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,f1,0.8,true\n"
-             "t,c,m,hard,full,bleu,30.5,true\n"),
-    "transfer-repeated-eval-level-row": lambda tmp: [
-        "transfer", "--cube", _file(tmp, "cube.csv", CUBE_HEADER
-                                    + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2),
-        "-o", str(tmp / "out.json")],
-    "score-neural-id-twice": lambda tmp: [
-        "score", "--corpus", write_corpus(tmp), "--criterion", "neural", "--neural-scores",
-        _file(tmp, "neural.jsonl", _lines({"id": d["id"], "score": 1.0, "higher_is_harder": True}
-                                          for d in CORPUS_LINES + CORPUS_LINES[:1])),
-        "-o", str(tmp / "out.jsonl")],
-    "split-neural-scores-of-mixed-direction": lambda tmp: _split_of(
-        tmp, [("a", "neural", 1.0, True), ("b", "neural", 2.0, False), ("c", "neural", 3.0, True)]),
-    "split-criterion-foo": lambda tmp: _split_of(
-        tmp, [("a", "foo", 1.0, True), ("b", "foo", 2.0, True), ("c", "foo", 3.0, True)]),
-    "split-duplicate-ids": lambda tmp: _split_of(
-        tmp, [("a", "uid_sl", 1.0, True), ("b", "uid_sl", 2.0, True), ("a", "uid_sl", 3.0, True)]),
-    "schedule-split-of-3-boundaries": lambda tmp: [
-        "schedule", "--split", _file(tmp, "split.json", json.dumps(
-            dict(SPLIT, boundaries=[50.0, 60.0, 70.0]))),
-        "--order", "easy_to_hard", "-o", str(tmp / "out.json")],
-    "converge-log-value-nan": lambda tmp: [
-        "converge", "--log", _file(tmp, "log.csv", "step,value\n1,0.5\n2,nan\n"),
-        "--higher-is-better", "-o", str(tmp / "out.json")],
-    "report-hlm-report-without-heatmap-out": lambda tmp: _report_of(
-        tmp, [("t", "c", "m", 0.5)])[:3],
-    "report-labels-not-one-per-curves-file": lambda tmp: [
-        "report", "--curves", _log(tmp), _log(tmp), "--labels", "a", "--curves-out",
-        str(tmp / "c.svg")],
-}
-# the message of a refused input that another command's message could stand in for
-REFUSED_MESSAGES = {
-    "hlm-eval-only-cube": "no complete (easy, medium, hard) triplet of full rows in cube\n",
-    "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
-    "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
-    "report-no-cells": "report has no cells\n",
-    # the messages that name a cube's faulty row by its line and key
-    "hlm-repeated-full-row": "line 4: duplicate row for ('t', 'c', 'm') train=easy\n",
-    "hlm-direction-changes-within-group":
-        "line 4: inconsistent higher_is_better within group ('t', 'c', 'm')\n",
-    "hlm-metric-changes-within-group": "line 3: inconsistent metric within group ('t', 'c', 'm')\n",
-    "transfer-repeated-eval-level-row":
-        "line 3: duplicate row for ('t', 'c', 'm', 'easy', 'hard')\n",
-}
-
-
-@pytest.mark.filterwarnings("ignore::hlmkit.errors.IncompleteDataWarning")
-@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
-def test_refused_input_exit_2_and_writes_nothing(tmp_path, capsys, case):
-    argv = REFUSED_INPUTS[case](tmp_path)
-    inputs = sorted(os.listdir(tmp_path))
-    capsys.readouterr()
-    start = time.perf_counter()
-    assert main(argv) == 2
-    assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: ValidationError: ") and "Traceback" not in err
-    assert err.endswith(REFUSED_MESSAGES.get(case, ""))
-    assert sorted(os.listdir(tmp_path)) == inputs
-
-
-# a cube with one complete triplet and one incomplete group
-SPARSE_CUBE = (CUBE_HEADER + TWO_FULL_ROWS + "t,c,m,hard,full,accuracy,0.7,true\n"
-               "u,c,m,easy,full,accuracy,0.9,true\n")
-SPARSE_WARNING = ("warning: IncompleteDataWarning: skipping 1 incomplete triplet groups, "
-                  "the first 1 in sorted order: [('u', 'c', 'm')]\n")
-
-
-def test_a_warning_prints_as_one_line(tmp_path):
-    # in a subprocess: pytest records in-process warnings instead of printing them
-    proc = _run_cli("hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
-                    "-o", str(tmp_path / "report.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == SPARSE_WARNING
-
-
-def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path):
-    argv = ["hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
-            "-o", str(tmp_path / "report.json")]
-    with pytest.warns(IncompleteDataWarning, match="skipping 1 incomplete triplet groups"):
-        state = warnings.formatwarning, warnings.showwarning, warnings.filters[:]
-        assert main(argv) == 0
-        assert (warnings.formatwarning, warnings.showwarning, warnings.filters) == state
+SPLIT = {"criterion": "flesch", "boundaries": [50.0, 70.0],
+         "easy": ["d1", "d2"], "medium": ["d3", "d4"], "hard": ["d5", "d6"]}
 
 
 @pytest.fixture(scope="module")
@@ -1301,8 +964,7 @@ def valid_inputs(tmp_path_factory):
                  "-o", paths["SCORES"]]) == 0
     assert main(["split", "--scores", paths["SCORES"], "-o", paths["SPLIT"]]) == 0
     assert main(["hlm", "-o", paths["REPORT"]]) == 0
-    Path(paths["NEURAL"]).write_text(_lines({"id": d["id"], "score": 1.0, "higher_is_harder": True}
-                                            for d in CORPUS_LINES))
+    Path(paths["NEURAL"]).write_text(_lines(NEURAL_ROWS))
     Path(paths["MANIFEST"]).write_text('{"higher_is_better": true}\n')
     Path(paths["CONFIG"]).write_text("[defaults]\nbase = 2\n")
     return paths
@@ -1326,8 +988,10 @@ FULL_ARGV = {
 }
 INPUT_FLAGS = ("--corpus", "--model", "--surprisals", "--neural-scores", "--scores", "--cube",
                "--split", "--log", "--manifest", "--hlm-report", "--curves", "--config")
-MISSING_INPUTS = [(command, flag) for command, argv in FULL_ARGV.items()
-                  for flag in argv + ["--config"] if flag in INPUT_FLAGS]
+# (command, input flag, placeholder of the file the flag names) of every input FULL_ARGV sets
+INPUTS = [(command, flag, kind) for command, argv in FULL_ARGV.items()
+          for flag, kind in pairwise(argv + ["--config", "CONFIG"]) if flag in INPUT_FLAGS]
+MISSING_INPUTS = [(command, flag) for command, flag, _ in INPUTS]
 
 
 def _full_argv(command, inputs, out_dir, flags=()):
@@ -1336,11 +1000,276 @@ def _full_argv(command, inputs, out_dir, flags=()):
     return [paths.get(arg, arg) for arg in FULL_ARGV[command] + ["--config", "CONFIG", *flags]]
 
 
+def _fails(argv, capsys, code, prefix, *dirs):
+    """``main(argv)`` exits ``code`` with an error that starts with ``prefix``
+    and leaves each of ``dirs`` holding the files it held. Returns the error."""
+    held = [sorted(os.listdir(d)) for d in dirs]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err
+    assert [sorted(os.listdir(d)) for d in dirs] == held
+    return err
+
+
+def _one_bad_input(inputs, work, capsys, content, command, flag, code, prefix):
+    """Run FULL_ARGV of ``command`` with ``work / "bad"`` at ``flag``, a file of
+    ``content`` (text or bytes; no file if it is None), and its outputs in a new
+    ``work / "out"``: it must exit ``code`` with an error that starts with
+    ``prefix``, write no output and leave every input as it was."""
+    bad, out = work / "bad", work / "out"
+    out.mkdir(parents=True)
+    if content is not None:
+        bad.write_bytes(content.encode() if isinstance(content, str) else content)
+    argv = _full_argv(command, inputs, out)
+    argv[argv.index(flag) + 1] = str(bad)
+    return _fails(argv, capsys, code, prefix, out, work, Path(inputs["CORPUS"]).parent)
+
+
 @pytest.mark.parametrize("command", sorted(FULL_ARGV))
 def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
-    # so that a missing-input case below fails for its missing file alone
+    # so that a fault case below fails for its one bad file alone
     assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 0
     assert os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, flag", MISSING_INPUTS)
+def test_missing_input_exit_3_and_writes_nothing(valid_inputs, tmp_path, capsys, command, flag):
+    """Each input is refused by the reader that opens it, with the OS message
+    naming its path, before any output is written."""
+    err = _one_bad_input(valid_inputs, tmp_path, capsys, None, command, flag, 3, "error: ")
+    assert str(tmp_path / "bad") in err
+
+
+@pytest.mark.parametrize("command", sorted(FULL_ARGV))
+def test_non_utf8_input_exit_2(valid_inputs, tmp_path, capsys, command):
+    # at each input of the command in turn
+    for flag in [flag for name, flag, _ in INPUTS if name == command]:
+        _one_bad_input(valid_inputs, tmp_path / flag, capsys, b"step,value\n1,0.5\xff\n",
+                       command, flag, 2, "error: ParseError: ")
+
+
+CUBE_HEADER = ",".join(CUBE_COLUMNS) + "\n"
+
+# A malformed file of one kind of input, named by its FULL_ARGV placeholder,
+# which every command that reads that kind refuses. A JSON value nested deeper
+# than the decoder can follow is malformed in every kind but CONFIG, where a
+# line of brackets is a valid INI section header.
+DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
+MALFORMED_INPUTS = {
+    **{f"deep-{kind.lower()}": (DEEP, kind) for _, _, kind in INPUTS if kind != "CONFIG"},
+    "boundaries-number": (json.dumps(dict(SPLIT, boundaries=3)), "SPLIT"),
+    "boundaries-string": (json.dumps(dict(SPLIT, boundaries=["x", 2])), "SPLIT"),
+    "boundaries-nan": (json.dumps(dict(SPLIT, boundaries=[float("nan"), float("inf")])), "SPLIT"),
+    "boundaries-1e400": (json.dumps(dict(SPLIT, boundaries=[1.0, -1.0])).replace("1.0", "1e400"),
+                         "SPLIT"),
+    "easy-string": (json.dumps(dict(SPLIT, easy="abc")), "SPLIT"),
+    "easy-number": (json.dumps(dict(SPLIT, easy=[1])), "SPLIT"),
+    "surprisal-base-number": (
+        _lines({"id": d["id"], "surprisals": [1.0, 2.0], "base": 2 if i == 2 else "2"}
+               for i, d in enumerate(CORPUS_LINES)), "SURPRISALS"),
+    "neural-id-number": (_lines(NEURAL_ROWS + [dict(NEURAL_ROWS[0], id=5)]), "NEURAL"),
+    "report-cell-number": (
+        json.dumps({"i_model": {"m": 0.5}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5},
+                    "std_ddof": 0, "cells": [1]}), "REPORT"),
+    "report-index-nan": (
+        json.dumps({"i_model": {"m": float("nan")}, "i_task": {"t": 0.5},
+                    "i_criteria": {"c": 0.5}, "std_ddof": 0, "cells": []}), "REPORT"),
+    "report-index-1e400": (
+        '{"i_model": {"m": 1e400}, "i_task": {"t": 0.5}, "i_criteria": {"c": 0.5}, '
+        '"std_ddof": 0, "cells": []}', "REPORT"),
+    "manifest-bool-string": ('{"higher_is_better": "false"}', "MANIFEST"),
+    "cube-value-nan": (CUBE_HEADER + "t,c,m,easy,full,accuracy,nan,true\n", "CUBE"),
+    "cube-row-of-7-fields": (CUBE_HEADER + "t,c,m,easy,full,accuracy,0.9\n", "CUBE"),
+    "log-field-too-long": ("step,value\n1," + "9" * 200_000 + "\n", "LOG"),
+    # an integer step the float axis of the curves plot cannot hold
+    "log-step-too-big": ("step,value\n1,0.5\n1" + "0" * 400 + ",0.9\n", "LOG"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_2(valid_inputs, tmp_path, capsys, case):
+    content, kind = MALFORMED_INPUTS[case]
+    for command, flag in [(command, flag) for command, flag, name in INPUTS if name == kind]:
+        _one_bad_input(valid_inputs, tmp_path / command / flag, capsys, content, command, flag,
+                       2, "error: ParseError: ")
+
+
+def _full_rows(task, criterion="c", model="m"):
+    """The three full rows of one complete cube group."""
+    return "".join(f"{task},{criterion},{model},{tr},full,accuracy,{v},true\n"
+                   for tr, v in zip(("easy", "medium", "hard"), (0.9, 0.8, 0.7)))
+
+
+# a cube whose cell i is (t_i, c_i, m_i): 50 cells on a 50 x 50 x 50 grid
+DIAGONAL_CUBE = CUBE_HEADER + "".join(_full_rows(f"t{i:02d}", f"c{i:02d}", f"m{i:02d}")
+                                      for i in range(50))
+TWO_FULL_ROWS = "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,accuracy,0.8,true\n"
+
+
+def _report(cells, models=None, **index_dicts):
+    """A report file of (task, criterion, model, value) cells, whose index dicts
+    name the cells' tasks, criteria and ``models`` at 0.5, unless ``index_dicts``
+    gives one of them."""
+    def index(names):
+        return dict.fromkeys(sorted(set(names)), 0.5)
+    return json.dumps({
+        "i_task": index(c[0] for c in cells), "i_criteria": index(c[1] for c in cells),
+        "i_model": index(models or [c[2] for c in cells]), "std_ddof": 0,
+        "cells": [dict(zip(("task", "criterion", "model", "value"), c)) for c in cells],
+        **index_dicts})
+
+
+def _scores(*rows):
+    """A score file of (id, criterion, value, higher_is_harder) rows."""
+    return _lines(dict(zip(("id", "criterion", "value", "higher_is_harder"), r)) for r in rows)
+
+
+# Inputs that are well formed but refused, each a file's content at one input of
+# a command's FULL_ARGV: a heatmap with far more grid positions than cells,
+# report cells the index dicts do not match, a label that XML cannot hold, or
+# records that parse but break a rule of their file (an empty cube, a cube with
+# no complete full-row triplet, a report with no cells, a repeated row or id, a
+# mixed direction, an unknown criterion, three boundaries, a non-finite log value)
+REFUSED_INPUTS = {
+    "hlm-heatmap-of-diagonal-cube": (DIAGONAL_CUBE, "hlm", "--cube"),
+    "report-no-cells": (_report([]), "report", "--hlm-report"),
+    "report-repeated-cell-key": (
+        _report([("t", "c", "m", 0.9), ("t", "c", "m", -0.9)]), "report", "--hlm-report"),
+    "report-cell-outside-the-index": (
+        _report([("t", "c", "m", 0.9), ("t", "c", "ghost", 0.5)], models=["m"]),
+        "report", "--hlm-report"),
+    "report-index-without-a-cell": (
+        _report([("t", "c", "m", 0.5)], i_model={"m": 0.5, "ghost": -0.7}),
+        "report", "--hlm-report"),
+    "report-index-not-the-mean": (
+        _report([("t", "c", "m", 0.9)], i_model={"m": -0.9}, i_task={"t": 0.9},
+                i_criteria={"c": 0.9}), "report", "--hlm-report"),
+    "hlm-heatmap-svg-of-a-control-character": (CUBE_HEADER + _full_rows("a\x01b"), "hlm", "--cube"),
+    "hlm-header-only-cube": (CUBE_HEADER, "hlm", "--cube"),
+    "hlm-eval-only-cube": (
+        CUBE_HEADER + "t,c,m,easy,easy,accuracy,0.9,true\nt,c,m,medium,easy,accuracy,0.8,true\n",
+        "hlm", "--cube"),
+    # the eval row keeps the group in the cube, so only the missing hard row refuses it
+    "hlm-two-of-three-full-rows": (
+        CUBE_HEADER + TWO_FULL_ROWS + "t,c,m,easy,easy,accuracy,0.9,true\n", "hlm", "--cube"),
+    # two full rows and no eval row: each command names what the cube lacks for it
+    "hlm-two-full-rows-only": (CUBE_HEADER + TWO_FULL_ROWS, "hlm", "--cube"),
+    "transfer-two-full-rows-only": (CUBE_HEADER + TWO_FULL_ROWS, "transfer", "--cube"),
+    "hlm-repeated-full-row": (
+        CUBE_HEADER + TWO_FULL_ROWS + "t,c,m,easy,full,accuracy,0.7,true\n", "hlm", "--cube"),
+    "hlm-direction-changes-within-group": (
+        CUBE_HEADER + TWO_FULL_ROWS + "t,c,m,hard,easy,perplexity,30.0,false\n", "hlm", "--cube"),
+    # three metrics of one direction would score as one triplet, "hard best"
+    "hlm-metric-changes-within-group": (
+        CUBE_HEADER + "t,c,m,easy,full,accuracy,0.9,true\nt,c,m,medium,full,f1,0.8,true\n"
+        "t,c,m,hard,full,bleu,30.5,true\n", "hlm", "--cube"),
+    "transfer-repeated-eval-level-row": (
+        CUBE_HEADER + "t,c,m,easy,hard,accuracy,0.9,true\n" * 2, "transfer", "--cube"),
+    "score-neural-id-twice": (_lines(NEURAL_ROWS + NEURAL_ROWS[:1]), "score", "--neural-scores"),
+    "split-neural-scores-of-mixed-direction": (
+        _scores(("a", "neural", 1.0, True), ("b", "neural", 2.0, False), ("c", "neural", 3.0, True)),
+        "split", "--scores"),
+    "split-criterion-foo": (
+        _scores(("a", "foo", 1.0, True), ("b", "foo", 2.0, True), ("c", "foo", 3.0, True)),
+        "split", "--scores"),
+    "split-duplicate-ids": (
+        _scores(("a", "uid_sl", 1.0, True), ("b", "uid_sl", 2.0, True), ("a", "uid_sl", 3.0, True)),
+        "split", "--scores"),
+    "schedule-split-of-3-boundaries": (
+        json.dumps(dict(SPLIT, boundaries=[50.0, 60.0, 70.0])), "schedule", "--split"),
+    "converge-log-value-nan": ("step,value\n1,0.5\n2,nan\n", "converge", "--log"),
+}
+
+
+def _heatmap_of(tmp, report):
+    """Argv of ``report`` drawing the heatmap of a report file of text ``report``."""
+    return ["report", "--hlm-report", _file(tmp, "report.json", report),
+            "--heatmap-out", str(tmp / "heatmap.svg")]
+
+
+def _report_of_diagonal_cube(tmp):
+    report = tmp / "report.json"
+    assert main(["hlm", "--cube", _file(tmp, "cube.csv", DIAGONAL_CUBE), "-o", str(report)]) == 0
+    return ["report", "--hlm-report", str(report), "--heatmap-out", str(tmp / "heatmap.svg")]
+
+
+ONE_CELL = _report([("t", "c", "m", 0.5)])
+
+# argv of report with a combination of flags it refuses: a flag missing its
+# partner, an output flag whose input is not given, a label XML cannot hold or
+# one label for two curves files; and report on the report hlm writes of the
+# diagonal cube
+REFUSED_ARGV = {
+    "report-heatmap-of-diagonal-cube": _report_of_diagonal_cube,
+    "report-curves-without-curves-out": lambda tmp: _heatmap_of(tmp, ONE_CELL) + [
+        "--curves", _log(tmp)],
+    "report-heatmap-out-without-hlm-report": lambda tmp: [
+        "report", "--curves", _log(tmp), "--curves-out", str(tmp / "c.svg"),
+        "--heatmap-out", str(tmp / "h.svg")],
+    "report-labels-without-curves": lambda tmp: _heatmap_of(tmp, ONE_CELL) + ["--labels", "x", "y"],
+    "report-curves-out-without-curves": lambda tmp: _heatmap_of(tmp, ONE_CELL) + [
+        "--curves-out", str(tmp / "c.svg")],
+    "report-label-with-a-control-character": lambda tmp: [
+        "report", "--curves", _log(tmp), "--labels", "a\x0bb", "--curves-out",
+        str(tmp / "curves.svg"), "--validate"],
+    "report-hlm-report-without-heatmap-out": lambda tmp: _heatmap_of(tmp, ONE_CELL)[:3],
+    "report-labels-not-one-per-curves-file": lambda tmp: [
+        "report", "--curves", _log(tmp), _log(tmp), "--labels", "a", "--curves-out",
+        str(tmp / "c.svg")],
+}
+# the message of a refused input that another command's message could stand in for
+REFUSED_MESSAGES = {
+    "hlm-eval-only-cube": "no complete (easy, medium, hard) triplet of full rows in cube\n",
+    "hlm-two-full-rows-only": "no complete (easy, medium, hard) triplet of full rows in cube\n",
+    "transfer-two-full-rows-only": "no complete (train x eval) groups in cube\n",
+    "report-no-cells": "report has no cells\n",
+    # the messages that name a cube's faulty row by its line and key
+    "hlm-repeated-full-row": "line 4: duplicate row for ('t', 'c', 'm') train=easy\n",
+    "hlm-direction-changes-within-group":
+        "line 4: inconsistent higher_is_better within group ('t', 'c', 'm')\n",
+    "hlm-metric-changes-within-group": "line 3: inconsistent metric within group ('t', 'c', 'm')\n",
+    "transfer-repeated-eval-level-row":
+        "line 3: duplicate row for ('t', 'c', 'm', 'easy', 'hard')\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore::hlmkit.errors.IncompleteDataWarning")
+@pytest.mark.parametrize("case", sorted([*REFUSED_INPUTS, *REFUSED_ARGV]))
+def test_refused_input_exit_2_and_writes_nothing(valid_inputs, tmp_path, capsys, case):
+    refused = "error: ValidationError: "
+    if case in REFUSED_INPUTS:
+        start = time.perf_counter()
+        err = _one_bad_input(valid_inputs, tmp_path, capsys, *REFUSED_INPUTS[case], 2, refused)
+    else:
+        argv = REFUSED_ARGV[case](tmp_path)
+        start = time.perf_counter()
+        err = _fails(argv, capsys, 2, refused, tmp_path)
+    assert time.perf_counter() - start < 2.0
+    assert err.endswith(REFUSED_MESSAGES.get(case, ""))
+
+
+# a cube with one complete triplet and one incomplete group
+SPARSE_CUBE = CUBE_HEADER + _full_rows("t") + "u,c,m,easy,full,accuracy,0.9,true\n"
+SPARSE_WARNING = ("warning: IncompleteDataWarning: skipping 1 incomplete triplet groups, "
+                  "the first 1 in sorted order: [('u', 'c', 'm')]\n")
+
+
+def test_a_warning_prints_as_one_line(tmp_path):
+    # in a subprocess: pytest records in-process warnings instead of printing them
+    proc = _run_cli("hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
+                    "-o", str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == SPARSE_WARNING
+
+
+def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path):
+    argv = ["hlm", "--cube", _file(tmp_path, "cube.csv", SPARSE_CUBE),
+            "-o", str(tmp_path / "report.json")]
+    with pytest.warns(IncompleteDataWarning, match="skipping 1 incomplete triplet groups"):
+        state = warnings.formatwarning, warnings.showwarning, warnings.filters[:]
+        assert main(argv) == 0
+        assert (warnings.formatwarning, warnings.showwarning, warnings.filters) == state
 
 
 # every command whose output --validate reads back: all but report
@@ -1440,22 +1369,6 @@ def test_every_subcommand_keeps_its_options():
     assert {name: " ".join(sorted("/".join(a.option_strings) + "!" * a.required
                                   for a in p._actions))
             for name, p in sub.choices.items()} == PARSER_OPTIONS
-
-
-@pytest.mark.parametrize("command, flag", MISSING_INPUTS)
-def test_missing_input_exit_3_and_writes_nothing(valid_inputs, tmp_path, capsys, command, flag):
-    """Each input is refused by the reader that opens it, with the OS message
-    naming its path, before any output is written."""
-    argv = _full_argv(command, valid_inputs, tmp_path)
-    missing = str(tmp_path / "missing")
-    argv[argv.index(flag) + 1] = missing
-    inputs = sorted(os.listdir(Path(valid_inputs["CORPUS"]).parent))
-    capsys.readouterr()
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and missing in err and "Traceback" not in err
-    assert os.listdir(tmp_path) == []
-    assert sorted(os.listdir(Path(valid_inputs["CORPUS"]).parent)) == inputs
 
 
 @pytest.mark.parametrize("command", ["hlm", "report", "transfer"])
@@ -1636,8 +1549,8 @@ def test_huge_surprisal_exit_2(tmp_path, capsys):
     surprisals.write_text(_lines({"id": d["id"], "surprisals": [1e308], "base": "2"}
                                  for d in CORPUS_LINES))
     for criterion in ("uid_sl", "uid_var"):
-        assert main(_score_with("--surprisals", criterion)(str(surprisals), tmp_path)
-                    + ["-o", str(tmp_path / "out")]) == 2
+        assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", criterion,
+                     "--surprisals", str(surprisals), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ValidationError: ")
 
 
@@ -1647,41 +1560,55 @@ JSON_VALUES = st.recursive(
                                                                  max_size=4),
     max_leaves=12,
 )
-MODEL_KEYS = ("format", "version", "order", "discount", "vocab", "gaps", "counts")
+
+
+def _any(*keys):
+    return dict.fromkeys(keys, JSON_VALUES)
+
+
+INTS = st.lists(st.integers(-1, 30), max_size=6)
+# A model record of this format and version whose lists have their types: about
+# a third pass the key and type checks and reach the model's own checks
+MODEL_RECORD = {
+    "format": st.just("hlmkit-ngram"), "version": st.just(5),
+    "order": st.integers(0, 4) | JSON_VALUES, "discount": st.floats(0, 1) | JSON_VALUES,
+    "vocab": st.lists(st.sampled_from(["</s>", "<s>", "<unk>", "a", "b"]), unique=True).map(sorted),
+    "gaps": INTS, "count_gaps": INTS, "counts": INTS,
+}
 
 # Every input a subcommand reads: its argv, with BAD for the generated file
-# and valid files for the other inputs, the file's shape, and the keys one
-# record of that shape carries.
+# and valid files for the other inputs, the file's shape, and the values of
+# the keys one record of that shape carries.
 FUZZED_INPUTS = {
     "score-corpus": (["score", "--corpus", "BAD", "--criterion", "flesch", "-o", "OUT"],
-                     "jsonl", ("id", "text")),
+                     "jsonl", _any("id", "text")),
     "score-model": (["score", "--corpus", "CORPUS", "--criterion", "uid_sl", "--model", "BAD",
-                     "-o", "OUT"], "json", MODEL_KEYS),
+                     "-o", "OUT"], "json", MODEL_RECORD),
     "score-surprisals": (["score", "--corpus", "CORPUS", "--criterion", "uid_var",
                           "--surprisals", "BAD", "-o", "OUT"],
-                         "jsonl", ("id", "surprisals", "base")),
+                         "jsonl", _any("id", "surprisals", "base")),
     "score-neural": (["score", "--corpus", "CORPUS", "--criterion", "neural",
                       "--neural-scores", "BAD", "-o", "OUT"],
-                     "jsonl", ("id", "score", "higher_is_harder")),
+                     "jsonl", _any("id", "score", "higher_is_harder")),
     "score-config": (["score", "--corpus", "CORPUS", "--criterion", "flesch", "--config", "BAD",
-                      "-o", "OUT"], "ini", ("k", "mu_lang", "base", "per_sentence")),
+                      "-o", "OUT"], "ini", _any("k", "mu_lang", "base", "per_sentence")),
     "split-scores": (["split", "--scores", "BAD", "-o", "OUT"],
-                     "jsonl", ("id", "criterion", "value", "higher_is_harder")),
-    "lm-train-corpus": (["lm-train", "--corpus", "BAD", "-o", "OUT"], "jsonl", ("id", "text")),
+                     "jsonl", _any("id", "criterion", "value", "higher_is_harder")),
+    "lm-train-corpus": (["lm-train", "--corpus", "BAD", "-o", "OUT"], "jsonl", _any("id", "text")),
     "surprisal-model": (["surprisal", "--corpus", "CORPUS", "--model", "BAD", "-o", "OUT"],
-                        "json", MODEL_KEYS),
-    "hlm-cube": (["hlm", "--cube", "BAD", "-o", "OUT"], "csv", CUBE_COLUMNS),
+                        "json", MODEL_RECORD),
+    "hlm-cube": (["hlm", "--cube", "BAD", "-o", "OUT"], "csv", _any(*CUBE_COLUMNS)),
     "schedule-split": (["schedule", "--split", "BAD", "--order", "random", "--seed", "3",
-                        "-o", "OUT"], "json", tuple(SPLIT)),
+                        "-o", "OUT"], "json", _any(*SPLIT)),
     "converge-log": (["converge", "--log", "BAD", "--higher-is-better", "-o", "OUT"],
-                     "csv", ("step", "value")),
+                     "csv", _any("step", "value")),
     "converge-manifest": (["converge", "--log", "LOG", "--manifest", "BAD", "-o", "OUT"],
-                          "json", ("higher_is_better",)),
-    "transfer-cube": (["transfer", "--cube", "BAD", "-o", "OUT"], "csv", CUBE_COLUMNS),
+                          "json", _any("higher_is_better")),
+    "transfer-cube": (["transfer", "--cube", "BAD", "-o", "OUT"], "csv", _any(*CUBE_COLUMNS)),
     "report-hlm-report": (["report", "--hlm-report", "BAD", "--heatmap-out", "OUT"], "json",
-                          ("i_model", "i_task", "i_criteria", "std_ddof", "cells")),
+                          _any("i_model", "i_task", "i_criteria", "std_ddof", "cells")),
     "report-curves": (["report", "--curves", "BAD", "--curves-out", "OUT"],
-                      "csv", ("step", "value")),
+                      "csv", _any("step", "value")),
 }
 
 
@@ -1709,14 +1636,14 @@ def fuzz_inputs(tmp_path_factory):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_input_exits_0_2_or_3(fuzz_inputs, name, data):
-    """Arbitrary bytes, arbitrary JSON or a record of arbitrary JSON values in
-    any input file: the CLI exits 0, 2 or 3 and raises nothing."""
-    argv, shape, keys = FUZZED_INPUTS[name]
+    """Arbitrary bytes, arbitrary JSON or a record of arbitrary JSON values
+    (MODEL_RECORD's for a model) in any input file: the CLI exits 0, 2 or 3
+    and raises nothing."""
+    argv, shape, record = FUZZED_INPUTS[name]
     content = data.draw(st.one_of(
         st.binary(max_size=64),
         JSON_VALUES.map(lambda v: json.dumps(v).encode()),
-        st.fixed_dictionaries(dict.fromkeys(keys, JSON_VALUES)).map(
-            lambda record: _record_file(shape, record).encode()),
+        st.fixed_dictionaries(record).map(lambda values: _record_file(shape, values).encode()),
     ))
     with tempfile.TemporaryDirectory() as tmp:
         bad = Path(tmp) / "input"

@@ -235,7 +235,7 @@ class TestTransferScores:
             assert matrix.values[("easy", ev)] == pytest.approx(2.5)
             assert matrix.values[("medium", ev)] == pytest.approx(2.5)
             assert matrix.values[("hard", ev)] == pytest.approx(1.0)
-            assert matrix.column_sum(ev) == pytest.approx(6.0, abs=1e-9)
+            assert sum(matrix.values[(tr, ev)] for tr in LEVELS) == pytest.approx(6.0, abs=1e-9)
 
     def test_direction_aware_ranking(self):
         entries = {(tr, ev): v for ev in LEVELS for tr, v in zip(LEVELS, (100.0, 200.0, 300.0))}
@@ -254,7 +254,7 @@ class TestTransferScores:
                 groups[(f"t{g}", "c1", "m1", hib)] = entries
             matrix = transfer_scores(eval_cube(groups))
             for ev in LEVELS:
-                assert matrix.column_sum(ev) == pytest.approx(6.0, abs=1e-9)
+                assert sum(matrix.values[(tr, ev)] for tr in LEVELS) == pytest.approx(6.0, abs=1e-9)
 
     def test_incomplete_group_skipped_with_warning(self):
         complete = {(tr, ev): 0.5 for tr in LEVELS for ev in LEVELS}

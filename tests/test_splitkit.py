@@ -277,6 +277,12 @@ class TestDifficultyScore:
         with pytest.raises(ValidationError):
             DifficultyScore("d1", "uid_sl", 1.0, False)
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_non_finite_value_refused(self, value):
+        with pytest.raises(ValidationError) as refused:
+            DifficultyScore("d1", "neural", value, True)
+        assert str(refused.value) == "non-finite score for document 'd1'"
+
     def test_neural_flag_free(self):
         DifficultyScore("d1", "neural", 1.0, False)
         DifficultyScore("d1", "neural", 1.0, True)

@@ -115,6 +115,16 @@ class TestTrainLm:
         with pytest.raises(ValidationError):
             train_lm(docs_from_sentences([["a"]]), order=1, discount=discount)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from(" \t\n.?!Ab-") | st.characters(exclude_categories=()),
+                   min_size=1).filter(str.strip))
+    def test_any_document_gives_a_gram_and_a_surprisal(self, text):
+        # a Document's text is not blank, and text that is not blank holds a token
+        doc = Document("d", text)
+        model = train_lm([doc])
+        assert model_to_dict(model)["gaps"]
+        assert token_surprisals(model, doc).values
+
     def test_peak_and_held_memory_per_gram(self):
         """Training counts by sorting the packed windows, with no window -> count dict, and
         the model keeps its grams and counts as int64 arrays: 89-93 traced bytes per stored
@@ -197,6 +207,13 @@ _TRAIN_TOKENS = st.sampled_from(["a", "b", "é", "ß", "жук", "中文", "0", 
 
 class TestModelChecks:
     """The constructor's checks cost no per-word work beyond the vocabulary itself."""
+
+    @pytest.mark.parametrize("counts", [[1], [1, 0]], ids=["one-count-for-two-grams",
+                                                           "zero-count"])
+    def test_counts_not_one_positive_count_per_gram_are_refused(self, counts):
+        with pytest.raises(ValidationError) as refused:
+            NgramModel(2, 0.75, [EOS, BOS, UNK], [0, 1], counts)
+        assert str(refused.value) == "model counts must be positive, one per gram"
 
     def test_vocabulary_beyond_int64_packing_is_refused_first(self):
         # 2**21 + 3 words: V ** 3 >= 2**63. The size is checked before the vocabulary's
