@@ -126,6 +126,12 @@ def cmd_score(args, cfg: _Config) -> int:
     splitkit.scores_to_jsonl(scores, args.output)
     if args.validate:
         _read_back(args.output, splitkit.scores_from_jsonl, scores)
+    used = {"neural": "--neural-scores", "flesch": None}.get(
+        args.criterion, "--model" if args.model else "--surprisals")  # uid: a model wins
+    given = [("--model", args.model), ("--surprisals", args.surprisals),
+             ("--neural-scores", args.neural_scores)]
+    if unused := [flag for flag, path in given if path and flag != used]:  # read, all the same
+        warnings.warn(f"--criterion {args.criterion} does not use {', '.join(unused)}")
     print(f"wrote {args.output} ({len(scores)} scores)")
     return 0
 
@@ -144,7 +150,7 @@ def cmd_lm_train(args, cfg: _Config) -> int:
     model = surprisal.train_lm(corpus, **args.knobs)
     surprisal.save_model(model, args.output)
     if args.validate:  # the model's own arrays, with no dump of either side built
-        tables = attrgetter("order", "discount", "words", "_grams", "_counts")
+        tables = attrgetter("order", "discount", "words", "_grams", "_listed_at", "_listed")
         _read_back(args.output, lambda p: tables(surprisal.load_model(p)), tables(model))
     print(f"wrote {args.output} (order {model.order}, vocab {len(model.words)})")
     return 0

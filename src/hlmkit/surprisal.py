@@ -20,10 +20,9 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -86,7 +85,8 @@ class NgramModel:
     dropping its first id is ``g % V ** (k - 1)``, and sorted keys are grams
     in lexicographic order. The model is defined by ``words`` and the raw
     top-order counts of the padded training stream: ``grams`` strictly
-    increasing in ``[0, V ** order)``, with positive ``counts``. Windows whose
+    increasing in ``[0, V ** order)``, with positive ``counts``, kept as the file
+    lists them (the positions of the counts above 1, and those). Windows whose
     last token is the start pad are never counted, so each history's
     distribution normalizes exactly, and every stream starts with
     ``order - 1`` start pads, so each lower-order gram is a suffix of a
@@ -98,15 +98,25 @@ class NgramModel:
 
     def __init__(self, order: int, discount: float, vocab: Sequence[str],
                  grams: Iterable[int], counts: Iterable[int]):
+        try:  # dense only here: the model keeps the counts above 1 and their positions
+            counts = array("q", counts)
+        except OverflowError:
+            raise ValidationError("model counts must be below 2**63") from None
+        if counts and min(counts) <= 0:
+            raise ValidationError("model counts must be positive, one per gram")
+        at = array("q", compress(count(), map((1).__lt__, counts)))
+        self._build(order, discount, vocab, grams, len(counts), at,
+                    array("q", map(counts.__getitem__, at)))
+
+    def _build(self, order: int, discount: float, vocab: Sequence[str], grams: Iterable[int],
+               n: int, listed_at: array, listed: array) -> None:
+        """Check and keep the model of ``n`` counts whose values above 1 are ``listed`` at the
+        increasing positions ``listed_at``: the constructor's, or a file's (checked on load)."""
         in_range = f"model grams must be strictly increasing and in [0, {len(vocab)}**{order})"
         try:  # copies first, since a caller may change its lists later; the checks read them
             self._grams = grams = array("q", grams)
         except OverflowError:
             raise ValidationError(in_range) from None
-        try:
-            self._counts = counts = array("q", counts)
-        except OverflowError:
-            raise ValidationError("model counts must be below 2**63") from None
         if not 1 <= order <= 3:
             raise ValidationError(f"order must be in [1, 3], got {order}")
         if not 0 < discount < 1:
@@ -116,7 +126,7 @@ class NgramModel:
         if not ({BOS, EOS, UNK} <= set(words) and all(map(operator.lt, words, words[1:]))):
             raise ValidationError(
                 f"model vocabulary must be strictly increasing and hold {BOS}, {EOS} and {UNK}")
-        if len(grams) != len(counts) or (counts and min(counts) <= 0):
+        if len(grams) != n:
             raise ValidationError("model counts must be positive, one per gram")
         if grams and not (0 <= grams[0] and grams[-1] < size ** order
                           and all(map(operator.lt, grams, islice(grams, 1, None)))):
@@ -142,47 +152,48 @@ class NgramModel:
             raise ValidationError(f"model grams must not follow {EOS}, or {BOS} after a word")
         self.event_vocab = tuple(w for w in words if w not in excluded)
         self._uniform = 1.0 / len(self.event_vocab)
+        self._listed_at, self._listed = listed_at, listed
 
     @cached_property
-    def _levels(self) -> list[tuple[array, array, array, array]]:
-        """Per order, built at the first query from the uniform floor up, four arrays: the sorted
-        grams, where each first id's grams start, and each gram's history backoff mass and p.
-        Every suffix of a stored gram is stored one level down, so each value is the recursion's."""
+    def _levels(self) -> list[tuple[array, array, array | None, array]]:
+        """Per order, built at the first query from the uniform floor up: the sorted grams, where
+        each first id's grams start, each packed history's backoff mass (1.0 if unseen; none at
+        the top order) and each gram's p. Each suffix of a stored gram is stored one level down."""
         size, discount = len(self.words), self.discount
-        # top down: a lower order's grams are the distinct suffixes one order up, and its
-        # counts how many grams there end in each; each gram keeps its suffix's index
-        tables = [[self._grams, self._counts]]
+        # top down: a lower order's grams are the distinct suffixes one order up, and its counts
+        # (read anew by each call) how many grams there end in each
+        tables = [(self._grams, partial(_each_count, self._listed_at, self._listed,
+                                        len(self._grams)))]
         for k in range(self.order - 1, 0, -1):
-            tally = Counter(map((size ** k).__rmod__, tables[-1][0]))
-            grams = sorted(tally)
-            tables.append([array("q", grams), array("q", map(tally.__getitem__, grams))])
-            tally = None  # freed before the suffix index is built, by bisection in the list
-            tables[-2].append(array("q", map(bisect_left, repeat(grams),
-                                             map((size ** k).__rmod__, tables[-2][0]))))
-            grams = None  # the suffix list, freed before the next order is counted
-        levels = []
+            grams, counts = _tally(array("q", map((size ** k).__rmod__, tables[-1][0])), size ** k)
+            tables.append((grams, counts.__iter__))
+        levels, lower = [], repeat(self._uniform)
         while tables:
-            grams, counts, *index = tables.pop()
-            lower = map(levels[-1][3].__getitem__, index[0]) if levels else repeat(self._uniform)
-            totals, lengths, i, n = [], array("q"), 0, len(grams)
-            while i < n:  # one sorted run of grams per history, kept as its total and length
-                h, end, total = grams[i] // size, i + 1, counts[i]
-                while end < n and grams[end] // size == h:
-                    total += counts[end]
-                    end += 1
-                totals.append(total)  # an int: a loaded file's history total may pass 2**63
-                lengths.append(end - i)
-                i = end
-            backoffs = array("d", chain.from_iterable(map(repeat, map(
-                operator.truediv, map(operator.mul, repeat(discount), lengths), totals), lengths)))
+            grams, counts = tables.pop()
+            if levels:  # each gram's suffix p, found by bisection one order down
+                lower = map(levels[-1][3].__getitem__, map(bisect_left, repeat(levels[-1][0]), map(
+                    (size ** len(levels)).__rmod__, grams)))
+            # a 1 at each history run's last gram; each run's length and (int) total, in step
+            ends = bytes(map(operator.ne, map(size.__rfloordiv__, grams),
+                             chain(map(size.__rfloordiv__, islice(grams, 1, None)), [-1])))
+            lengths, mass_lengths, backoff_lengths = tee(_steps(compress(count(1), ends)), 3)
+            totals, mass_totals = tee(_steps(compress(accumulate(counts()), ends)))
+            masses = map(operator.truediv, map(discount.__mul__, mass_lengths), mass_totals)
+            kept = None
+            if len(levels) < max(1, self.order - 1):  # below the top order, and at order 1
+                masses, runs = tee(masses)  # at most V, all buffered while they are kept
+                kept = array("d", [1.0]) * size ** len(levels)
+                for h, mass in zip(compress(map(size.__rfloordiv__, grams), ends), runs):
+                    kept[h] = mass
             # (c - discount) / total + backoff * lower p, streamed into the array with no list
-            discounted = map(operator.sub, counts, repeat(discount))
-            per_gram = chain.from_iterable(map(repeat, totals, lengths))
-            probs = array("d", map(operator.add, map(operator.truediv, discounted, per_gram),
+            discounted = map(operator.sub, counts(), repeat(discount))
+            totals = chain.from_iterable(map(repeat, totals, lengths))
+            backoffs = chain.from_iterable(map(repeat, masses, backoff_lengths))
+            probs = array("d", map(operator.add, map(operator.truediv, discounted, totals),
                                    map(operator.mul, backoffs, lower)))
             step = size ** len(levels)
             starts = array("q", map(bisect_left, repeat(grams), range(0, size * step + 1, step)))
-            levels.append((grams, starts, backoffs, probs))
+            levels.append((grams, starts, kept, probs))
         return levels
 
     @property
@@ -190,7 +201,7 @@ class NgramModel:
         """The top-order counts as ``{order: {history: {word: count}}}``, derived
         from the packed table on every read (changing it changes no model)."""
         words, size, rows = self.words, len(self.words), {}
-        for g, c in zip(self._grams, self._counts):
+        for g, c in zip(self._grams, _each_count(self._listed_at, self._listed, len(self._grams))):
             rows.setdefault(g // size, {})[words[g % size]] = c
         radixes = [size ** k for k in range(self.order - 2, -1, -1)]
         return {self.order: {tuple(words[h // r % size] for r in radixes): row
@@ -211,28 +222,61 @@ class NgramModel:
         """p(w | h) for the packed history ``h`` of ``n`` ids when order ``n + 1`` stores no
         ``g = h * V + w``: ``bisect_left`` stopped at ``i`` in ``[lo, hi)``, the grams of g's
         first id, so ``h``'s run, if stored, holds ``grams[i]`` or ``grams[i - 1]``. Up from
-        the unigram p, each order gives a stored gram's p, or a seen history's backoff * p."""
-        levels, size = self._levels, len(self.words)
-        (_, unigram_starts, unigram_backoffs, unigrams), middle = levels[0], levels[1:-1]
-        unseen = unigram_backoffs[0] * self._uniform if unigram_backoffs else self._uniform
+        the unigram p, each order gives a stored gram's p, or a seen history's backoff * p: its
+        kept mass below the top order, and at the top ``discount * length / total`` of the run
+        (two bisections in ``[lo, hi)`` bound it, and two in the listed counts' positions find
+        what they add to its total), so a miss costs O(log n + listed counts in the run)."""
+        levels, size, discount = self._levels, len(self.words), self.discount
+        (_, unigram_starts, (mass,), unigrams), middle = levels[0], levels[1:-1]
+        unseen, at, listed = mass * self._uniform, self._listed_at, self._listed
 
         def miss(h, n, w, i, lo, hi):
             a, b = unigram_starts[w], unigram_starts[w + 1]
             q, v = unigrams[a] if a < b else unseen, h % size
-            for grams, runs, mid_backoffs, probs in middle if n == 2 else ():  # order 3
+            for grams, runs, masses, probs in middle if n == 2 else ():  # order 3
                 a, b = runs[v], runs[v + 1]
                 if a == b:  # unseen, so no top-order history ends in it either
                     return q
                 j = bisect_left(grams, g := v * size + w, a, b)
-                q = probs[j] if j < b and grams[j] == g else mid_backoffs[a] * q
-            if n:
-                grams, _, backoffs, _ = levels[n]
-                if i < hi and grams[i] // size == h:
-                    q = backoffs[i] * q
-                elif lo < i and grams[i - 1] // size == h:
-                    q = backoffs[i - 1] * q
-            return q
+                q = probs[j] if j < b and grams[j] == g else masses[v] * q
+            grams, _, masses, _ = levels[n]
+            if masses is not None:  # below the top order (prob() of a short context), or n is 0
+                return masses[h] * q if n else q
+            if not (i < hi and grams[i] // size == h or lo < i and grams[i - 1] // size == h):
+                return q  # an unseen history
+            a, b = bisect_left(grams, h * size, lo, i), bisect_left(grams, h * size + size, i, hi)
+            x, y = bisect_left(at, a), bisect_left(at, b)
+            return discount * (b - a) / (b - a + sum(listed[x:y]) - (y - x)) * q
         return miss
+
+
+def _steps(ends: Iterable[int]) -> Iterator[int]:
+    """Each of the increasing ``ends`` minus the one before it (the first minus 0)."""
+    ends, before = tee(ends)  # read in step, so the copy buffers one value
+    return map(operator.sub, ends, chain([0], before))
+
+
+def _tally(windows: array, limit: int) -> tuple[array, array]:
+    """The distinct values of ``windows`` in increasing order, and how often each occurs. The
+    values below half of ``limit`` (which bounds them all), then the rest, are each sorted as a
+    list of ints: about half of them are Python ints at once (Heafield et al. 2013's blocks)."""
+    values, counts, half = array("q"), array("q"), limit // 2
+    for in_part in half.__gt__, half.__le__:
+        part = sorted(filter(in_part, windows))
+        # each run of equal values is one, counted by where the runs end
+        ends = array("q", compress(count(1), map(operator.ne, part,
+                                                 chain(islice(part, 1, None), [-1]))))
+        values.extend(map(part.__getitem__, map((-1).__add__, ends)))
+        counts.extend(_steps(ends))
+        part = ends = None  # freed before the next half is sorted
+    return values, counts
+
+
+def _each_count(at: Sequence[int], listed: Iterable[int], n: int) -> Iterator[int]:
+    """The ``n`` counts whose values above 1 are ``listed`` at the increasing positions ``at``."""
+    ones = map(operator.sub, chain(at, [n]), chain([0], map((1).__add__, at)))  # 1s before each
+    return chain.from_iterable(map(chain, map(repeat, repeat(1), ones),
+                                   chain(map(repeat, listed, repeat(1)), [()])))
 
 
 def _pack(ids: Mapping[str, int], tokens: Iterable[str]) -> int:
@@ -275,16 +319,8 @@ def train_lm(corpus: Sequence[Document], order: int = 2, discount: float = 0.75)
         windows = map(operator.add, map(size.__mul__, windows), islice(stream, k, None))
     # a window that ends at a start pad spans two sentences
     windows = array("q", compress(windows, map(ids[BOS].__ne__, islice(stream, order - 1, None))))
-    stream, grams, counts, half = None, array("q"), array("q"), size ** order // 2
-    # the windows below half of V ** order, then the rest, each sorted as a list of ints
-    for in_part in half.__gt__, half.__le__:
-        part = sorted(filter(in_part, windows))
-        # each run of equal windows is one gram, counted by where the runs end
-        ends = array("q", compress(count(1), map(operator.ne, part,
-                                                 chain(islice(part, 1, None), [-1]))))
-        grams.extend(map(part.__getitem__, map((-1).__add__, ends)))
-        counts.extend(map(operator.sub, ends, chain([0], ends)))
-        part = ends = None  # freed before the next half is sorted
+    stream = None
+    grams, counts = _tally(windows, size ** order)  # each run of equal windows is one gram
     windows = None  # freed before the model copies the grams
     return NgramModel(order, discount, words, grams, counts)
 
@@ -367,17 +403,15 @@ _WRITE_BLOCK = 1024  # ints per save_model write: a few KB of text, below the 8 
 
 def _dump_fields(model: NgramModel, ints: Callable) -> dict:
     """The dump's fields, each int list an iterator passed through ``ints``."""
-    grams, counts = model._grams, model._counts
-    repeated = array("q", compress(count(), map((1).__lt__, counts)))
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "discount": model.discount,
         "vocab": list(model.words),
-        "gaps": ints(map(operator.sub, grams, chain([0], grams))),
-        "count_gaps": ints(map(operator.sub, repeated, chain([0], repeated))),
-        "counts": ints(map(counts.__getitem__, repeated)),
+        "gaps": ints(_steps(model._grams)),
+        "count_gaps": ints(_steps(model._listed_at)),
+        "counts": ints(model._listed),
     }
 
 
@@ -406,11 +440,11 @@ def model_from_dict(data: dict) -> NgramModel:
                            and all(map((0).__lt__, islice(count_gaps, 1, None)))):
         raise ValidationError(
             f"model count positions must be strictly increasing and in [0, {len(gaps)})")
-    counts = array("q", [1]) * len(gaps)
-    for i, c in zip(accumulate(count_gaps), listed):
-        counts[i] = c
-    # the running sums are the grams; the constructor checks their order and range
-    return NgramModel(order, discount, vocab, accumulate(gaps), counts)
+    # the running sums are the grams, which _build checks, and the listed counts' positions
+    model = object.__new__(NgramModel)
+    model._build(order, discount, vocab, accumulate(gaps), len(gaps),
+                 array("q", accumulate(count_gaps)), array("q", listed))
+    return model
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:

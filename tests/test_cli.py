@@ -1033,6 +1033,28 @@ def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
     assert os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("criterion, flags, unused", [
+    ("uid_sl", ["--model", "--surprisals", "--neural-scores"], "--surprisals, --neural-scores"),
+    ("uid_var", ["--surprisals", "--neural-scores"], "--neural-scores"),
+    ("flesch", ["--model", "--surprisals", "--neural-scores"],
+     "--model, --surprisals, --neural-scores"),
+    ("neural", ["--model", "--neural-scores"], "--model"),
+    ("uid_var", ["--surprisals"], None),
+    ("neural", ["--neural-scores"], None),
+])
+def test_score_names_each_unused_input_in_one_warning(valid_inputs, tmp_path, criterion, flags,
+                                                      unused):
+    """score reads and checks every input it is given; one warning line names those its
+    criterion does not use (a model wins over imported surprisals)."""
+    placeholder = {"--model": "MODEL", "--surprisals": "SURPRISALS", "--neural-scores": "NEURAL"}
+    proc = _run_cli("score", "--corpus", valid_inputs["CORPUS"], "--criterion", criterion,
+                    "-o", str(tmp_path / "scores.jsonl"),
+                    *[arg for flag in flags for arg in (flag, valid_inputs[placeholder[flag]])])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (f"warning: UserWarning: --criterion {criterion} does not use {unused}\n"
+                           if unused else "")
+
+
 @pytest.mark.parametrize("command, flag", MISSING_INPUTS)
 def test_missing_input_exit_3_and_writes_nothing(valid_inputs, tmp_path, capsys, command, flag):
     """Each input is refused by the reader that opens it, with the OS message
@@ -1311,7 +1333,8 @@ def test_validate_does_not_read_back_from_a_pipe(valid_inputs, tmp_path, command
      lambda export: lambda seqs, path: export(list(seqs)[:-1], path) + 1),
     ("lm-train", hlmkit.surprisal, "save_model",
      lambda save: lambda model, path: save(hlmkit.surprisal.NgramModel(
-         model.order, model.discount, model.words, model._grams[:-1], model._counts[:-1]), path)),
+         model.order, model.discount, model.words, model._grams[:-1],
+         dump_counts(hlmkit.surprisal.model_to_dict(model))[:-1]), path)),
 ], ids=["score", "surprisal", "lm-train"])
 def test_validate_refuses_an_output_that_reads_back_otherwise(
         valid_inputs, tmp_path, capsys, monkeypatch, command, module, writer, fault):

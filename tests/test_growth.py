@@ -4,6 +4,9 @@ Each command runs in-process through ``cli.main`` at n, 2n and 4n items of one a
 
 - documents and sentence length: ``lm-train``, ``surprisal`` and
   ``score --criterion uid_sl --model``;
+- sentences that open with a word the model never saw open one: ``surprisal``, whose every
+  first token misses at the start history, the longest run of the model;
+- imported surprisal lines: ``score --criterion uid_var --surprisals``;
 - scores: ``split``;
 - log steps: ``converge`` and ``report --curves``;
 - cube groups: ``hlm`` with both heatmaps, and ``transfer --csv``.
@@ -67,6 +70,37 @@ def _one_sentence(tmp, n):
     return _corpus_commands(tmp, [" ".join(_words(random.Random(n), n))])
 
 
+def _unseen_openings(tmp, n):
+    """n one-sentence documents, each opening with a word that opens no sentence of the 200
+    training documents (their sentences open with s-words), scored with their model. Training
+    runs before the counted commands, on the same documents at every n."""
+    rng = random.Random(0)
+    train = [" ".join(" ".join(["s" + _words(rng, 1)[0][1:]] + _words(rng, 9)).capitalize() + "."
+                      for _ in range(2)) for _ in range(200)]
+    commands = _corpus_commands(tmp, train)
+    assert cli.main(commands["lm-train"]) == 0
+    rng = random.Random(n)
+    held_out = tmp / "held_out.jsonl"
+    held_out.write_text("".join(json.dumps({"id": f"h{i}", "text": " ".join(_words(rng, 10))
+                                                                .capitalize() + "."}) + "\n"
+                                for i in range(n)), encoding="utf-8")
+    argv = commands["surprisal"]
+    argv[argv.index("--corpus") + 1] = str(held_out)
+    return {"surprisal": argv}
+
+
+def _imported_surprisals(tmp, n):
+    """n documents, each with one line of ten imported surprisals."""
+    rng = random.Random(n)
+    corpus, surprisals = tmp / "corpus.jsonl", tmp / "surprisals.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": "A word."}) + "\n"
+                              for i in range(n)))
+    surprisals.write_text("".join(json.dumps({"id": f"d{i}", "surprisals": [
+        rng.random() * 10 for _ in range(10)], "base": "2"}) + "\n" for i in range(n)))
+    return {"score-uid_var": ["score", "--corpus", str(corpus), "--criterion", "uid_var",
+                              "--surprisals", str(surprisals), "-o", str(tmp / "scores.jsonl")]}
+
+
 def _scores(tmp, n):
     """n scores over 100 values, so that ties straddle the tertile cuts."""
     rng = random.Random(n)
@@ -106,8 +140,9 @@ def _cube_groups(tmp, n):
 
 # each axis: the function giving each command's argv on an input of n items, and the smallest n
 AXES = {"documents": (_documents, 100), "sentence-length": (_one_sentence, 2000),
-        "scores": (_scores, 5000), "log-steps": (_log_steps, 5000),
-        "cube-groups": (_cube_groups, 500)}
+        "unseen-openings": (_unseen_openings, 200),
+        "imported-surprisals": (_imported_surprisals, 4000), "scores": (_scores, 5000),
+        "log-steps": (_log_steps, 5000), "cube-groups": (_cube_groups, 500)}
 
 
 def _runs(tmp_path, axis, size):
