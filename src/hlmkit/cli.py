@@ -12,9 +12,9 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import sys
@@ -22,20 +22,36 @@ import warnings
 from operator import attrgetter
 from pathlib import Path
 
-# eager on purpose: perfbench/tracing.py looks up all seven layers in sys.modules
-from . import experiment, hlm, splitkit, surprisal, svg, uid
 from ._files import BOOL, atomic_write, fields, open_input, read_json
 from .data import reference_performance_path
 from .errors import HlmkitError, ParseError, ValidationError
-from .textstat import FleschConfig
+
+
+def _lazy(name: str):
+    """The layer ``hlmkit.<name>``, put in sys.modules unrun if it is not there (importlib's
+    recipe): it runs at the first use of an attribute, so each command runs only its layers."""
+    name = f"{__package__}.{name}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+experiment, hlm, splitkit, surprisal, svg, textstat, uid = map(_lazy, (
+    "experiment", "hlm", "splitkit", "surprisal", "svg", "textstat", "uid"))
 
 
 class _Config:
-    """Layered option lookup: CLI flag, then [command], then [defaults]."""
+    """Layered option lookup: CLI flag, then [command], then [defaults] of an INI file, if any."""
 
     def __init__(self, path: str | None):
-        self.parser = configparser.ConfigParser()
-        if path:
+        self.parser, self._has = None, lambda section, key: False
+        if path:  # configparser is imported only to read a file
+            import configparser
+            self.parser = configparser.ConfigParser()
+            self._has = self.parser.has_option
             try:
                 with open_input(path) as fh:
                     self.parser.read_file(fh)
@@ -43,30 +59,30 @@ class _Config:
                 raise ParseError(f"invalid config file: {' '.join(str(e).split())}") from None
 
     def _get(self, section: str, key: str, cast):
+        from configparser import Error  # loaded already: a key is read only from a file
         get = {bool: self.parser.getboolean, int: self.parser.getint,
                float: self.parser.getfloat, str: self.parser.get}[cast]
         try:
             return get(section, key)
-        except (ValueError, configparser.Error) as e:  # a bad cast or interpolation
+        except (ValueError, Error) as e:  # a bad cast or interpolation
             raise ValidationError(f"config [{section}] {key}: {e}") from None
 
     def knobs(self, args: argparse.Namespace) -> dict:
         """The command's knobs that are set, by dest; unset ones keep their library default."""
         knobs = {}
         for dest, cast in vars(args).get("knob_casts", {}).items():
-            sections = [s for s in (args.command, "defaults") if self.parser.has_option(s, dest)]
+            sections = [s for s in (args.command, "defaults") if self._has(s, dest)]
             if getattr(args, dest) is not None:
                 knobs[dest] = getattr(args, dest)
             elif sections:
                 knobs[dest] = self._get(sections[0], dest, cast)
         return knobs
 
-    def flesch_config(self) -> FleschConfig:
+    def flesch_config(self):
         # Flesch coefficients are config-file-only by design; no CLI flags.
-        return FleschConfig(**{
-            f.name: self._get("flesch", f.name, float)
-            for f in dataclasses.fields(FleschConfig) if self.parser.has_option("flesch", f.name)
-        })
+        config = textstat.FleschConfig
+        return config(**{f.name: self._get("flesch", f.name, float)
+                         for f in dataclasses.fields(config) if self._has("flesch", f.name)})
 
 
 def _read_back(path: str, read, written) -> None:
@@ -114,10 +130,8 @@ def cmd_score(args, cfg: _Config) -> int:
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(
         lm=surprisal.load_model(args.model) if args.model else None,
-        surprisals=(
-            splitkit.index_surprisals(surprisal.import_surprisals(args.surprisals))
-            if args.surprisals else None
-        ),
+        surprisals=(splitkit.index_surprisals(surprisal.import_surprisals(args.surprisals))
+                    if args.surprisals else None),
         neural=splitkit.load_neural_scores(args.neural_scores) if args.neural_scores else None,
         flesch=cfg.flesch_config(),
         **args.knobs,
@@ -289,6 +303,16 @@ def _command(sub, name: str, func, help: str,
     return p
 
 
+class _Choices:
+    """A layer's tuple, read when argparse checks a value (``in`` iterates) or lists the values."""
+
+    def __init__(self, module, name: str):
+        self.module, self.name = module, name
+
+    def __iter__(self):
+        return iter(getattr(self.module, self.name))
+
+
 def _knob(p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
     """Add a flag that the config file may also set, as the key named by its dest."""
     action = p.add_argument(*flags, **kwargs)
@@ -305,14 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "score", cmd_score, "score a corpus under a difficulty criterion")
     p.add_argument("--corpus", required=True, help="corpus JSONL ({id, text} per line)")
-    p.add_argument("--criterion", required=True, choices=splitkit.CRITERIA)
+    p.add_argument("--criterion", required=True, metavar="CRITERION",
+                   choices=_Choices(splitkit, "CRITERIA"), help="one of %(choices)s")
     p.add_argument("--model", help="n-gram model JSON (for uid criteria)")
     p.add_argument("--surprisals", help="imported surprisal JSONL (for uid criteria)")
     p.add_argument("--neural-scores", help="neural score JSONL (for the neural criterion)")
     _knob(p, "--base", choices=("2", "e"))
-    _knob(p, "--k", type=float, help=f"super-linearity exponent (default {uid.DEFAULT_K})")
-    _knob(p, "--mu-lang", type=float,
-          help=f"language-level mean surprisal (default {uid.DEFAULT_MU_LANG})")
+    _knob(p, "--k", type=float, help="super-linearity exponent")
+    _knob(p, "--mu-lang", type=float, help="language-level mean surprisal")
     _knob(p, "--per-sentence", action=argparse.BooleanOptionalAction,
           help="average UID scores over sentences")
 
@@ -341,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "schedule", cmd_schedule, "emit a curriculum schedule from a split")
     p.add_argument("--split", required=True, help="split JSON from the split subcommand")
-    p.add_argument("--order", required=True, choices=experiment.ORDERS)
+    p.add_argument("--order", required=True, metavar="ORDER",
+                   choices=_Choices(experiment, "ORDERS"), help="one of %(choices)s")
     _knob(p, "--seed", type=int, help="PRNG seed (random order only)")
 
     p = _command(sub, "converge", cmd_converge, "convergence ratio of a training log")
@@ -351,8 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lower-is-better", dest="higher_is_better", action="store_false")
     p.set_defaults(higher_is_better=None)
     p.add_argument("--manifest", help="run manifest JSON with a higher_is_better flag")
-    _knob(p, "--epsilon", dest="epsilon_rel", type=float,
-          help=f"relative convergence tolerance (default {experiment.DEFAULT_EPSILON_REL})")
+    _knob(p, "--epsilon", dest="epsilon_rel", type=float, help="relative convergence tolerance")
 
     p = _command(sub, "transfer", cmd_transfer, "train/eval difficulty transfer matrix")
     p.add_argument("--cube", required=True, help="performance cube CSV with eval-level rows")

@@ -24,7 +24,6 @@ from typing import Sequence
 
 from ._files import csv_rows
 from .errors import ParseError, ValidationError
-from .hlm import EVAL_PAIRS, LEVELS, PerformanceCube, warn_skipped
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
 DEFAULT_EPSILON_REL = 0.001
@@ -175,6 +174,7 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
     train x eval level combinations; incomplete groups are skipped with a
     warning. Columns of the result sum to 6 exactly (up to float error).
     """
+    from .hlm import EVAL_PAIRS, warn_skipped
     groups = cube.eval_groups
     complete = []
     skipped = []
@@ -202,6 +202,7 @@ def transfer_scores(cube: PerformanceCube) -> TransferMatrix:
 
 
 def transfer_to_dict(matrix: TransferMatrix) -> dict:
+    from .hlm import LEVELS
     return {
         "train_levels": list(LEVELS),
         "eval_levels": list(LEVELS),

@@ -22,7 +22,6 @@ from . import uid
 from ._files import (BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_jsonl, record)
 from .errors import EmptyCorpus, MissingScore, MissingSurprisal, TooSmall, ValidationError
-from .surprisal import NgramModel, SurprisalSequence, sentence_surprisals, token_surprisals
 from .textstat import Document, FleschConfig, flesch_score, text_stats
 
 CRITERIA = ("flesch", "uid_sl", "uid_var", "neural")
@@ -70,7 +69,7 @@ class Providers:
     lm: NgramModel | None = None
     surprisals: Mapping[str, Sequence[SurprisalSequence]] | None = None
     neural: Mapping[str, DifficultyScore] | None = None
-    base: str = SurprisalSequence.base
+    base: str = "2"  # SurprisalSequence.base, written out: splitkit runs no n-gram layer
     k: float = uid.DEFAULT_K
     mu_lang: float = uid.DEFAULT_MU_LANG
     flesch: FleschConfig = FleschConfig()
@@ -97,6 +96,7 @@ def index_surprisals(seqs: Sequence[SurprisalSequence]) -> dict[str, list[Surpri
 def doc_sequences(doc: Document, providers: Providers) -> list[SurprisalSequence]:
     """``doc``'s sequences: the model's, one per sentence if ``per_sentence``, else the imported."""
     if providers.lm is not None:
+        from .surprisal import sentence_surprisals, token_surprisals
         if providers.per_sentence:
             return sentence_surprisals(providers.lm, doc, providers.base)
         return [token_surprisals(providers.lm, doc, providers.base)]
@@ -120,12 +120,8 @@ def _uid_value(doc: Document, criterion: str, providers: Providers) -> float:
         return math.fsum(map(score, seqs)) / len(seqs)
     if len(seqs) == 1:
         return score(seqs[0])
-    merged = SurprisalSequence(
-        doc_id=doc.id,
-        values=tuple(v for s in seqs for v in s.values),
-        base=seqs[0].base,
-    )
-    return score(merged)
+    from .surprisal import SurprisalSequence
+    return score(SurprisalSequence(doc.id, tuple(v for s in seqs for v in s.values), seqs[0].base))
 
 
 def score_corpus(

@@ -225,10 +225,11 @@ class NgramModel:
         the unigram p, each order gives a stored gram's p, or a seen history's backoff * p: its
         kept mass below the top order, and at the top ``discount * length / total`` of the run
         (two bisections in ``[lo, hi)`` bound it, and two in the listed counts' positions find
-        what they add to its total), so a miss costs O(log n + listed counts in the run)."""
+        what they add to its total, read from their running sums), so a miss costs O(log n)."""
         levels, size, discount = self._levels, len(self.words), self.discount
         (_, unigram_starts, (mass,), unigrams), middle = levels[0], levels[1:-1]
-        unseen, at, listed = mass * self._uniform, self._listed_at, self._listed
+        unseen, at = mass * self._uniform, self._listed_at
+        sums = list(accumulate(self._listed, initial=0))  # Python ints: may pass 2**63
 
         def miss(h, n, w, i, lo, hi):
             a, b = unigram_starts[w], unigram_starts[w + 1]
@@ -246,7 +247,7 @@ class NgramModel:
                 return q  # an unseen history
             a, b = bisect_left(grams, h * size, lo, i), bisect_left(grams, h * size + size, i, hi)
             x, y = bisect_left(at, a), bisect_left(at, b)
-            return discount * (b - a) / (b - a + sum(listed[x:y]) - (y - x)) * q
+            return discount * (b - a) / (b - a + sums[y] - sums[x] - (y - x)) * q
         return miss
 
 

@@ -23,12 +23,14 @@ DEFAULT_MU_LANG = 3.8845
 
 
 def uid_superlinear(seq: SurprisalSequence, k: float = DEFAULT_K) -> float:
-    """Mean of surprisal**k over the sequence, for an exponent k > 0. Higher is harder."""
-    if not k > 0:
-        raise ValidationError(f"k must be > 0, got {k}")
+    """Mean of surprisal**k over the sequence, for a finite exponent k > 0. Higher is harder."""
+    if not 0 < k < math.inf:
+        raise ValidationError(f"k must be {'finite' if k > 0 else '> 0'}, got {k}")
     return math.fsum(s ** k for s in seq.values) / len(seq.values)
 
 
 def uid_variance(seq: SurprisalSequence, mu_lang: float = DEFAULT_MU_LANG) -> float:
     """Mean squared deviation from the language-level mean. Higher is harder."""
+    if not math.isfinite(mu_lang):
+        raise ValidationError(f"mu_lang must be finite, got {mu_lang}")
     return math.fsum((s - mu_lang) ** 2 for s in seq.values) / len(seq.values)

@@ -498,6 +498,22 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "error: ValidationError: k must be > 0, got 0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("criterion, knob, value", [("uid_sl", "k", "inf"),
+                                                       ("uid_var", "mu_lang", "nan")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_a_non_finite_uid_constant_is_refused_by_name(self, valid_inputs, tmp_path, capsys,
+                                                          criterion, knob, value, via):
+        config = tmp_path / "hlmkit.ini"
+        config.write_text(f"[score]\n{knob} = {value}\n")
+        setting = {"flag": ["--" + knob.replace("_", "-"), value],
+                   "config": ["--config", str(config)]}
+        out = tmp_path / "x.jsonl"
+        assert main(["score", "--corpus", valid_inputs["CORPUS"], "--criterion", criterion,
+                     "--model", valid_inputs["MODEL"], "-o", str(out), *setting[via]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: {knob} must be finite, got {value}\n")
+        assert not out.exists()
+
     def test_k_is_checked_only_where_it_is_used(self, tmp_path):
         # flesch reads no k, as it reads no mu_lang
         out = tmp_path / "x.jsonl"
@@ -1394,6 +1410,25 @@ def test_every_subcommand_keeps_its_options():
             for name, p in sub.choices.items()} == PARSER_OPTIONS
 
 
+@pytest.mark.parametrize("argv", [["score", "--corpus", "MISSING", "--criterion", "bogus"],
+                                  ["schedule", "--split", "MISSING", "--order", "bogus"]])
+def test_an_unknown_choice_is_a_usage_error_before_any_input_is_read(tmp_path, capsys, argv):
+    # a known choice would read the missing input and exit 3
+    with pytest.raises(SystemExit) as exited:
+        main([str(tmp_path / "missing") if a == "MISSING" else a for a in argv] + ["-o", "x"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hlmkit {argv[0]} ") and "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("command, listed", [("score", "flesch, uid_sl, uid_var, neural"),
+                                             ("schedule", "easy_to_hard, hard_to_easy, random")])
+def test_help_lists_every_choice(capsys, command, listed):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"one of {listed}" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command", ["hlm", "report", "transfer"])
 def test_an_output_that_cannot_be_created_leaves_every_output_as_it_was(
         valid_inputs, tmp_path, capsys, command):
@@ -1469,13 +1504,13 @@ def test_surprisal_streams_and_a_late_failure_keeps_the_previous_output(tmp_path
     out = tmp_path / "s.jsonl"
     out.write_bytes(b"previous output\n")
     scored = []
-    score = hlmkit.splitkit.token_surprisals
+    score = hlmkit.surprisal.token_surprisals
 
     def recording(model, doc, base):
         scored.append(doc.id)
         return score(model, doc, base)
 
-    monkeypatch.setattr(hlmkit.splitkit, "token_surprisals", recording)
+    monkeypatch.setattr(hlmkit.surprisal, "token_surprisals", recording)
     capsys.readouterr()
     assert main(["surprisal", "--corpus", corpus, "--model", str(model), "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ValidationError: cannot write ")

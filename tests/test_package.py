@@ -1,5 +1,6 @@
 """The import contract: ``import hlmkit`` loads a submodule only on the first
-use of one of its names, and a layer imports no layer it only annotates."""
+use of one of its names, a layer imports no layer it only annotates, and each
+command runs only the layers it uses."""
 
 import importlib
 import json
@@ -10,18 +11,20 @@ from pathlib import Path
 import pytest
 
 import hlmkit
+from test_cli import FULL_ARGV, valid_inputs  # noqa: F401  (a fixture)
 
 SUBMODULES = ("errors", "experiment", "hlm", "splitkit", "surprisal", "textstat", "uid")
 LAYERS = ("experiment", "hlm", "splitkit", "surprisal", "svg", "textstat", "uid")
 
 
-def _fresh(code):
-    """What ``code`` prints as JSON, run in a fresh ``python -S``: without
-    site-packages, whose ``.pth`` files may import modules of their own. ``-B``
-    keeps it from writing bytecode into ``src/``, which the environment given
-    here would otherwise allow."""
-    proc = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(Path(hlmkit.__file__).parents[1])})
+def _fresh(code, *args, **env):
+    """What ``code`` prints as JSON, run with ``args`` in a fresh ``python -S``:
+    without site-packages, whose ``.pth`` files may import modules of their own.
+    ``-B`` keeps it from writing bytecode into ``src/``, which the environment
+    given here (PYTHONPATH and ``env``) would otherwise allow."""
+    env = {"PYTHONPATH": str(Path(hlmkit.__file__).parents[1]), **env}
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", code, *args], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -52,6 +55,59 @@ def test_cli_loads_every_layer_and_no_importlib_resources():
     loaded = _loaded_by("import hlmkit.cli")
     assert {f"hlmkit.{layer}" for layer in LAYERS} <= loaded
     assert not any(m.startswith("importlib.resources") for m in loaded)
+
+
+# What a fresh process ran: the exit code of ``hlmkit.cli.main(argv)`` (0 with no argv), the
+# layers whose code ran (a layer registered unrun is of LazyLoader's module type, and one
+# missing from sys.modules is a KeyError) and whether configparser was imported.
+_RAN = f"""import contextlib, io, json, sys, types
+import hlmkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hlmkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, [layer for layer in {LAYERS!r}
+                         if type(sys.modules[f"hlmkit.{{layer}}"]) is types.ModuleType],
+                  "configparser" in sys.modules]))
+"""
+
+
+def _ran(argv, inputs, out, **env):
+    """``_RAN`` of ``argv``, its placeholders filled from ``inputs`` and outputs in ``out``."""
+    paths = dict(inputs, OUT=str(out / "out"), OUT2=str(out / "out2"), OUT3=str(out / "out3"))
+    code, ran, config = _fresh(_RAN, *[paths.get(arg, arg) for arg in argv], **env)
+    return code, set(ran), config
+
+
+def test_importing_the_cli_registers_every_layer_and_runs_none():
+    assert _fresh(_RAN) == [0, [], False]
+
+
+# (a layer the command runs, the layers it must not run)
+SCORING = ("splitkit", "surprisal", "textstat", "uid")
+RUNS = {"converge": ("experiment", {*SCORING, "svg"}),
+        "split": ("splitkit", {"surprisal", "hlm", "svg"}),
+        "schedule": ("experiment", {"surprisal", "hlm", "svg"}),
+        "hlm": ("hlm", set(SCORING)),
+        "transfer": ("experiment", set(SCORING)),
+        "report": ("svg", set(SCORING)),
+        "lm-train": ("surprisal", {"hlm", "experiment", "svg"}),
+        "surprisal": ("surprisal", {"hlm", "experiment", "svg"}),
+        "score": ("uid", {"hlm", "experiment", "svg"})}
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_each_command_runs_only_the_layers_it_uses(valid_inputs, tmp_path, command):
+    uses, unused = RUNS[command]
+    code, ran, config = _ran(FULL_ARGV[command], valid_inputs, tmp_path)
+    assert code == 0 and uses in ran and not ran & unused, ran
+    assert not config  # no --config and no HLMKIT_CONFIG
+
+
+@pytest.mark.parametrize("how", ["flag", "environment"])
+def test_configparser_is_imported_for_a_config_file(valid_inputs, tmp_path, how):
+    argv, env = FULL_ARGV["converge"], {"HLMKIT_CONFIG": valid_inputs["CONFIG"]}
+    if how == "flag":
+        argv, env = argv + ["--config", "CONFIG"], {}
+    assert _ran(argv, valid_inputs, tmp_path, **env) == (0, {"experiment"}, True)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

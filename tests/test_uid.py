@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,14 @@ class TestSuperlinear:
             uid_superlinear(seq(1.0), k=-1)
 
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_k_must_be_finite(self, k):
+        # inf would score every sequence inf, or 0.0 if every surprisal is below 1
+        message = "k must be finite" if k == math.inf else "k must be > 0"
+        with pytest.raises(ValidationError, match=f"{message}, got {k}"):
+            uid_superlinear(seq(0.5, 2.0), k=k)
+
+
 class TestVariance:
     def test_zero_at_language_mean(self):
         assert uid_variance(seq(MU, MU, MU)) == 0.0
@@ -85,4 +94,9 @@ class TestVariance:
 
     def test_custom_mean(self):
         assert uid_variance(seq(2.0, 4.0), mu_lang=3.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mu_lang", [math.inf, -math.inf, math.nan])
+    def test_mean_must_be_finite(self, mu_lang):
+        with pytest.raises(ValidationError, match=f"mu_lang must be finite, got {mu_lang}"):
+            uid_variance(seq(2.0, 4.0), mu_lang=mu_lang)
 
