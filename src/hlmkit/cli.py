@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib.util
 import json
 import os
@@ -80,9 +79,8 @@ class _Config:
 
     def flesch_config(self):
         # Flesch coefficients are config-file-only by design; no CLI flags.
-        config = textstat.FleschConfig
-        return config(**{f.name: self._get("flesch", f.name, float)
-                         for f in dataclasses.fields(config) if self._has("flesch", f.name)})
+        return textstat.FleschConfig(**{name: self._get("flesch", name, float) for name in
+                                        textstat.FleschConfig._fields if self._has("flesch", name)})
 
 
 def _read_back(path: str, read, written) -> None:

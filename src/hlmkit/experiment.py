@@ -18,12 +18,11 @@ complete data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from ._files import csv_rows
-from .errors import ParseError, ValidationError
+from .errors import ParseError, Record, ValidationError
 
 ORDERS = ("easy_to_hard", "hard_to_easy", "random")
 DEFAULT_EPSILON_REL = 0.001
@@ -55,8 +54,7 @@ def seeded_shuffle(items: Sequence, seed: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A training order over a split corpus with its two phase boundaries."""
 
     order: str
@@ -101,8 +99,7 @@ def schedule_to_dict(s: Schedule) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TrainingLog:
+class TrainingLog(Record):
     """Dev-set metric measurements over strictly increasing step numbers."""
 
     steps: tuple[tuple[int, float], ...]
@@ -149,8 +146,7 @@ def load_training_log(path: str | Path, higher_is_better: bool) -> TrainingLog:
     return TrainingLog(steps=tuple(entries), higher_is_better=higher_is_better)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(Record):
     """Average 3/2/1 rank of each train level on each evaluation level."""
 
     values: dict[tuple[str, str], float]  # (train_level, eval_level) -> mean rank

@@ -30,12 +30,11 @@ import itertools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import Iterable, Mapping
 
 from ._files import LIST, NUMBER, OBJECT, STRING, csv_rows, fields
-from .errors import IncompleteDataWarning, ParseError, ValidationError
+from .errors import IncompleteDataWarning, ParseError, Record, ValidationError
 
 LEVELS = ("easy", "medium", "hard")
 _EVAL_LEVELS = LEVELS + ("full",)
@@ -52,8 +51,7 @@ CUBE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class PerformanceTriplet:
+class PerformanceTriplet(Record):
     """Metric values for easy/medium/hard-trained runs of one cell."""
 
     easy: float
@@ -158,8 +156,7 @@ def warn_skipped(message: str, keys: Iterable) -> None:
                   IncompleteDataWarning, stacklevel=3)
 
 
-@dataclass(frozen=True)
-class CellBreakdown:
+class CellBreakdown(Record):
     task: str
     criterion: str
     model: str
@@ -169,8 +166,7 @@ class CellBreakdown:
     value: float
 
 
-@dataclass(frozen=True)
-class HlmReport:
+class HlmReport(Record):
     """Per-axis index values plus the per-cell breakdown they average."""
 
     i_model: dict[str, float]
@@ -208,7 +204,7 @@ def compute_report(cube: PerformanceCube, std_ddof: int = 0) -> HlmReport:
             s, std, sig, value = _cell_terms(t, std_ddof)
         except ValidationError as e:
             raise ValidationError(f"cell {key}: {e}") from None
-        breakdown.append(CellBreakdown(*key, s=s, std=std, sigmoid=sig, value=value))
+        breakdown.append(CellBreakdown(*key, s, std, sig, value))
     i_task, i_criteria, i_model = _axis_means(
         (c.task, c.criterion, c.model, c.value) for c in breakdown)
     n_missing = len(i_task) * len(i_criteria) * len(i_model) - len(cube.cells)
@@ -231,11 +227,7 @@ def report_to_dict(report: HlmReport) -> dict:
         "i_task": dict(sorted(report.i_task.items())),
         "i_criteria": dict(sorted(report.i_criteria.items())),
         "std_ddof": report.std_ddof,
-        "cells": [
-            {"task": c.task, "criterion": c.criterion, "model": c.model,
-             "s": c.s, "std": c.std, "sigmoid": c.sigmoid, "value": c.value}
-            for c in report.cells
-        ],
+        "cells": [{name: getattr(c, name) for name in c._fields} for c in report.cells],
     }
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from . import uid
 from ._files import (BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_jsonl, record)
-from .errors import EmptyCorpus, MissingScore, MissingSurprisal, TooSmall, ValidationError
+from .errors import EmptyCorpus, MissingScore, MissingSurprisal, Record, TooSmall, ValidationError
 from .textstat import Document, FleschConfig, flesch_score, text_stats
 
 CRITERIA = ("flesch", "uid_sl", "uid_var", "neural")
@@ -31,8 +30,7 @@ CRITERIA = ("flesch", "uid_sl", "uid_var", "neural")
 HIGHER_IS_HARDER = {"flesch": False, "uid_sl": True, "uid_var": True}
 
 
-@dataclass(frozen=True)
-class DifficultyScore:
+class DifficultyScore(Record):
     doc_id: str
     criterion: str
     value: float
@@ -55,8 +53,7 @@ class DifficultyScore:
         return self.value if self.higher_is_harder else -self.value
 
 
-@dataclass
-class Providers:
+class Providers(Record, frozen=False):
     """External inputs score_corpus may need, depending on the criterion.
 
     ``lm`` computes surprisals on the fly; ``surprisals`` supplies imported
@@ -76,8 +73,7 @@ class Providers:
     per_sentence: bool = False
 
 
-@dataclass(frozen=True)
-class DifficultySplit:
+class DifficultySplit(Record):
     criterion: str
     easy: tuple[str, ...]
     medium: tuple[str, ...]

@@ -20,15 +20,14 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._files import (INT, INTS, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
                      read_json, read_jsonl, record)
-from .errors import EmptyCorpus, EmptyDocument, ValidationError
+from .errors import EmptyCorpus, EmptyDocument, Record, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
 
 BOS = "<s>"
@@ -42,8 +41,7 @@ _LOG = {"2": math.log2, "e": math.log}
 _GRAM_LIMIT = 2 ** 63  # V ** order stays below it, so every packed gram is an int64
 
 
-@dataclass(frozen=True)
-class SurprisalSequence:
+class SurprisalSequence(Record):
     """Per-token surprisals for one document, in the given log base."""
 
     doc_id: str
@@ -333,12 +331,12 @@ def token_surprisals(model: NgramModel, doc: Document, base: str = "2") -> Surpr
     themselves, so the output has exactly one value per word token.
     """
     values = tuple(chain.from_iterable(_sentence_values(model, doc, base)))
-    return SurprisalSequence(doc_id=doc.id, values=values, base=base)
+    return SurprisalSequence(doc.id, values, base)
 
 
 def sentence_surprisals(model: NgramModel, doc: Document, base: str = "2") -> list[SurprisalSequence]:
     """Per-sentence surprisal sequences for one document."""
-    return [SurprisalSequence(doc_id=doc.id, values=tuple(values), base=base)
+    return [SurprisalSequence(doc.id, tuple(values), base)
             for values in _sentence_values(model, doc, base)]
 
 

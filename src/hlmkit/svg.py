@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ValidationError
 

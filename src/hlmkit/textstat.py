@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateStats, EmptyDocument, ValidationError
+from .errors import DegenerateStats, EmptyDocument, Record, ValidationError
 
 _VOWELS = set("aeiou")
 _PUNCT = string.punctuation + "“”‘’«»‹›…–—´`"
@@ -28,8 +27,7 @@ _TRAILING_TOKEN = re.compile(r"([A-Za-z]+(?:\.[A-Za-z]+)*)$")
 _LOOKBEHIND = 2 * max(map(len, _ABBREVIATIONS)) + 2
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A text unit with a corpus-unique id."""
 
     id: str
@@ -42,8 +40,7 @@ class Document:
             raise EmptyDocument(f"document {self.id!r} has no text")
 
 
-@dataclass(frozen=True)
-class TextStats:
+class TextStats(Record):
     """Sentence, word and syllable counts for one document."""
 
     sentences: int
@@ -60,8 +57,7 @@ class TextStats:
             raise ValidationError("syllable count cannot be below word count")
 
 
-@dataclass(frozen=True)
-class FleschConfig:
+class FleschConfig(Record):
     """Empirical coefficients of the reading-ease formula."""
 
     base: float = 206.835
@@ -147,7 +143,7 @@ def text_stats(text: str) -> TextStats:
     sentences = segment_sentences(text)
     words = [w for s in sentences for w in tokenize_words(s)]
     syllables = sum(count_syllables(w) for w in words)
-    return TextStats(sentences=len(sentences), words=len(words), syllables=syllables)
+    return TextStats(len(sentences), len(words), syllables)
 
 
 def flesch_score(stats: TextStats, config: FleschConfig | None = None) -> float:

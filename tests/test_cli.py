@@ -1535,6 +1535,29 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
+FULL_DISK = [("lm-train", "-o"), ("surprisal", "-o"), ("score", "-o"), ("hlm", "-o"),
+             ("converge", "-o"), ("transfer", "-o"), ("report", "--curves-out")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, flag", FULL_DISK)
+def test_an_output_on_a_full_disk_exit_3(valid_inputs, tmp_path, capsys, command, flag):
+    """/dev/full takes an output in place and refuses its bytes: the command exits 3 with one
+    OS error line, and writes none of its other outputs."""
+    argv = _full_argv(command, valid_inputs, tmp_path)
+    argv[argv.index(flag) + 1] = "/dev/full"
+    err = _fails(argv, capsys, 3, "error: ", tmp_path)
+    assert err.count("\n") == 1 and "No space left on device" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_heatmap_on_a_full_disk_leaves_no_report(tmp_path, capsys):
+    err = _fails(["hlm", "-o", str(tmp_path / "out.json"), "--heatmap-svg", "/dev/full"],
+                 capsys, 3, "error: ", tmp_path)
+    assert err.count("\n") == 1 and "No space left on device" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "a" * 65536,  # exactly one slice
     "a" * 65535 + "\u00e9\u20ac" + "b" * 65536,  # three slices; the first two split "\u00e9\u20ac"

@@ -57,28 +57,33 @@ def test_cli_loads_every_layer_and_no_importlib_resources():
     assert not any(m.startswith("importlib.resources") for m in loaded)
 
 
+# Modules no command needs, each several milliseconds of start-up: the records are plain
+# classes, and the layers take their annotation names from collections.abc.
+UNUSED = ("dataclasses", "inspect", "typing")
+
 # What a fresh process ran: the exit code of ``hlmkit.cli.main(argv)`` (0 with no argv), the
 # layers whose code ran (a layer registered unrun is of LazyLoader's module type, and one
-# missing from sys.modules is a KeyError) and whether configparser was imported.
+# missing from sys.modules is a KeyError), whether configparser was imported and which of
+# UNUSED were (under ``-S``, so no site-packages ``.pth`` file imported one).
 _RAN = f"""import contextlib, io, json, sys, types
 import hlmkit.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = hlmkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, [layer for layer in {LAYERS!r}
                          if type(sys.modules[f"hlmkit.{{layer}}"]) is types.ModuleType],
-                  "configparser" in sys.modules]))
+                  "configparser" in sys.modules, [m for m in {UNUSED!r} if m in sys.modules]]))
 """
 
 
 def _ran(argv, inputs, out, **env):
     """``_RAN`` of ``argv``, its placeholders filled from ``inputs`` and outputs in ``out``."""
     paths = dict(inputs, OUT=str(out / "out"), OUT2=str(out / "out2"), OUT3=str(out / "out3"))
-    code, ran, config = _fresh(_RAN, *[paths.get(arg, arg) for arg in argv], **env)
-    return code, set(ran), config
+    code, ran, config, imported = _fresh(_RAN, *[paths.get(arg, arg) for arg in argv], **env)
+    return code, set(ran), config, imported
 
 
 def test_importing_the_cli_registers_every_layer_and_runs_none():
-    assert _fresh(_RAN) == [0, [], False]
+    assert _fresh(_RAN) == [0, [], False, []]
 
 
 # (a layer the command runs, the layers it must not run)
@@ -97,9 +102,10 @@ RUNS = {"converge": ("experiment", {*SCORING, "svg"}),
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_each_command_runs_only_the_layers_it_uses(valid_inputs, tmp_path, command):
     uses, unused = RUNS[command]
-    code, ran, config = _ran(FULL_ARGV[command], valid_inputs, tmp_path)
+    code, ran, config, imported = _ran(FULL_ARGV[command], valid_inputs, tmp_path)
     assert code == 0 and uses in ran and not ran & unused, ran
     assert not config  # no --config and no HLMKIT_CONFIG
+    assert imported == []
 
 
 @pytest.mark.parametrize("how", ["flag", "environment"])
@@ -107,7 +113,7 @@ def test_configparser_is_imported_for_a_config_file(valid_inputs, tmp_path, how)
     argv, env = FULL_ARGV["converge"], {"HLMKIT_CONFIG": valid_inputs["CONFIG"]}
     if how == "flag":
         argv, env = argv + ["--config", "CONFIG"], {}
-    assert _ran(argv, valid_inputs, tmp_path, **env) == (0, {"experiment"}, True)
+    assert _ran(argv, valid_inputs, tmp_path, **env) == (0, {"experiment"}, True, [])
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
