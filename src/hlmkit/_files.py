@@ -25,7 +25,6 @@ NUMBER = ("a number", (int, float), None)
 OBJECT = ("an object", (dict,), None)
 LIST = ("a list", (list,), None)
 STRINGS = ("a list of strings", (list,), (str,))
-INTS = ("a list of integers", (list,), (int,))
 NUMBERS = ("a list of numbers", (list,), (int, float))
 
 

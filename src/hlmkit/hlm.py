@@ -227,7 +227,8 @@ def report_to_dict(report: HlmReport) -> dict:
         "i_task": dict(sorted(report.i_task.items())),
         "i_criteria": dict(sorted(report.i_criteria.items())),
         "std_ddof": report.std_ddof,
-        "cells": [{name: getattr(c, name) for name in c._fields} for c in report.cells],
+        "cells": [{"task": c.task, "criterion": c.criterion, "model": c.model, "s": c.s,
+                   "std": c.std, "sigmoid": c.sigmoid, "value": c.value} for c in report.cells],
     }
 
 

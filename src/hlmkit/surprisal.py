@@ -14,10 +14,12 @@ ingested from JSONL instead; see :func:`import_surprisals`.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import operator
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -25,8 +27,8 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from pathlib import Path
 
-from ._files import (INT, INTS, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
-                     read_json, read_jsonl, record)
+from ._files import (INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_json,
+                     read_jsonl, record)
 from .errors import EmptyCorpus, EmptyDocument, Record, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
 
@@ -35,10 +37,11 @@ EOS = "</s>"
 UNK = "<unk>"
 
 MODEL_FORMAT = "hlmkit-ngram"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 _LOG = {"2": math.log2, "e": math.log}
 _GRAM_LIMIT = 2 ** 63  # V ** order stays below it, so every packed gram is an int64
+_PLANES = range(8) if sys.byteorder == "little" else range(7, -1, -1)  # each int64's LE bytes
 
 
 class SurprisalSequence(Record):
@@ -168,7 +171,11 @@ class NgramModel:
         levels, lower = [], repeat(self._uniform)
         while tables:
             grams, counts = tables.pop()
-            if levels:  # each gram's suffix p, found by bisection one order down
+            if len(levels) == 1:  # each gram's suffix p: at order 2, its word's unigram p
+                dense = array("d", bytes(8 * size))
+                any(map(dense.__setitem__, levels[0][0], levels[0][3]))  # each set returns None
+                lower = map(dense.__getitem__, map(size.__rmod__, grams))
+            elif levels:  # found by bisection one order down
                 lower = map(levels[-1][3].__getitem__, map(bisect_left, repeat(levels[-1][0]), map(
                     (size ** len(levels)).__rmod__, grams)))
             # a 1 at each history run's last gram; each run's length and (int) total, in step
@@ -393,35 +400,51 @@ def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> in
     return n
 
 
-# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams,
-# and the counts above 1 at the positions that count_gaps codes as gaps)
-_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": INTS,
-                 "count_gaps": INTS, "counts": INTS}
-_WRITE_BLOCK = 1024  # ints per save_model write: a few KB of text, below the 8 KiB text chunk
+# The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams, and
+# the counts above 1 at the positions that count_gaps codes as gaps), each int list one string
+_MODEL_FIELDS = {"order": INT, "discount": NUMBER, "vocab": STRINGS, "gaps": STRING,
+                 "count_gaps": STRING, "counts": STRING}
 
 
-def _dump_fields(model: NgramModel, ints: Callable) -> dict:
-    """The dump's fields, each int list an iterator passed through ``ints``."""
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "order": model.order,
-        "discount": model.discount,
-        "vocab": list(model.words),
-        "gaps": ints(_steps(model._grams)),
-        "count_gaps": ints(_steps(model._listed_at)),
-        "counts": ints(model._listed),
-    }
+def _encode(ints: Iterable[int]) -> str:
+    """Base64 of the zlib stream of ``ints`` as int64 little-endian bytes, byte 0 of every item
+    first, then byte 1 of every item, and so on to byte 7: the HDF5/Blosc "shuffle" filter."""
+    stream, items = zlib.compressobj(), array("q", ints).tobytes()
+    data = b"".join([stream.compress(items[j::8]) for j in _PLANES])  # one plane at a time
+    return binascii.b2a_base64(data + stream.flush(), newline=False).decode("ascii")
+
+
+def _decode(key: str, text: str, limit: int = 0) -> array:
+    """The ints that :func:`_encode` wrote as ``text``, the field ``key`` of a model dump, of at
+    most ``limit`` bytes (0: any): no character is skipped, and no byte or part item left over."""
+    stream, planes = zlib.decompressobj(), None
+    try:  # a2b_base64 skips characters outside the alphabet: the text must be its encoding
+        raw = binascii.a2b_base64(text)
+        if binascii.b2a_base64(raw, newline=False) == text.encode():
+            planes = stream.decompress(raw, limit)
+    except (ValueError, zlib.error):  # binascii.Error is a ValueError
+        pass
+    if planes is None or len(planes) % 8 or not stream.eof or stream.unused_data:
+        raise ValidationError(f"model field {key!r} must be canonical base64 of one zlib stream "
+                              f"of int64 items{', at most one per gram' if limit else ''}")
+    data, n = bytearray(len(planes)), len(planes) // 8
+    for i, j in enumerate(_PLANES):  # each byte plane to its place
+        data[j::8] = planes[i * n:i * n + n]
+    planes = None  # freed before the array copies the bytes
+    return array("q", data)
 
 
 def model_to_dict(model: NgramModel) -> dict:
-    """Versioned JSON-safe dump: sorted vocabulary, gaps between the sorted packed grams, and
-    the counts above 1 with the gaps between their positions (every other count is 1)."""
-    return _dump_fields(model, list)
+    """The model file's fields: the sorted vocabulary, the gaps between the sorted packed grams,
+    and the counts above 1 with the gaps between their positions (every other count is 1)."""
+    return {"format": MODEL_FORMAT, "version": MODEL_VERSION, "order": model.order,
+            "discount": model.discount, "vocab": list(model.words),
+            "gaps": _encode(_steps(model._grams)), "count_gaps": _encode(_steps(model._listed_at)),
+            "counts": _encode(model._listed)}
 
 
 def model_from_dict(data: dict) -> NgramModel:
-    """Rebuild a model from a version-5 dump; any other version is refused."""
+    """Rebuild a model from a version-6 dump; any other version is refused."""
     fmt, version = fields(data, {"format": STRING, "version": INT})
     if fmt != MODEL_FORMAT:
         raise ValidationError("not a hlmkit n-gram model dump")
@@ -431,8 +454,12 @@ def model_from_dict(data: dict) -> NgramModel:
     keys = {"format", "version", *_MODEL_FIELDS}
     if data.keys() != keys:
         raise ValidationError(f"a model file needs fields {sorted(keys)}, got {sorted(data)}")
-    order, discount, vocab, gaps, count_gaps, listed = fields(data, _MODEL_FIELDS)
-    if len(count_gaps) != len(listed) or listed and not 2 <= min(listed) <= max(listed) < 2 ** 63:
+    order, discount, vocab, *texts = fields(data, _MODEL_FIELDS)
+    gaps = _decode("gaps", texts[0])  # bounded by memory only, as a JSON list of ints is
+    # the others list at most one item per gram
+    count_gaps, listed = map(_decode, ("count_gaps", "counts"), texts[1:],
+                             repeat(8 * len(gaps) + 1))
+    if len(count_gaps) != len(listed) or listed and min(listed) < 2:
         raise ValidationError("model counts must be listed in [2, 2**63), one per count gap")
     # the positions are the running sums, so they increase and end below the gram count
     if count_gaps and not (count_gaps[0] >= 0 and sum(count_gaps) < len(gaps)
@@ -442,23 +469,15 @@ def model_from_dict(data: dict) -> NgramModel:
     # the running sums are the grams, which _build checks, and the listed counts' positions
     model = object.__new__(NgramModel)
     model._build(order, discount, vocab, accumulate(gaps), len(gaps),
-                 array("q", accumulate(count_gaps)), array("q", listed))
+                 array("q", accumulate(count_gaps)), listed)
     return model
 
 
 def save_model(model: NgramModel, path: str | Path) -> None:
     """Serialize a model to compact JSON, the bytes of ``json.dumps(model_to_dict(model),
     sort_keys=True, separators=(",", ":"))`` and a newline. Round-trips bit-exactly."""
-    with atomic_write(path) as (fh,):  # field by field: no list of gaps, no whole text
-        dump = sorted(_dump_fields(model, iter).items())
-        for sep, (key, value) in zip(chain("{", repeat(",")), dump):
-            fh.write(f'{sep}"{key}":')  # each key is a plain name
-            if _MODEL_FIELDS.get(key) is INTS:
-                blocks = iter(lambda: ",".join(map(str, islice(value, _WRITE_BLOCK))), "")
-                fh.writelines(chain("[", islice(blocks, 1), map(",".__add__, blocks), "]"))
-            else:
-                fh.write(json.dumps(value, separators=(",", ":")))
-        fh.write("}\n")
+    with atomic_write(path) as (fh,):
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str | Path) -> NgramModel:

@@ -7,8 +7,10 @@ under test.
 
 from __future__ import annotations
 
+import base64
 import math
 import re
+import zlib
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,16 +19,54 @@ from itertools import accumulate
 BOS, EOS, UNK = "<s>", "</s>", "<unk>"
 
 
+# The fields of a model dump that each hold a list of ints as one string
+INT_FIELDS = ("gaps", "count_gaps", "counts")
+
+
+def int_planes(ints: list[int]) -> bytes:
+    """Each int's 8 little-endian two's-complement bytes (each int taken modulo 2**64), byte 0
+    of every item first, then byte 1 of every item, and so on to byte 7."""
+    items = [(i % 2 ** 64).to_bytes(8, "little") for i in ints]
+    return bytes(b[j] for j in range(8) for b in items)
+
+
+def encode_ints(ints: list[int]) -> str:
+    """The string a model dump holds for ``ints``: base64 of the zlib stream of their planes."""
+    return base64.b64encode(zlib.compress(int_planes(ints))).decode()
+
+
+def decode_ints(text: str) -> list[int]:
+    """The ints of a model dump's string: see :func:`int_planes` and :func:`encode_ints`."""
+    planes = zlib.decompress(base64.b64decode(text, validate=True))
+    n = len(planes) // 8
+    assert len(planes) == 8 * n
+    return [int.from_bytes(bytes(planes[j * n + i] for j in range(8)), "little", signed=True)
+            for i in range(n)]
+
+
+def decode_dump(dump: dict) -> dict:
+    """A model dump with its int lists decoded."""
+    return {k: decode_ints(v) if k in INT_FIELDS else v for k, v in dump.items()}
+
+
+def encode_dump(data: dict) -> dict:
+    """A model dump of ``data``: each of its int-list fields that holds a list of ints encoded,
+    and every other value as it is (a list holding another type stays a JSON list)."""
+    return {k: encode_ints(v) if k in INT_FIELDS and type(v) is list
+            and {int} >= set(map(type, v)) else v for k, v in data.items()}
+
+
 def dump_grams(dump: dict) -> list[int]:
     """The packed grams of a model dump: the running sums of its gaps."""
-    return list(accumulate(dump["gaps"]))
+    return list(accumulate(decode_ints(dump["gaps"])))
 
 
 def dump_counts(dump: dict) -> list[int]:
-    """The count of each gram of a version-5 model dump: the listed counts at the running
+    """The count of each gram of a version-6 model dump: the listed counts at the running
     sums of its count gaps, and 1 everywhere else."""
-    counts = [1] * len(dump["gaps"])
-    for position, c in zip(accumulate(dump["count_gaps"]), dump["counts"]):
+    counts = [1] * len(dump_grams(dump))
+    for position, c in zip(accumulate(decode_ints(dump["count_gaps"])),
+                           decode_ints(dump["counts"])):
         counts[position] = c
     return counts
 

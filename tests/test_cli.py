@@ -1,4 +1,5 @@
 import argparse
+import base64
 import bisect
 import csv
 import hashlib
@@ -16,6 +17,7 @@ import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+import zlib
 from itertools import accumulate, pairwise
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from hlmkit.cli import _build_parser, main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
-from oracles import dump_counts, dump_grams
+from oracles import decode_dump, dump_counts, dump_grams, encode_dump, encode_ints, int_planes
 
 CORPUS_LINES = [
     {"id": "d1", "text": "The cat sat on the mat. It was warm."},
@@ -454,6 +456,19 @@ class TestDeterminism:
             ["score", "--corpus", corpus, "--criterion", "flesch", "-o", str(out)], out
         )
 
+    def test_lm_train_reruns_write_identical_model_bytes(self, tmp_path):
+        """Two processes, each with its own string hashing, write the same model file: the
+        same zlib stream of the same byte planes. Another zlib build may write other bytes
+        for the same model, so this compares reruns and pins no digest."""
+        corpus, outs = write_corpus(tmp_path), [tmp_path / "a.json", tmp_path / "b.json"]
+        for out, seed in zip(outs, ("1", "2")):
+            proc = subprocess.run([sys.executable, "-m", "hlmkit", "lm-train", "--corpus", corpus,
+                                   "--order", "3", "-o", str(out)], capture_output=True,
+                                  text=True, env=dict(_cli_env(), PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["version"] == 6
+
 
 class TestErrorPaths:
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
@@ -628,7 +643,7 @@ def _add_gram(*gram):
         packed = 0
         for w in gram:
             packed = packed * len(index) + index[w]
-        grams, counts = dump_grams(data), dump_counts(data)
+        grams, counts = dump_grams(encode_dump(data)), dump_counts(encode_dump(data))
         i = bisect.bisect(grams, packed)
         grams.insert(i, packed)
         counts.insert(i, 5)
@@ -656,6 +671,36 @@ def _set_count(index, value):
 def _last_gram_at_the_range_end(data):
     """Make the last gram, the sum of the gaps, V ** 2: one past the largest order-2 gram."""
     data["gaps"][-1] += len(data["vocab"]) ** 2 - sum(data["gaps"])
+
+
+def _text(stream):
+    return base64.b64encode(stream).decode()
+
+
+# Each int list of a model file as one string that the reader must refuse, made from the
+# list's byte planes. (Values that int64 bytes cannot hold are cases of MALFORMED_MODELS: one
+# beyond int64 is written as its 64-bit pattern, which reads back negative, and a bool, float
+# or string item leaves the list a JSON list, where the field's string belongs.)
+ENCODING_FAULTS = {
+    "bad-base64": lambda planes: "QUJ",  # incorrect padding
+    # base64 that a2b_base64 decodes, skipping what it does not expect
+    "base64-space": lambda planes: " " + _text(zlib.compress(planes)),
+    "base64-newline": lambda planes: _text(zlib.compress(planes)) + "\n",
+    "base64-non-ascii": lambda planes: "\u00e9" + _text(zlib.compress(planes)),
+    "bad-zlib": lambda planes: _text(planes),
+    "truncated-zlib": lambda planes: _text(zlib.compress(planes)[:-1]),
+    "bytes-after-the-stream": lambda planes: _text(zlib.compress(planes) + b"\0"),
+    "two-streams": lambda planes: _text(zlib.compress(planes) * 2),
+    "length-not-a-multiple-of-8": lambda planes: _text(zlib.compress(planes + b"\0")),
+    "length-short-of-an-item": lambda planes: _text(zlib.compress(planes[:-1])),
+}
+
+
+def _encoding_fault(key, fault):
+    """Write field ``key`` as ``ENCODING_FAULTS[fault]`` of its byte planes."""
+    def mutate(data):
+        data[key] = ENCODING_FAULTS[fault](int_planes(data[key]))
+    return mutate
 
 
 # (order of lm-train's starting model file, change that makes it malformed)
@@ -722,6 +767,11 @@ MALFORMED_MODELS = {
         2, lambda d: d.update(count_gaps=[1, len(d["gaps"]) - 1], counts=[2, 2])),
     "v5-more-count-gaps-than-counts": (2, lambda d: d["count_gaps"].append(1)),
     "v5-counts-without-count-gaps": (2, lambda d: d.update(count_gaps=[], counts=[2])),
+    # each list of ints as one string; count_gaps and counts list at most one item per gram
+    **{f"v6-{key.replace('_', '-')}-{fault}": (2, _encoding_fault(key, fault))
+       for key in ("gaps", "count_gaps", "counts") for fault in ENCODING_FAULTS},
+    "v6-count-gaps-beyond-one-per-gram": (2, lambda d: d.update(
+        count_gaps=[0] + [1] * len(d["gaps"]), counts=[2] * (len(d["gaps"]) + 1))),
 }
 
 
@@ -755,10 +805,11 @@ class TestMalformedModel:
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_exit_2_without_traceback(self, tmp_path, dumps, case):
         order, mutate = MALFORMED_MODELS[case]
-        data = json.loads(json.dumps(dumps[order]))
+        # a copy, each int list decoded to a list and encoded again once changed
+        data = decode_dump(json.loads(json.dumps(dumps[order])))
         mutate(data)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(encode_dump(data)))
         proc = self._run_surprisal(tmp_path, bad)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -767,11 +818,13 @@ class TestMalformedModel:
         with pytest.raises((hlmkit.ValidationError, hlmkit.ParseError)):
             hlmkit.load_model(bad)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_version_exit_2(self, tmp_path, version):
         """Versions 1 and 2 stored nested ``[history, [[word, count], ...]]``
-        tables, version 3 the packed grams themselves, and version 4 their gaps
-        with one count per gram; they are no longer read, and have to be retrained."""
+        tables, version 3 the packed grams themselves, version 4 their gaps
+        with one count per gram, and version 5 the counts above 1 and their
+        positions' gaps, each list of ints a JSON list; they are no longer read,
+        and have to be retrained."""
         table = [[[], [["cat", 1], ["the", 2]]]]
         dump = {"format": "hlmkit-ngram", "version": version, "order": 1, "discount": 0.75,
                 "counts": table}
@@ -783,6 +836,9 @@ class TestMalformedModel:
         if version == 4:  # the same grams as gaps
             dump.update(vocab=["</s>", "<s>", "<unk>", "cat", "the"], gaps=[3, 1],
                         counts=[1, 2])
+        if version == 5:  # and the count above 1, at the gap-coded position 1
+            dump.update(vocab=["</s>", "<s>", "<unk>", "cat", "the"], gaps=[3, 1],
+                        count_gaps=[1], counts=[2])
         path = tmp_path / "old.json"
         path.write_text(json.dumps(dump))
         corpus = write_corpus(tmp_path)
@@ -1647,11 +1703,14 @@ def _any(*keys):
     return dict.fromkeys(keys, JSON_VALUES)
 
 
-INTS = st.lists(st.integers(-1, 30), max_size=6)
+# A list of ints as a model file writes it, or text near it: base64 characters, padding,
+# whitespace and the URL-safe ones
+INTS = (st.lists(st.integers(-1, 30), max_size=6).map(encode_ints)
+        | st.text(st.sampled_from("QUJDeJw=+/-_ \n"), max_size=12))
 # A model record of this format and version whose lists have their types: about
 # a third pass the key and type checks and reach the model's own checks
 MODEL_RECORD = {
-    "format": st.just("hlmkit-ngram"), "version": st.just(5),
+    "format": st.just("hlmkit-ngram"), "version": st.just(6),
     "order": st.integers(0, 4) | JSON_VALUES, "discount": st.floats(0, 1) | JSON_VALUES,
     "vocab": st.lists(st.sampled_from(["</s>", "<s>", "<unk>", "a", "b"]), unique=True).map(sorted),
     "gaps": INTS, "count_gaps": INTS, "counts": INTS,

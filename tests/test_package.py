@@ -58,8 +58,9 @@ def test_cli_loads_every_layer_and_no_importlib_resources():
 
 
 # Modules no command needs, each several milliseconds of start-up: the records are plain
-# classes, and the layers take their annotation names from collections.abc.
-UNUSED = ("dataclasses", "inspect", "typing")
+# classes, the layers take their annotation names from collections.abc, and the model file's
+# int lists are read with binascii (base64 imports re and struct).
+UNUSED = ("base64", "dataclasses", "inspect", "struct", "typing")
 
 # What a fresh process ran: the exit code of ``hlmkit.cli.main(argv)`` (0 with no argv), the
 # layers whose code ran (a layer registered unrun is of LazyLoader's module type, and one
@@ -106,6 +107,16 @@ def test_each_command_runs_only_the_layers_it_uses(valid_inputs, tmp_path, comma
     assert code == 0 and uses in ran and not ran & unused, ran
     assert not config  # no --config and no HLMKIT_CONFIG
     assert imported == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_only_the_ngram_layer_imports_zlib(layer):
+    """The model file's int lists are zlib streams, so the n-gram layer imports zlib, and the
+    layers of split, schedule, hlm, transfer, converge and report do not. (A command still
+    loads it through argparse, whose help formatter imports shutil, which imports zlib.)"""
+    imported = _fresh(f"import json, sys\nimport hlmkit.{layer}\n"
+                      "print(json.dumps('zlib' in sys.modules))")
+    assert imported == (layer == "surprisal")
 
 
 @pytest.mark.parametrize("how", ["flag", "environment"])
