@@ -42,45 +42,41 @@ experiment, hlm, splitkit, surprisal, svg, textstat, uid = map(_lazy, (
     "experiment", "hlm", "splitkit", "surprisal", "svg", "textstat", "uid"))
 
 
-class _Config:
-    """Layered option lookup: CLI flag, then [command], then [defaults] of an INI file, if any."""
+def _knobs(args: argparse.Namespace) -> dict:
+    """The command's knobs that are set, by dest: its flag, else [command], else [defaults] of the
+    INI file that --config or $HLMKIT_CONFIG names; for score, the [flesch] keys set make the
+    ``flesch`` knob. A knob set nowhere is left out, so its library default applies."""
+    casts = vars(args).get("knob_casts", {})
+    knobs = {dest: getattr(args, dest) for dest in casts if getattr(args, dest) is not None}
+    path = args.config or os.environ.get("HLMKIT_CONFIG")
+    if not path:
+        return knobs
+    import configparser  # imported only to read a file
+    parser = configparser.ConfigParser()
+    try:
+        with open_input(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as e:  # its message may span lines
+        raise ParseError(f"invalid config file: {' '.join(str(e).split())}") from None
 
-    def __init__(self, path: str | None):
-        self.parser, self._has = None, lambda section, key: False
-        if path:  # configparser is imported only to read a file
-            import configparser
-            self.parser = configparser.ConfigParser()
-            self._has = self.parser.has_option
-            try:
-                with open_input(path) as fh:
-                    self.parser.read_file(fh)
-            except configparser.Error as e:  # its message may span lines
-                raise ParseError(f"invalid config file: {' '.join(str(e).split())}") from None
-
-    def _get(self, section: str, key: str, cast):
-        from configparser import Error  # loaded already: a key is read only from a file
-        get = {bool: self.parser.getboolean, int: self.parser.getint,
-               float: self.parser.getfloat, str: self.parser.get}[cast]
+    def get(section: str, key: str, cast):
+        read = {bool: parser.getboolean, int: parser.getint, float: parser.getfloat,
+                str: parser.get}[cast]
         try:
-            return get(section, key)
-        except (ValueError, Error) as e:  # a bad cast or interpolation
+            return read(section, key)
+        except (ValueError, configparser.Error) as e:  # a bad cast or interpolation
             raise ValidationError(f"config [{section}] {key}: {e}") from None
 
-    def knobs(self, args: argparse.Namespace) -> dict:
-        """The command's knobs that are set, by dest; unset ones keep their library default."""
-        knobs = {}
-        for dest, cast in vars(args).get("knob_casts", {}).items():
-            sections = [s for s in (args.command, "defaults") if self._has(s, dest)]
-            if getattr(args, dest) is not None:
-                knobs[dest] = getattr(args, dest)
-            elif sections:
-                knobs[dest] = self._get(sections[0], dest, cast)
-        return knobs
-
-    def flesch_config(self):
-        # Flesch coefficients are config-file-only by design; no CLI flags.
-        return textstat.FleschConfig(**{name: self._get("flesch", name, float) for name in
-                                        textstat.FleschConfig._fields if self._has("flesch", name)})
+    for dest, cast in casts.items():
+        sections = [s for s in (args.command, "defaults") if parser.has_option(s, dest)]
+        if dest not in knobs and sections:
+            knobs[dest] = get(sections[0], dest, cast)
+    if args.command == "score":  # the Flesch coefficients are config-file-only, by design
+        flesch = {name: get("flesch", name, float) for name in textstat.FleschConfig._fields
+                  if parser.has_option("flesch", name)}
+        if flesch:
+            knobs["flesch"] = textstat.FleschConfig(**flesch)
+    return knobs
 
 
 def _read_back(path: str, read, written) -> None:
@@ -124,14 +120,13 @@ def _dump_json(data: dict, path: str, validate: bool, *more) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_score(args, cfg: _Config) -> int:
+def cmd_score(args) -> None:
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(
         lm=surprisal.load_model(args.model) if args.model else None,
         surprisals=(splitkit.index_surprisals(surprisal.import_surprisals(args.surprisals))
                     if args.surprisals else None),
         neural=splitkit.load_neural_scores(args.neural_scores) if args.neural_scores else None,
-        flesch=cfg.flesch_config(),
         **args.knobs,
     )
     scores = splitkit.score_corpus(corpus, args.criterion, providers)
@@ -145,19 +140,17 @@ def cmd_score(args, cfg: _Config) -> int:
     if unused := [flag for flag, path in given if path and flag != used]:  # read, all the same
         warnings.warn(f"--criterion {args.criterion} does not use {', '.join(unused)}")
     print(f"wrote {args.output} ({len(scores)} scores)")
-    return 0
 
 
-def cmd_split(args, cfg: _Config) -> int:
+def cmd_split(args) -> None:
     scores = splitkit.scores_from_jsonl(args.scores)
     split = splitkit.tertile_split(scores)
     _dump_json(splitkit.split_to_dict(split), args.output, args.validate)
     sizes = (len(split.easy), len(split.medium), len(split.hard))
     print(f"wrote {args.output} (sizes {sizes})")
-    return 0
 
 
-def cmd_lm_train(args, cfg: _Config) -> int:
+def cmd_lm_train(args) -> None:
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     model = surprisal.train_lm(corpus, **args.knobs)
     surprisal.save_model(model, args.output)
@@ -165,10 +158,9 @@ def cmd_lm_train(args, cfg: _Config) -> int:
         tables = attrgetter("order", "discount", "words", "_grams", "_listed_at", "_listed")
         _read_back(args.output, lambda p: tables(surprisal.load_model(p)), tables(model))
     print(f"wrote {args.output} (order {model.order}, vocab {len(model.words)})")
-    return 0
 
 
-def cmd_surprisal(args, cfg: _Config) -> int:
+def cmd_surprisal(args) -> None:
     corpus = splitkit.load_corpus_jsonl(args.corpus)
     providers = splitkit.Providers(lm=surprisal.load_model(args.model), **args.knobs)
     seqs = (s for doc in corpus for s in splitkit.doc_sequences(doc, providers))
@@ -176,7 +168,6 @@ def cmd_surprisal(args, cfg: _Config) -> int:
     if args.validate:  # a count, each record checked and dropped as it is read
         _read_back(args.output, lambda p: sum(1 for _ in surprisal.iter_surprisals(p)), n)
     print(f"wrote {args.output} ({n} sequences)")
-    return 0
 
 
 def _report_heatmap_data(i_model, i_task, i_criteria, cells):
@@ -199,7 +190,7 @@ def _report_heatmap_data(i_model, i_task, i_criteria, cells):
     return rows, tasks + ["index"], grid, pairs
 
 
-def cmd_hlm(args, cfg: _Config) -> int:
+def cmd_hlm(args) -> None:
     cube_path = args.cube or str(reference_performance_path())
     # no name holds the cube, so it is freed before the outputs are built
     report = hlm.compute_report(hlm.load_cube_csv(cube_path), **args.knobs)
@@ -214,18 +205,16 @@ def cmd_hlm(args, cfg: _Config) -> int:
         more.append((args.heatmap_svg, _write_svg, svg.heatmap_svg(rows, cols, grid)))
     _dump_json(hlm.report_to_dict(report), args.output, args.validate, *more)
     print(f"wrote {args.output} ({len(report.cells)} cells)")
-    return 0
 
 
-def cmd_schedule(args, cfg: _Config) -> int:
+def cmd_schedule(args) -> None:
     split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, **args.knobs)
     _dump_json(experiment.schedule_to_dict(schedule), args.output, args.validate)
     print(f"wrote {args.output} ({len(schedule.sequence)} documents, order {args.order})")
-    return 0
 
 
-def cmd_converge(args, cfg: _Config) -> int:
+def cmd_converge(args) -> None:
     if args.manifest:  # read even when a flag wins, so that a bad manifest is refused
         (direction,) = fields(read_json(args.manifest), {"higher_is_better": BOOL})
     if args.higher_is_better is not None:
@@ -239,10 +228,9 @@ def cmd_converge(args, cfg: _Config) -> int:
     result = experiment.converge_result_to_dict(log, **args.knobs)
     _dump_json(result, args.output, args.validate)
     print(f"wrote {args.output} (ratio {result['ratio']:.4f})")
-    return 0
 
 
-def cmd_transfer(args, cfg: _Config) -> int:
+def cmd_transfer(args) -> None:
     cube = hlm.load_cube_csv(args.cube)
     matrix = experiment.transfer_scores(cube)
     more = [(args.csv, _write_csv, [["train_level", *hlm.LEVELS]] + [
@@ -250,10 +238,9 @@ def cmd_transfer(args, cfg: _Config) -> int:
     ])] if args.csv else []
     _dump_json(experiment.transfer_to_dict(matrix), args.output, args.validate, *more)
     print(f"wrote {args.output} ({len(matrix.groups)} groups)")
-    return 0
 
 
-def cmd_report(args, cfg: _Config) -> int:
+def cmd_report(args) -> None:
     if not args.hlm_report and not args.curves:
         raise ValidationError("nothing to render: pass --hlm-report and/or --curves")
     if args.hlm_report and not args.heatmap_out:
@@ -281,7 +268,6 @@ def cmd_report(args, cfg: _Config) -> int:
         outputs.append((args.curves_out, svg.curves_svg(series)))
     _write(*[(path, _write_svg, text) for path, text in outputs])
     print(f"wrote {', '.join(path for path, _ in outputs)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +386,9 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda msg, category, *_: f"warning: {category.__name__}: {msg}\n"
     try:
-        cfg = _Config(args.config or os.environ.get("HLMKIT_CONFIG"))
-        args.knobs = cfg.knobs(args)
-        return args.func(args, cfg)
+        args.knobs = _knobs(args)
+        args.func(args)
+        return 0
     except HlmkitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

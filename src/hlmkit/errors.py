@@ -26,7 +26,10 @@ class Record:
                 raise TypeError(f"{type(self).__name__} takes {', '.join(self._fields)}, once each")
             args = map(values.get, self._fields)
         any(map(super().__setattr__, self._fields, args))  # each set returns None: any() runs all
-        getattr(self, "__post_init__", lambda: None)()  # a subclass's checks, if it has any
+        self.__post_init__()
+
+    def __post_init__(self):
+        """A subclass's checks of its fields, run by ``__init__``: none here."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -135,23 +135,21 @@ def score_corpus(
         raise ValidationError(f"duplicate document ids: {dupes}")
     providers = providers or Providers()
 
+    harder = HIGHER_IS_HARDER.get(criterion)  # None for neural: each row has its own
     scores = []
     for doc in corpus:
         if criterion == "flesch":
             value = flesch_score(text_stats(doc.text), providers.flesch)
-            harder = False
         elif criterion in ("uid_sl", "uid_var"):
             try:
                 value = _uid_value(doc, criterion, providers)
             except OverflowError:
                 raise ValidationError(f"{criterion} score of {doc.id!r} overflows") from None
-            harder = True
         else:
             if providers.neural is None or doc.id not in providers.neural:
                 raise MissingScore(doc.id)
             row = providers.neural[doc.id]
-            value = row.value
-            harder = row.higher_is_harder
+            value, harder = row.value, row.higher_is_harder
         scores.append(DifficultyScore(doc.id, criterion, value, harder))
     return scores
 

@@ -18,6 +18,7 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 import zlib
+from contextlib import nullcontext
 from itertools import accumulate, pairwise
 from pathlib import Path
 
@@ -936,6 +937,20 @@ class TestConfigFile:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("score", "k", "abc"), ("defaults", "per_sentence", "maybe"), ("flesch", "base", "abc"),
+    ])
+    def test_config_is_checked_before_any_input(self, tmp_path, capsys, section, key, value):
+        """Every config value is read and checked before the missing corpus is opened."""
+        config = tmp_path / "hlmkit.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "x.jsonl"
+        code = main(["score", "--corpus", str(tmp_path / "missing.jsonl"), "--criterion",
+                     "flesch", "-o", str(out), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists() and captured.out == ""
+        assert captured.err.startswith(f"error: ValidationError: config [{section}] {key}: ")
+
     def test_missing_config_file_exit_3(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         code = main(["score", "--corpus", corpus, "--criterion", "flesch",
@@ -1098,10 +1113,17 @@ def _one_bad_input(inputs, work, capsys, content, command, flag, code, prefix):
     return _fails(argv, capsys, code, prefix, out, work, Path(inputs["CORPUS"]).parent)
 
 
+def _unused_inputs_warning(command):
+    """FULL_ARGV's score gives uid_sl a model and two inputs it does not use, and is warned so."""
+    return (pytest.warns(UserWarning, match="^--criterion uid_sl does not use --surprisals, "
+                         "--neural-scores$") if command == "score" else nullcontext())
+
+
 @pytest.mark.parametrize("command", sorted(FULL_ARGV))
 def test_every_input_flag_at_once_exit_0(valid_inputs, tmp_path, command):
     # so that a fault case below fails for its one bad file alone
-    assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 0
+    with _unused_inputs_warning(command):
+        assert main(_full_argv(command, valid_inputs, tmp_path, ["--validate"])) == 0
     assert os.listdir(tmp_path)
 
 
@@ -1389,7 +1411,8 @@ def test_validate_refuses_an_output_to_dev_null(valid_inputs, tmp_path, capsys, 
 def test_validate_does_not_read_back_from_a_pipe(valid_inputs, tmp_path, command):
     # reading /dev/stdout on a pipe would take the output back from it, or block
     argv = _full_argv(command, valid_inputs, tmp_path, ["--validate"])
-    assert main(argv) == 0
+    with _unused_inputs_warning(command):
+        assert main(argv) == 0
     argv[argv.index("-o") + 1] = "/dev/stdout"
     proc = subprocess.run([sys.executable, "-m", "hlmkit", *argv], capture_output=True,
                           text=True, env=_cli_env(), timeout=30)
