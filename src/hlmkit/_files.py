@@ -2,7 +2,8 @@
 
 Every decoding fault is a :class:`ParseError` naming its line where there is
 one, and :func:`fields` checks exact JSON types, so no value is coerced. Each
-file format is a spec over these helpers, beside the record type it builds.
+file format is a spec over these helpers, beside the record type it builds;
+:func:`read_jsonl` builds one per JSON line, and :func:`write_jsonl` writes them.
 """
 
 from __future__ import annotations
@@ -61,12 +62,17 @@ def read_json(path: str | Path):
         return _decode(fh.read())
 
 
-def read_jsonl(path: str | Path):
-    """Yield ``(line number, value)`` for every non-blank line of a JSON-lines file."""
+def read_jsonl(path: str | Path, make, spec: dict):
+    """Yield ``(line number, make(*fields(value, spec, line)))`` for every non-blank line of a
+    JSON-lines file, naming the line in a ValidationError or EmptyDocument that ``make`` raises."""
     with open_input(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
+        for line, text in enumerate(fh, start=1):
             if text.strip():
-                yield lineno, _decode(text, lineno)
+                try:  # a decoding or field fault is a ParseError that names the line itself
+                    made = make(*fields(_decode(text, line), spec, line))
+                except (ValidationError, EmptyDocument) as e:
+                    raise type(e)(f"line {line}: {e}") from e
+                yield line, made
 
 
 def csv_rows(path: str | Path, columns: tuple[str, ...]):
@@ -127,14 +133,6 @@ def fields(obj, spec: dict, line: int | None = None) -> list:
     return values
 
 
-def record(line: int, make, *args):
-    """``make(*args)``, naming ``line`` in a ValidationError or EmptyDocument it raises."""
-    try:
-        return make(*args)
-    except (ValidationError, EmptyDocument) as e:
-        raise type(e)(f"line {line}: {e}") from e
-
-
 @contextmanager
 def atomic_write(*paths: str | Path):
     """New UTF-8 text files (``\\n`` line ends), one randomly named beside each of ``paths``
@@ -168,3 +166,12 @@ def atomic_write(*paths: str | Path):
             raise ValidationError(f"cannot write {', '.join(map(str, paths))}: {e.reason} "
                                   "in the input text") from e
         raise
+
+
+def write_jsonl(path: str | Path, objects) -> int:
+    """Write ``objects`` to ``path`` as they come, one JSON line each; return how many."""
+    n = 0
+    with atomic_write(path) as (fh,):
+        for n, obj in enumerate(objects, 1):
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    return n

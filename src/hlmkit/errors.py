@@ -9,15 +9,12 @@ from __future__ import annotations
 
 
 class Record:
-    """A dataclass-style record of the fields a subclass annotates, frozen unless ``frozen=False``:
-    set by position or keyword (a class value is a default); ==, hash and repr use field order."""
+    """A frozen dataclass-style record of the fields a subclass annotates: set by position or
+    keyword (a class value is a default); ==, hash and repr use field order."""
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        if not frozen:  # assignable, so unhashable
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):  # else each field is given once, in order

@@ -11,15 +11,13 @@ remainder to easy first and then medium.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from . import uid
-from ._files import (BOOL, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields,
-                     read_jsonl, record)
+from ._files import BOOL, NUMBER, NUMBERS, STRING, STRINGS, fields, read_jsonl, write_jsonl
 from .errors import EmptyCorpus, MissingScore, MissingSurprisal, Record, TooSmall, ValidationError
 from .textstat import Document, FleschConfig, flesch_score, text_stats
 
@@ -53,7 +51,7 @@ class DifficultyScore(Record):
         return self.value if self.higher_is_harder else -self.value
 
 
-class Providers(Record, frozen=False):
+class Providers(Record):
     """External inputs score_corpus may need, depending on the criterion.
 
     ``lm`` computes surprisals on the fly; ``surprisals`` supplies imported
@@ -171,9 +169,9 @@ def tertile_split(scores: Sequence[DifficultyScore]) -> DifficultySplit:
     flags = {s.higher_is_harder for s in scores}
     if len(flags) > 1:
         raise ValidationError("mixed higher_is_harder flags in one split")
-    ids = [s.doc_id for s in scores]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate document ids in scores")
+    dupes = sorted(i for i, n in Counter(s.doc_id for s in scores).items() if n > 1)
+    if dupes:
+        raise ValidationError(f"duplicate document ids in scores: {dupes}")
 
     ordered = sorted(scores, key=lambda s: (s.difficulty, s.doc_id))
     q, r = divmod(len(ordered), 3)
@@ -197,11 +195,10 @@ def tertile_split(scores: Sequence[DifficultyScore]) -> DifficultySplit:
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Corpus JSONL: one {"id": str, "text": str} object per line."""
     docs: dict[str, Document] = {}
-    for line, obj in read_jsonl(path):
-        doc_id, text = fields(obj, {"id": STRING, "text": STRING}, line)
-        if doc_id in docs:
-            raise ValidationError(f"line {line}: duplicate document id {doc_id!r}")
-        docs[doc_id] = record(line, Document, doc_id, text)
+    for line, doc in read_jsonl(path, Document, {"id": STRING, "text": STRING}):
+        if doc.id in docs:
+            raise ValidationError(f"line {line}: duplicate document id {doc.id!r}")
+        docs[doc.id] = doc
     if not docs:
         raise EmptyCorpus(f"no documents in {path}")
     return list(docs.values())
@@ -210,31 +207,24 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
 def load_neural_scores(path: str | Path) -> dict[str, DifficultyScore]:
     """Neural score JSONL: {"id": str, "score": number, "higher_is_harder": bool}."""
     out: dict[str, DifficultyScore] = {}
-    for line, obj in read_jsonl(path):
-        doc_id, score, harder = fields(
-            obj, {"id": STRING, "score": NUMBER, "higher_is_harder": BOOL}, line)
-        if doc_id in out:
-            raise ValidationError(f"line {line}: duplicate id {doc_id!r}")
-        out[doc_id] = record(line, DifficultyScore, doc_id, "neural", score, harder)
+    spec = {"id": STRING, "score": NUMBER, "higher_is_harder": BOOL}
+    for line, row in read_jsonl(path, lambda i, v, h: DifficultyScore(i, "neural", v, h), spec):
+        if row.doc_id in out:
+            raise ValidationError(f"line {line}: duplicate id {row.doc_id!r}")
+        out[row.doc_id] = row
     return out
 
 
 def scores_to_jsonl(scores: Sequence[DifficultyScore], path: str | Path) -> None:
-    with atomic_write(path) as (fh,):
-        for s in scores:
-            fh.write(json.dumps(
-                {"id": s.doc_id, "criterion": s.criterion, "value": s.value,
-                 "higher_is_harder": s.higher_is_harder},
-                ensure_ascii=False,
-            ) + "\n")
+    write_jsonl(path, ({"id": s.doc_id, "criterion": s.criterion, "value": s.value,
+                        "higher_is_harder": s.higher_is_harder} for s in scores))
 
 
 def scores_from_jsonl(path: str | Path) -> list[DifficultyScore]:
     """Score JSONL: {"id": str, "criterion": str, "value": number,
     "higher_is_harder": bool} per line, types checked exactly."""
     spec = {"id": STRING, "criterion": STRING, "value": NUMBER, "higher_is_harder": BOOL}
-    return [record(line, DifficultyScore, *fields(obj, spec, line))
-            for line, obj in read_jsonl(path)]
+    return [score for _, score in read_jsonl(path, DifficultyScore, spec)]
 
 
 def split_to_dict(split: DifficultySplit) -> dict:

@@ -28,7 +28,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from pathlib import Path
 
 from ._files import (INT, NUMBER, NUMBERS, STRING, STRINGS, atomic_write, fields, read_json,
-                     read_jsonl, record)
+                     read_jsonl, write_jsonl)
 from .errors import EmptyCorpus, EmptyDocument, Record, ValidationError
 from .textstat import Document, segment_sentences, tokenize_words
 
@@ -72,9 +72,8 @@ class SurprisalSequence(Record):
 
 
 def _tokenize_sentences(text: str) -> list[list[str]]:
-    """Lowercased word tokens per sentence; empty sentences dropped."""
-    sents = ([t.lower() for t in tokenize_words(s)] for s in segment_sentences(text))
-    return [toks for toks in sents if toks]
+    """Lowercased word tokens per sentence; each sentence has at least one."""
+    return [[t.lower() for t in tokenize_words(s)] for s in segment_sentences(text)]
 
 
 class NgramModel:
@@ -381,8 +380,7 @@ def iter_surprisals(path: str | Path) -> Iterator[SurprisalSequence]:
     decide whether to concatenate or average them.
     """
     spec = {"id": STRING, "surprisals": NUMBERS, "base": STRING}
-    for line, obj in read_jsonl(path):
-        yield record(line, SurprisalSequence, *fields(obj, spec, line))
+    yield from (seq for _, seq in read_jsonl(path, SurprisalSequence, spec))
 
 
 def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
@@ -392,12 +390,8 @@ def import_surprisals(path: str | Path) -> list[SurprisalSequence]:
 
 def export_surprisals(seqs: Iterable[SurprisalSequence], path: str | Path) -> int:
     """Write sequences as JSONL, one object per line, as they come; return how many."""
-    n = 0
-    with atomic_write(path) as (fh,):
-        for n, s in enumerate(seqs, 1):
-            fh.write(json.dumps({"id": s.doc_id, "surprisals": list(s.values), "base": s.base},
-                                ensure_ascii=False) + "\n")
-    return n
+    return write_jsonl(path, ({"id": s.doc_id, "surprisals": list(s.values), "base": s.base}
+                              for s in seqs))
 
 
 # The fields of a dump after "format" and "version", in NgramModel's order (gaps for grams, and

@@ -1347,6 +1347,7 @@ REFUSED_MESSAGES = {
     "hlm-metric-changes-within-group": "line 3: inconsistent metric within group ('t', 'c', 'm')\n",
     "transfer-repeated-eval-level-row":
         "line 3: duplicate row for ('t', 'c', 'm', 'easy', 'hard')\n",
+    "split-duplicate-ids": "duplicate document ids in scores: ['a']\n",
 }
 
 

@@ -1,6 +1,6 @@
 """The record types: each is built positionally or by keyword, with its defaults, compares and
 hashes by its field values in field order, prints them in its repr (error messages quote it),
-and refuses assignment unless it is ``Providers``."""
+and refuses assignment."""
 
 import pytest
 
@@ -106,12 +106,6 @@ def test_record_defaults(make, values, defaults, text, changed, refused):
 def test_record_hash_and_assignment(make, values, defaults, text, changed, refused):
     by_position, by_keyword = _built(make, values)
     name, value = changed
-    if make is Providers:  # the one mutable record: assignable, so unhashable
-        with pytest.raises(TypeError):
-            hash(by_position)
-        setattr(by_position, name, value)
-        assert getattr(by_position, name) == value and by_position != by_keyword
-        return
     if _hashable(values):
         assert hash(by_position) == hash(by_keyword)
         assert len({by_position, by_keyword}) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from hlmkit.errors import (
     EmptyCorpus,
+    EmptyDocument,
     MissingScore,
     MissingSurprisal,
     ParseError,
@@ -24,7 +25,7 @@ from hlmkit.splitkit import (
     split_to_dict,
     tertile_split,
 )
-from hlmkit.surprisal import SurprisalSequence, train_lm
+from hlmkit.surprisal import SurprisalSequence, import_surprisals, train_lm
 from hlmkit.textstat import Document
 from oracles import uid_sl_formula
 
@@ -245,6 +246,31 @@ class TestFileFormats:
         path.write_text('{"id": "d1", "score": 2.0}\n')
         with pytest.raises(ParseError, match="line 1"):
             load_neural_scores(path)
+
+    # each JSON-lines reader, its valid line 1 and a line 2 it refuses, and the message naming
+    # that line; a repeated id with blank text is refused for its text, which is checked first
+    @pytest.mark.parametrize("read, rows, error, message", [
+        (load_corpus_jsonl, [{"id": "d1", "text": "a"}, {"id": "d2", "text": " "}],
+         EmptyDocument, "line 2: document 'd2' has no text"),
+        (load_corpus_jsonl, [{"id": "d1", "text": "a"}, {"id": "d1", "text": "b"}],
+         ValidationError, "line 2: duplicate document id 'd1'"),
+        (load_corpus_jsonl, [{"id": "d1", "text": "a"}, {"id": "d1", "text": ""}],
+         EmptyDocument, "line 2: document 'd1' has no text"),
+        (load_neural_scores, [{"id": "d1", "score": 1.0, "higher_is_harder": True}] * 2,
+         ValidationError, "line 2: duplicate id 'd1'"),
+        (scores_from_jsonl, [dict(id=d, criterion="flesch", value=1.0, higher_is_harder=h)
+                             for d, h in (("d1", False), ("d2", True))],
+         ValidationError, "line 2: criterion 'flesch' must have higher_is_harder=False"),
+        (import_surprisals, [{"id": "d1", "surprisals": v, "base": "2"} for v in ([1.0], [])],
+         EmptyDocument, "line 2: surprisal sequence for 'd1' is empty"),
+    ], ids=["corpus-blank-text", "corpus-duplicate-id", "corpus-duplicate-id-blank-text",
+            "neural-duplicate-id", "scores-flesch-direction", "surprisals-empty"])
+    def test_reader_names_the_refused_line(self, tmp_path, read, rows, error, message):
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(error) as caught:
+            read(path)
+        assert str(caught.value) == message
 
     def test_scores_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -50,6 +50,7 @@ class TestSegmentSentences:
             return
         sentences = segment_sentences(text)
         assert len(sentences) >= 1
+        assert all(map(tokenize_words, sentences))  # every sentence has a token
         joined = " ".join(" ".join(s.split()) for s in sentences)
         assert joined == " ".join(text.split())
 
