@@ -43,8 +43,9 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# one decoder for every call: json.loads with a hook builds a new one each time
+# built once: json.loads with a hook, and json.dumps with an option, build a new one per call
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _decode(text: str, line: int | None = None):
@@ -173,5 +174,5 @@ def write_jsonl(path: str | Path, objects) -> int:
     n = 0
     with atomic_write(path) as (fh,):
         for n, obj in enumerate(objects, 1):
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_LINE_ENCODER.encode(obj) + "\n")
     return n

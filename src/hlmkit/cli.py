@@ -59,18 +59,22 @@ def _knobs(args: argparse.Namespace) -> dict:
     except configparser.Error as e:  # its message may span lines
         raise ParseError(f"invalid config file: {' '.join(str(e).split())}") from None
 
-    def get(section: str, key: str, cast):
+    def get(section: str, key: str, cast, choices=None):
         read = {bool: parser.getboolean, int: parser.getint, float: parser.getfloat,
                 str: parser.get}[cast]
         try:
-            return read(section, key)
-        except (ValueError, configparser.Error) as e:  # a bad cast or interpolation
+            value = read(section, key)
+            if choices and value not in choices:  # worded as argparse words a flag's
+                raise ValueError(f"invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, choices))})")
+            return value
+        except (ValueError, configparser.Error) as e:  # a bad cast or choice, or interpolation
             raise ValidationError(f"config [{section}] {key}: {e}") from None
 
-    for dest, cast in casts.items():
+    for dest, (cast, choices) in casts.items():
         sections = [s for s in (args.command, "defaults") if parser.has_option(s, dest)]
         if dest not in knobs and sections:
-            knobs[dest] = get(sections[0], dest, cast)
+            knobs[dest] = get(sections[0], dest, cast, choices)
     if args.command == "score":  # the Flesch coefficients are config-file-only, by design
         flesch = {name: get("flesch", name, float) for name in textstat.FleschConfig._fields
                   if parser.has_option("flesch", name)}
@@ -145,7 +149,7 @@ def cmd_score(args) -> None:
 def cmd_split(args) -> None:
     scores = splitkit.scores_from_jsonl(args.scores)
     split = splitkit.tertile_split(scores)
-    _dump_json(splitkit.split_to_dict(split), args.output, args.validate)
+    _dump_json(split._asdict(), args.output, args.validate)
     sizes = (len(split.easy), len(split.medium), len(split.hard))
     print(f"wrote {args.output} (sizes {sizes})")
 
@@ -210,7 +214,7 @@ def cmd_hlm(args) -> None:
 def cmd_schedule(args) -> None:
     split = splitkit.split_from_dict(read_json(args.split))
     schedule = experiment.make_schedule(split, args.order, **args.knobs)
-    _dump_json(experiment.schedule_to_dict(schedule), args.output, args.validate)
+    _dump_json(schedule._asdict(), args.output, args.validate)
     print(f"wrote {args.output} ({len(schedule.sequence)} documents, order {args.order})")
 
 
@@ -301,7 +305,8 @@ def _knob(p: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
     """Add a flag that the config file may also set, as the key named by its dest."""
     action = p.add_argument(*flags, **kwargs)
     cast = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type or str
-    p.set_defaults(knob_casts={**(p.get_default("knob_casts") or {}), action.dest: cast})
+    p.set_defaults(knob_casts={**(p.get_default("knob_casts") or {}),
+                               action.dest: (cast, action.choices)})
 
 
 def _build_parser() -> argparse.ArgumentParser:

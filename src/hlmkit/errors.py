@@ -31,6 +31,10 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _asdict(self) -> dict:  # the fields by name, each tuple value as a list, as JSON holds it
+        return {name: list(v) if type(v) is tuple else v
+                for name, v in zip(self._fields, self._values())}
+
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 

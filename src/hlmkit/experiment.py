@@ -73,30 +73,15 @@ def make_schedule(split: DifficultySplit, order: str, seed: int | None = None) -
     """
     if order not in ORDERS:
         raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
-    easy, medium, hard = list(split.easy), list(split.medium), list(split.hard)
-    if order == "easy_to_hard":
-        seq = easy + medium + hard
-        bounds = (len(easy), len(easy) + len(medium))
+    if order != "random":
         seed = None
-    elif order == "hard_to_easy":
-        seq = hard + medium + easy
-        bounds = (len(hard), len(hard) + len(medium))
-        seed = None
-    else:
-        if seed is None:
-            raise ValidationError("random schedules require a seed")
-        seq = seeded_shuffle(easy + medium + hard, seed)
-        bounds = (len(easy), len(easy) + len(medium))
-    return Schedule(order=order, seed=seed, sequence=tuple(seq), phase_boundaries=bounds)
-
-
-def schedule_to_dict(s: Schedule) -> dict:
-    return {
-        "order": s.order,
-        "seed": s.seed,
-        "sequence": list(s.sequence),
-        "phase_boundaries": list(s.phase_boundaries),
-    }
+    elif seed is None:
+        raise ValidationError("random schedules require a seed")
+    first, medium, last = ((split.hard, split.medium, split.easy) if order == "hard_to_easy"
+                           else (split.easy, split.medium, split.hard))
+    seq = [*first, *medium, *last]
+    seq = seq if seed is None else seeded_shuffle(seq, seed)
+    return Schedule(order, seed, tuple(seq), (len(first), len(first) + len(medium)))
 
 
 class TrainingLog(Record):

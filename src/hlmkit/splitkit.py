@@ -227,16 +227,6 @@ def scores_from_jsonl(path: str | Path) -> list[DifficultyScore]:
     return [score for _, score in read_jsonl(path, DifficultyScore, spec)]
 
 
-def split_to_dict(split: DifficultySplit) -> dict:
-    return {
-        "criterion": split.criterion,
-        "boundaries": list(split.boundaries),
-        "easy": list(split.easy),
-        "medium": list(split.medium),
-        "hard": list(split.hard),
-    }
-
-
 def split_from_dict(data: dict) -> DifficultySplit:
     criterion, boundaries, easy, medium, hard = fields(data, {
         "criterion": STRING, "boundaries": NUMBERS, "easy": STRINGS, "medium": STRINGS,

@@ -29,7 +29,7 @@ from hlmkit.hlm import (
     load_cube_csv,
     logical_score,
 )
-from hlmkit.splitkit import DifficultyScore, split_to_dict, tertile_split
+from hlmkit.splitkit import DifficultyScore, tertile_split
 from hlmkit.surprisal import BOS, SurprisalSequence, train_lm
 from hlmkit.textstat import Document, TextStats, flesch_score
 from hlmkit.uid import uid_superlinear, uid_variance
@@ -188,7 +188,7 @@ def test_c07_tertile_split_properties():
             shuffled = list(scores)
             rng.shuffle(shuffled)
             again = tertile_split(shuffled)
-            assert json.dumps(split_to_dict(split)) == json.dumps(split_to_dict(again))
+            assert json.dumps(split._asdict()) == json.dumps(again._asdict())
 
 
 def _transfer_cube(groups):

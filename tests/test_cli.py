@@ -31,6 +31,7 @@ from hlmkit.cli import _build_parser, main
 from hlmkit.data import reference_performance_path
 from hlmkit.errors import IncompleteDataWarning, ValidationError
 from hlmkit.hlm import CUBE_COLUMNS
+from hlmkit.textstat import FleschConfig, flesch_score, text_stats
 from oracles import decode_dump, dump_counts, dump_grams, encode_dump, encode_ints, int_planes
 
 CORPUS_LINES = [
@@ -302,7 +303,8 @@ class TestHlmCommand:
         config.write_text("[hlm]\nstd_ddof = 2\n")
         report = tmp_path / "report.json"
         assert main(["hlm", "--config", str(config), "-o", str(report)]) == 2
-        assert capsys.readouterr().err == "error: ValidationError: std_ddof must be 0 or 1, got 2\n"
+        assert capsys.readouterr().err == ("error: ValidationError: config [hlm] std_ddof: "
+                                           "invalid choice: 2 (choose from 0, 1)\n")
         assert not report.exists()
 
 
@@ -885,6 +887,22 @@ KNOBS = [
      ["--epsilon", "0.1"], "0.2"),
 ]
 
+# A config value refused before any input is opened: (argv without -o, with MISSING for the
+# missing input; section; key; value; the error after the key)
+_SCORE_FLESCH = ["score", "--corpus", "MISSING", "--criterion", "flesch"]
+CONFIG_FAULTS = [
+    (_SCORE_FLESCH, "score", "k", "abc", "could not convert string to float: 'abc'"),
+    (_SCORE_FLESCH, "defaults", "per_sentence", "maybe", "Not a boolean: maybe"),
+    (_SCORE_FLESCH, "flesch", "base", "abc", "could not convert string to float: 'abc'"),
+    (["lm-train", "--corpus", "MISSING"], "lm-train", "order", "5",
+     "invalid choice: 5 (choose from 1, 2, 3)"),
+    (["hlm", "--cube", "MISSING"], "hlm", "std_ddof", "2",
+     "invalid choice: 2 (choose from 0, 1)"),
+    (_SCORE_FLESCH, "score", "base", "7", "invalid choice: '7' (choose from '2', 'e')"),
+    (["surprisal", "--corpus", "MISSING", "--model", "MISSING"], "defaults", "base", "7",
+     "invalid choice: '7' (choose from '2', 'e')"),
+]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
@@ -937,19 +955,33 @@ class TestConfigFile:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("score", "k", "abc"), ("defaults", "per_sentence", "maybe"), ("flesch", "base", "abc"),
-    ])
-    def test_config_is_checked_before_any_input(self, tmp_path, capsys, section, key, value):
-        """Every config value is read and checked before the missing corpus is opened."""
+    @pytest.mark.parametrize("argv, section, key, value, error", CONFIG_FAULTS,
+                             ids=[f"{case[1]}-{case[2]}-{case[3]}" for case in CONFIG_FAULTS])
+    def test_config_is_checked_before_any_input(self, tmp_path, capsys,
+                                                argv, section, key, value, error):
+        """Every config value is read and checked, its cast and its flag's choices, before
+        the missing input is opened."""
         config = tmp_path / "hlmkit.ini"
         config.write_text(f"[{section}]\n{key} = {value}\n")
         out = tmp_path / "x.jsonl"
-        code = main(["score", "--corpus", str(tmp_path / "missing.jsonl"), "--criterion",
-                     "flesch", "-o", str(out), "--config", str(config)])
+        missing = str(tmp_path / "missing")
+        code = main([missing if a == "MISSING" else a for a in argv]
+                    + ["-o", str(out), "--config", str(config)])
         captured = capsys.readouterr()
         assert code == 2 and not out.exists() and captured.out == ""
-        assert captured.err.startswith(f"error: ValidationError: config [{section}] {key}: ")
+        assert captured.err == f"error: ValidationError: config [{section}] {key}: {error}\n"
+
+    def test_flesch_keys(self, tmp_path):
+        """The [flesch] keys set the coefficients of every flesch score; unset ones keep theirs."""
+        config = tmp_path / "hlmkit.ini"
+        config.write_text("[flesch]\nbase = 100\nsyllables_per_word = 80\n")
+        out = tmp_path / "scores.jsonl"
+        assert main(["score", "--corpus", write_corpus(tmp_path), "--criterion", "flesch",
+                     "-o", str(out), "--config", str(config)]) == 0
+        cfg = FleschConfig(base=100.0, syllables_per_word=80.0)
+        got = [json.loads(line)["value"] for line in out.read_text().splitlines()]
+        assert got == [flesch_score(text_stats(d["text"]), cfg) for d in CORPUS_LINES]
+        assert got != [flesch_score(text_stats(d["text"])) for d in CORPUS_LINES]
 
     def test_missing_config_file_exit_3(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

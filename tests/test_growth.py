@@ -7,7 +7,7 @@ Each command runs in-process through ``cli.main`` at n, 2n and 4n items of one a
 - sentences that open with a word the model never saw open one: ``surprisal``, whose every
   first token misses at the start history, the longest run of the model;
 - imported surprisal lines: ``score --criterion uid_var --surprisals``;
-- scores: ``split``;
+- scores: ``split``, and ``schedule --order random`` on the split it writes;
 - log steps: ``converge`` and ``report --curves``;
 - cube groups: ``hlm`` with both heatmaps, and ``transfer --csv``.
 
@@ -102,13 +102,16 @@ def _imported_surprisals(tmp, n):
 
 
 def _scores(tmp, n):
-    """n scores over 100 values, so that ties straddle the tertile cuts."""
+    """n scores over 100 values, so that ties straddle the tertile cuts; the schedule reads
+    the split of them."""
     rng = random.Random(n)
-    scores = tmp / "scores.jsonl"
+    scores, split = tmp / "scores.jsonl", str(tmp / "split.json")
     scores.write_text("".join(json.dumps({"id": f"d{i}", "criterion": "uid_sl", "value":
                                           rng.randrange(100) / 10, "higher_is_harder": True})
                               + "\n" for i in range(n)))
-    return {"split": ["split", "--scores", str(scores), "-o", str(tmp / "split.json")]}
+    return {"split": ["split", "--scores", str(scores), "-o", split],
+            "schedule": ["schedule", "--split", split, "--order", "random", "--seed", "7",
+                         "-o", str(tmp / "schedule.json")]}
 
 
 def _log_steps(tmp, n):

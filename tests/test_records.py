@@ -1,6 +1,6 @@
 """The record types: each is built positionally or by keyword, with its defaults, compares and
 hashes by its field values in field order, prints them in its repr (error messages quote it),
-and refuses assignment."""
+refuses assignment, and gives its fields by name in ``_asdict``, each tuple as a list."""
 
 import pytest
 
@@ -141,3 +141,13 @@ def test_record_post_init_refusal(make, values, refused):
     name, value, error = refused
     with pytest.raises(error):
         make(**dict(values, **{name: value}))
+
+
+@pytest.mark.parametrize("make, values, defaults, text, changed, refused", RECORDS, ids=IDS)
+def test_record_asdict(make, values, defaults, text, changed, refused):
+    by_position, _ = _built(make, values)
+    data = by_position._asdict()
+    assert list(data) == list(make._fields) == list(values)
+    for name, value in values.items():
+        assert data[name] == (list(value) if type(value) is tuple else value)
+        assert type(data[name]) is (list if type(value) is tuple else type(value))

@@ -22,7 +22,6 @@ from hlmkit.splitkit import (
     scores_from_jsonl,
     scores_to_jsonl,
     split_from_dict,
-    split_to_dict,
     tertile_split,
 )
 from hlmkit.surprisal import SurprisalSequence, import_surprisals, train_lm
@@ -280,11 +279,11 @@ class TestFileFormats:
 
     def test_split_dict_round_trip(self):
         split = tertile_split(make_scores(range(1, 10)))
-        data = json.loads(json.dumps(split_to_dict(split)))
+        data = json.loads(json.dumps(split._asdict()))
         assert split_from_dict(data) == split
 
     def test_split_lists_each_id_once(self):
-        data = dict(split_to_dict(tertile_split(make_scores(range(1, 10)))), hard=["d1", "d9"])
+        data = dict(tertile_split(make_scores(range(1, 10)))._asdict(), hard=["d1", "d9"])
         with pytest.raises(ValidationError, match=r"more than once: \['d1'\]"):
             split_from_dict(data)
 
